@@ -18,7 +18,6 @@ from hotlane import (
     BprParams,
     DesignParams,
     PopulationParams,
-    classify_regime,
     region_measures,
     solve,
 )
@@ -40,7 +39,6 @@ CASES = [
 
 def main() -> None:
     for name, design, pop, bpr in CASES:
-        regime = classify_regime(design, pop, bpr)
         out = solve(design, pop, bpr)
         measured = region_measures(out.shares, design, pop, bpr)
         consistency = max(
@@ -49,14 +47,14 @@ def main() -> None:
             abs(measured.ordinary - out.shares.ordinary),
         )
         print(f"{name} (tau={design.tau}, rho={design.rho}, A={design.occupancy})")
-        print(f"  regime {regime.value}")
+        print(f"  regime {out.regime.value}")
         print(
             f"  shares: toll={out.shares.toll:.6f} pool={out.shares.pool:.6f} "
             f"ordinary={out.shares.ordinary:.6f}"
         )
         print(f"  latency gap {out.gap:.4f} min, flows (ordinary, hot) = "
               f"({out.flows[0]:.1f}, {out.flows[1]:.1f}) veh/min")
-        print(f"  fixed-point residual {out.residual:.2e} in {out.iterations} bisection steps")
+        print(f"  fixed-point residual {out.residual:.2e} in {out.iterations} root-finding steps")
         print(f"  region-measure self-consistency gap {consistency:.2e}")
         print()
 

@@ -9,8 +9,9 @@ sweeps design grids to trade average travel time against toll revenue.
 
 Main entry points:
 
-* :func:`hotlane.equilibrium.solve` - classify a design point and solve its
-  fixed-point equation.
+* :func:`hotlane.equilibrium.solve` / :func:`hotlane.equilibrium.solve_batch` -
+  the equilibrium of one design point or of a whole grid at once, as the
+  root of the latency-gap fixed point.
 * :func:`hotlane.oracle.oracle_equilibrium` - independent brute-force check.
 * :func:`hotlane.design.sweep` / :func:`hotlane.design.pareto_front` -
   design-grid evaluation and Pareto extraction.
@@ -53,6 +54,7 @@ from .equilibrium import (
     classify_regime,
     probe_gap,
     solve,
+    solve_batch,
     solve_regime_a1,
     solve_regime_a2,
     solve_regime_b,
@@ -112,6 +114,7 @@ __all__ = [
     "region_measures",
     "region_measures_at_gap",
     "solve",
+    "solve_batch",
     "solve_regime_a1",
     "solve_regime_a2",
     "solve_regime_b",

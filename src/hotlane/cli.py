@@ -42,7 +42,7 @@ from .design import (
     sweep,
 )
 from .errors import HotLaneError, NoConvergence, ParseError, ValidationError
-from .latency import BprParams, DesignParams, latency_hot, latency_ordinary
+from .latency import BprParams, DesignParams
 from .oracle import OracleConfig, oracle_equilibrium
 from .population import PopulationParams
 
@@ -244,7 +244,6 @@ def cmd_equilibrium(config: RunConfig, tau: float, rho: float, json_output: bool
     design = DesignParams(rho=rho, tau=tau, occupancy=config.occupancy)
     result = evaluate_design(design, config.population, config.bpr)
     outcome = result.outcome
-    flow_ordinary, flow_hot = outcome.flows
     report = {
         "tau": tau,
         "rho": rho,
@@ -253,8 +252,8 @@ def cmd_equilibrium(config: RunConfig, tau: float, rho: float, json_output: bool
         "sigma_pool": outcome.shares.pool,
         "sigma_o": outcome.shares.ordinary,
         "c_delta": outcome.gap,
-        "latency_hot": latency_hot(flow_hot, design.rho, config.bpr),
-        "latency_ordinary": latency_ordinary(flow_ordinary, design.rho, config.bpr),
+        "latency_hot": outcome.latencies[1],
+        "latency_ordinary": outcome.latencies[0],
         "avg_time": result.avg_time,
         "revenue": result.revenue,
         "residual": outcome.residual,
@@ -309,10 +308,10 @@ def cmd_verify(config: RunConfig, tau: float, rho: float, grid_n: int | None = N
     return 1
 
 
-def _result_cells(result: DesignPointResult, config: RunConfig) -> list[str]:
+def _result_cells(result: DesignPointResult) -> list[str]:
     outcome = result.outcome
     design = result.design
-    flow_ordinary, flow_hot = outcome.flows
+    ordinary_time, hot_time = outcome.latencies
     return [
         _fmt(design.tau),
         _fmt(design.rho),
@@ -321,8 +320,8 @@ def _result_cells(result: DesignPointResult, config: RunConfig) -> list[str]:
         _fmt(outcome.shares.pool),
         _fmt(outcome.shares.ordinary),
         _fmt(outcome.gap),
-        _fmt(latency_hot(flow_hot, design.rho, config.bpr)),
-        _fmt(latency_ordinary(flow_ordinary, design.rho, config.bpr)),
+        _fmt(hot_time),
+        _fmt(ordinary_time),
         _fmt(result.avg_time),
         _fmt(result.revenue),
         _fmt(outcome.residual),
@@ -339,7 +338,7 @@ def _sweep_rows(config: RunConfig) -> tuple[list[str], int]:
             failures += 1
             cells = [_fmt(entry.design.tau), _fmt(entry.design.rho), "ERROR"] + [""] * 9
         else:
-            cells = _result_cells(entry, config)
+            cells = _result_cells(entry)
         rows.append(",".join(cells))
     return rows, failures
 
@@ -359,7 +358,7 @@ def cmd_pareto(config: RunConfig, out_path: str | Path, per_rho: bool = False) -
     failures = len(entries) - len(solved)
     lines = [",".join(SWEEP_COLUMNS) + ",front_id"]
     for point in pareto_front(solved).points:
-        lines.append(",".join(_result_cells(point, config) + ["global"]))
+        lines.append(",".join(_result_cells(point) + ["global"]))
     if per_rho:
         for rho in sorted(set(config.rho_values)):
             subset = [point for point in solved if point.design.rho == rho]
@@ -367,7 +366,7 @@ def cmd_pareto(config: RunConfig, out_path: str | Path, per_rho: bool = False) -
                 continue
             front_id = f"rho={_fmt(rho)}"
             for point in pareto_front(subset).points:
-                lines.append(",".join(_result_cells(point, config) + [front_id]))
+                lines.append(",".join(_result_cells(point) + [front_id]))
     Path(out_path).write_text("\n".join(lines) + "\n")
     return 0 if failures == 0 else 1
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .equilibrium import EquilibriumOutcome, solve
+from .equilibrium import EquilibriumOutcome, solve, solve_batch
 from .errors import EmptyInput, HotLaneError, ValidationError
-from .latency import BprParams, DesignParams, latency_hot, latency_ordinary
+from .latency import BprParams, DesignParams
 from .population import PopulationParams
 
 __all__ = [
@@ -70,33 +70,39 @@ class ParetoFront:
                 raise ValidationError("front points must strictly increase in both avg_time and revenue")
 
 
-def evaluate_design(design: DesignParams, pop: PopulationParams, bpr: BprParams) -> DesignPointResult:
-    """Solve the design point and evaluate both objectives at equilibrium."""
-    outcome = solve(design, pop, bpr)
+def _objectives(
+    design: DesignParams, outcome: EquilibriumOutcome, pop: PopulationParams
+) -> DesignPointResult:
     shares = outcome.shares
-    flow_ordinary, flow_hot = outcome.flows
-    hot_time = latency_hot(flow_hot, design.rho, bpr)
-    ordinary_time = latency_ordinary(flow_ordinary, design.rho, bpr)
+    ordinary_time, hot_time = outcome.latencies
     avg_time = (shares.toll + shares.pool) * hot_time + shares.ordinary * ordinary_time
     revenue = pop.demand * shares.toll * design.tau
     return DesignPointResult(design, outcome, avg_time, revenue)
 
 
+def _describe(exc: HotLaneError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def evaluate_design(design: DesignParams, pop: PopulationParams, bpr: BprParams) -> DesignPointResult:
+    """Solve the design point and evaluate both objectives at equilibrium."""
+    return _objectives(design, solve(design, pop, bpr), pop)
+
+
 def sweep(
     designs: list[DesignParams], pop: PopulationParams, bpr: BprParams
 ) -> list[DesignPointResult | FailedDesignPoint]:
-    """Evaluate every design point; output order matches input order.
+    """Evaluate every design point in one batched solve; output order matches input order.
 
     Solver failures become :class:`FailedDesignPoint` entries so a single
     bad point cannot abort a grid run.
     """
-    results: list[DesignPointResult | FailedDesignPoint] = []
-    for design in designs:
-        try:
-            results.append(evaluate_design(design, pop, bpr))
-        except HotLaneError as exc:
-            results.append(FailedDesignPoint(design, f"{type(exc).__name__}: {exc}"))
-    return results
+    return [
+        FailedDesignPoint(design, _describe(outcome))
+        if isinstance(outcome, HotLaneError)
+        else _objectives(design, outcome, pop)
+        for design, outcome in zip(designs, solve_batch(designs, pop, bpr))
+    ]
 
 
 def pareto_front(results: list[DesignPointResult]) -> ParetoFront:
@@ -165,13 +171,13 @@ def comparative_statics_scan(
     if any(b <= a for a, b in zip(rho_grid, rho_grid[1:])):
         raise ValidationError(f"rho_grid must be strictly increasing, got {rho_grid}")
 
-    rows: list[StaticsRow] = []
-    for rho in rho_grid:
-        design = DesignParams(rho=rho, tau=tau, occupancy=occupancy)
-        try:
-            rows.append(StaticsRow(rho, solve(design, pop, bpr)))
-        except HotLaneError as exc:
-            rows.append(StaticsRow(rho, None, f"{type(exc).__name__}: {exc}"))
+    designs = [DesignParams(rho=rho, tau=tau, occupancy=occupancy) for rho in rho_grid]
+    rows = [
+        StaticsRow(rho, None, _describe(outcome))
+        if isinstance(outcome, HotLaneError)
+        else StaticsRow(rho, outcome)
+        for rho, outcome in zip(rho_grid, solve_batch(designs, pop, bpr))
+    ]
 
     solved = [row.outcome for row in rows if row.outcome is not None]
     columns = {

@@ -1,32 +1,42 @@
-"""Regime classification and fixed-point equilibrium solvers.
+"""Population equilibrium: one root in the latency gap, solved in batches.
 
-Every design point falls into one of two qualitative regimes, split by how
-the toll compares with the carpool-disutility bound and with the weighted
-latency gap at the probe profile ``(0, tau/(2*gamma_max), 1 - tau/(2*gamma_max))``:
+Against a latency gap ``g`` (ordinary minus HOT latency, minutes) the
+closed-form region measures give the share of travelers best-responding
+with each action, and those shares produce a latency gap of their own. An
+equilibrium is a fixed point of that map, the root of
 
-* Regime A (high toll): nobody pays; HOT users all carpool. Subcase A1
-  solves ``(beta_max/(2*gamma_max)) * gap = pool`` for the pool share;
-  subcase A2 (which forces ``tau > gamma_max``) solves
-  ``(gamma_max/(2*beta_max)) / gap = ordinary`` for the ordinary share.
-* Regime B (low toll): a positive mass pays. The toll share solves
-  ``(1 - tau/(beta_max*gap)) * (gamma_max-tau)/gamma_max = toll`` with the
-  pool share tied to the toll share in closed form.
+    F(g) = latency_gap(region_measures_at_gap(g)) - g.
 
-Each equation has a unique root because its residual changes sign exactly
-once across the documented bracket: the associated auxiliary functions
-(share/gap for A1, gap*(1-share) for A2, and the linearly damped gap for B)
-are strictly monotone wherever the latency gap is positive, and beyond the
-zero-gap point the residuals sit strictly on the far side of their targets.
-Bisection is therefore guaranteed to converge; no derivatives are needed.
+The region measures grow with ``g`` and moving travelers onto the HOT lanes
+closes the gap, so ``F`` falls strictly from ``F(0) = gap(everyone
+ordinary) > 0`` and has exactly one root on ``[0, gap(everyone ordinary)]``.
+:func:`solve_batch` brackets that root for every design point at once, in
+elementwise numpy: each step is a secant step with the Illinois weighting
+that falls back to the midpoint whenever it would leave the bracket, and a
+point stops when its bracket reaches float resolution. :func:`solve` is a
+batch of one.
 
-Boundary designs where the regime conditions hold with equality are
-classified as Regime A: both inequalities in the published regime sets are
-strict, either assignment yields the same limiting equilibrium, and Regime A
-keeps the toll share at zero, which is the limit of the Regime-B solution
-approaching the boundary. When ``tau >= 2*gamma_max`` the probe share would
-leave the simplex, so the probe is clamped to ``(0, 1, 0)``; the clamped gap
-is negative, which lands such designs in Regime A1 as expected for a toll
-that high.
+The regime is read off the solution: B if a positive mass pays the toll,
+A2 if ``beta_max * g > gamma_max`` (which forces ``tau > gamma_max``),
+otherwise A1. The residual reported is that of the regime's printed
+equation at the solved shares, in share units:
+
+* A1: ``(beta_max/(2*gamma_max)) * gap = pool``;
+* A2: ``(gamma_max/(2*beta_max)) / gap = ordinary``;
+* B: ``(1 - tau/(beta_max*gap)) * (gamma_max-tau)/gamma_max = toll``.
+
+The published construction stays here as an independent reference that the
+tests check :func:`solve` against; :func:`solve` does not call it.
+:func:`classify_regime` picks the regime from the weighted latency gap at
+the probe profile ``(0, tau/(2*gamma_max), 1 - tau/(2*gamma_max))``, and
+``solve_regime_*`` bisect the regime's share variable on its bracket. Each
+of those equations has a unique root because its auxiliary function
+(share/gap for A1, gap*(1-share) for A2, the linearly damped gap for B) is
+strictly monotone wherever the latency gap is positive. Boundary designs
+where the regime conditions hold with equality are classified as Regime A,
+the limit of the Regime-B solution approaching the boundary. When
+``tau >= 2*gamma_max`` the probe share would leave the simplex, so the probe
+is clamped to ``(0, 1, 0)``, whose negative gap lands such designs in A1.
 """
 
 from __future__ import annotations
@@ -35,9 +45,18 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import BracketFailure, GapNonPositive, InfeasibleClosure, NoConvergence, ValidationError
-from .latency import BprParams, DesignParams, StrategyShares, latency_gap, vehicle_flows
-from .population import PopulationParams
+import numpy as np
+
+from .errors import (
+    BracketFailure,
+    GapNonPositive,
+    HotLaneError,
+    InfeasibleClosure,
+    NoConvergence,
+    ValidationError,
+)
+from .latency import BprParams, DesignParams, StrategyShares, bpr_time, lane_flows, latency_gap, vehicle_flows
+from .population import PopulationParams, region_fractions
 
 __all__ = [
     "RegimeLabel",
@@ -45,6 +64,7 @@ __all__ = [
     "probe_gap",
     "classify_regime",
     "solve",
+    "solve_batch",
     "solve_regime_a1",
     "solve_regime_a2",
     "solve_regime_b",
@@ -81,7 +101,9 @@ class EquilibriumOutcome:
     ``gap`` is the ordinary-minus-HOT latency difference at the solved
     shares (minutes), ``flows`` the (ordinary, HOT) vehicle flows,
     ``residual`` the absolute fixed-point residual of the solved equation in
-    its printed units, and ``iterations`` the bisection count.
+    its printed units, ``iterations`` the root-finding step count, and
+    ``latencies`` the (ordinary, HOT) lane travel times in minutes at the
+    solved flows (``None`` from the reference ``solve_regime_*`` solvers).
     """
 
     shares: StrategyShares
@@ -90,6 +112,7 @@ class EquilibriumOutcome:
     flows: tuple[float, float]
     residual: float
     iterations: int
+    latencies: tuple[float, float] | None = None
 
     def __post_init__(self):
         if not self.shares.pool > 0:
@@ -349,14 +372,133 @@ def solve_regime_b(
     return _finish(shares, RegimeLabel.B, printed, iterations, design, pop, bpr)
 
 
-_SOLVERS = {
-    RegimeLabel.A1: solve_regime_a1,
-    RegimeLabel.A2: solve_regime_a2,
-    RegimeLabel.B: solve_regime_b,
-}
+# ---------------------------------------------------------------------------
+# Batched gap-space solver
+# ---------------------------------------------------------------------------
+
+
+def solve_batch(
+    designs: list[DesignParams], pop: PopulationParams, bpr: BprParams
+) -> list[EquilibriumOutcome | HotLaneError]:
+    """Equilibria of many design points at once, in input order.
+
+    A point that cannot be solved comes back as its typed error instance in
+    place of an outcome (``GapNonPositive`` when the HOT lane is never
+    faster, ``NoConvergence`` when the bracket is still open after
+    ``MAX_BISECT`` steps or the printed residual exceeds ``RESIDUAL_TOL``),
+    so one bad point never aborts the batch. Every step is elementwise, so a
+    point's result does not depend on the rest of the batch.
+    """
+    rho = np.array([d.rho for d in designs], dtype=float)
+    tau = np.array([d.tau for d in designs], dtype=float)
+    occupancy = np.array([d.occupancy for d in designs], dtype=float)
+    cap_ordinary, cap_hot = bpr.v_cap * (1.0 - rho), bpr.v_cap * rho
+
+    def lanes(shares, occupancy, cap_ordinary, cap_hot):
+        """(ordinary, HOT) vehicle flows and travel times at the shares."""
+        flow_ordinary, flow_hot = lane_flows(*shares, pop.demand, occupancy)
+        times = bpr_time(flow_ordinary, cap_ordinary, bpr), bpr_time(flow_hot, cap_hot, bpr)
+        return (flow_ordinary, flow_hot), times
+
+    def excess(g, tau, *lane_params):
+        _, (time_ordinary, time_hot) = lanes(region_fractions(g, tau, pop), *lane_params)
+        return time_ordinary - time_hot - g
+
+    # F(0) is the gap with everyone on the ordinary lanes, the upper bracket end.
+    zeros = np.zeros_like(rho)
+    _, (time_ordinary, time_hot) = lanes((zeros, zeros, 1.0), occupancy, cap_ordinary, cap_hot)
+    top = time_ordinary - time_hot
+    open_ = np.flatnonzero(top > 0.0)
+    root = np.full(rho.shape, np.nan)
+    iterations = np.zeros(rho.shape, dtype=int)
+
+    # Working arrays hold the points still open; ``open_`` maps them back.
+    params = [tau[open_], occupancy[open_], cap_ordinary[open_], cap_hot[open_]]
+    lo, hi = np.zeros(open_.size), top[open_]
+    f_lo, f_hi = hi.copy(), excess(hi, *params)
+    moved_lo = moved_hi = np.zeros(open_.size, dtype=bool)  # ends the last step replaced
+    mid = 0.5 * (lo + hi)
+    for step in range(1, MAX_BISECT + 1):
+        if not open_.size:
+            break
+        x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        x = np.where((lo < x) & (x < hi), x, mid)
+        fx = excess(x, *params)
+        # F(x) == 0 replaces both ends, closing the bracket on the root.
+        to_lo, to_hi = fx >= 0.0, fx <= 0.0
+        # Illinois: an end kept twice running has its stored value halved.
+        f_hi = np.where(to_lo & moved_lo, 0.5 * f_hi, f_hi)
+        f_lo = np.where(to_hi & moved_hi, 0.5 * f_lo, f_lo)
+        lo, f_lo = np.where(to_lo, x, lo), np.where(to_lo, fx, f_lo)
+        hi, f_hi = np.where(to_hi, x, hi), np.where(to_hi, fx, f_hi)
+        moved_lo, moved_hi = to_lo, to_hi
+        mid = 0.5 * (lo + hi)
+        done = (mid == lo) | (mid == hi)
+        if done.any():
+            root[open_[done]] = mid[done]
+            iterations[open_[done]] = step
+            keep = ~done
+            open_, lo, hi, f_lo, f_hi, moved_lo, moved_hi, mid = (
+                a[keep] for a in (open_, lo, hi, f_lo, f_hi, moved_lo, moved_hi, mid)
+            )
+            params = [a[keep] for a in params]
+
+    toll, pool, ordinary = shares = region_fractions(np.where(root > 0.0, root, 1.0), tau, pop)
+    (flow_ordinary, flow_hot), (time_ordinary, time_hot) = lanes(shares, occupancy, cap_ordinary, cap_hot)
+    gap = time_ordinary - time_hot
+    regime = np.where(toll > 0.0, 2, np.where(pop.beta_max * root > pop.gamma_max, 1, 0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        printed = np.choose(
+            regime,
+            [
+                0.5 * pop.beta_max / pop.gamma_max * gap - pool,
+                0.5 * pop.gamma_max / pop.beta_max / gap - ordinary,
+                (1.0 - tau / (pop.beta_max * gap)) * (pop.gamma_max - tau) / pop.gamma_max - toll,
+            ],
+        )
+    columns = (
+        top, root, *shares, regime, gap, flow_ordinary, flow_hot, np.abs(printed), iterations, time_ordinary, time_hot
+    )
+    return [_outcome(*values) for values in zip(*(column.tolist() for column in columns))]
+
+
+_LABELS = (RegimeLabel.A1, RegimeLabel.A2, RegimeLabel.B)
+
+
+def _outcome(
+    top, root, toll, pool, ordinary, regime, gap, flow_ordinary, flow_hot, residual, iterations, *latencies
+) -> EquilibriumOutcome | HotLaneError:
+    """One point of :func:`solve_batch` as an outcome, or as the error it failed with."""
+    if not top > 0.0:
+        return GapNonPositive(f"the HOT lane is never faster: all-ordinary latency gap {top}")
+    if math.isnan(root):
+        return NoConvergence(f"the gap bracket is still open after {MAX_BISECT} steps")
+    if not residual <= RESIDUAL_TOL:
+        return NoConvergence(
+            f"fixed-point residual {residual} exceeds {RESIDUAL_TOL}",
+            last_value=(toll, pool, ordinary),
+            residual=residual,
+        )
+    try:
+        return EquilibriumOutcome(
+            StrategyShares(toll, pool, ordinary),
+            _LABELS[regime],
+            gap,
+            (flow_ordinary, flow_hot),
+            residual,
+            iterations,
+            latencies,
+        )
+    except HotLaneError as exc:
+        return exc
 
 
 def solve(design: DesignParams, pop: PopulationParams, bpr: BprParams) -> EquilibriumOutcome:
-    """Classify the design point and solve its regime's fixed-point equation."""
-    regime = classify_regime(design, pop, bpr)
-    return _SOLVERS[regime](design, pop, bpr)
+    """Equilibrium of one design point: :func:`solve_batch` on a batch of one.
+
+    Raises the point's typed error instead of returning it.
+    """
+    (outcome,) = solve_batch([design], pop, bpr)
+    if isinstance(outcome, HotLaneError):
+        raise outcome
+    return outcome

@@ -122,12 +122,24 @@ def vehicle_flows(sigma: StrategyShares, demand: float, occupancy: float) -> tup
     """
     if not demand > 0:
         raise ValidationError(f"demand must be > 0, got {demand}")
-    flow_ordinary = sigma.ordinary * demand
-    flow_hot = (sigma.toll + sigma.pool / occupancy) * demand
-    return flow_ordinary, flow_hot
+    return lane_flows(sigma.toll, sigma.pool, sigma.ordinary, demand, occupancy)
 
 
-def _bpr(flow: float, capacity: float, bpr: BprParams) -> float:
+def lane_flows(toll, pool, ordinary, demand, occupancy):
+    """(ordinary, HOT) vehicle flows, elementwise over floats or numpy arrays.
+
+    The formula behind :func:`vehicle_flows`; it validates nothing.
+    """
+    return ordinary * demand, (toll + pool / occupancy) * demand
+
+
+def bpr_time(flow, capacity, bpr: BprParams):
+    """Volume-delay curve ``t_free * (1 + (a * flow / capacity) ** b)``.
+
+    Elementwise over floats or numpy arrays and unvalidated: the one
+    definition of the curve behind :func:`latency_ordinary`,
+    :func:`latency_hot` and the batched equilibrium kernel.
+    """
     return bpr.t_free * (1.0 + (bpr.a * flow / capacity) ** bpr.b)
 
 
@@ -140,7 +152,7 @@ def latency_ordinary(flow, rho: float, bpr: BprParams):
     if not 0 < rho < 1:
         raise ValidationError(f"capacity fraction rho must lie in (0, 1), got {rho}")
     _check_flow(flow)
-    return _bpr(flow, bpr.v_cap * (1.0 - rho), bpr)
+    return bpr_time(flow, bpr.v_cap * (1.0 - rho), bpr)
 
 
 def latency_hot(flow, rho: float, bpr: BprParams):
@@ -151,12 +163,14 @@ def latency_hot(flow, rho: float, bpr: BprParams):
     if not 0 < rho < 1:
         raise ValidationError(f"capacity fraction rho must lie in (0, 1), got {rho}")
     _check_flow(flow)
-    return _bpr(flow, bpr.v_cap * rho, bpr)
+    return bpr_time(flow, bpr.v_cap * rho, bpr)
 
 
 def _check_flow(flow) -> None:
-    # Works for scalars and numpy arrays alike.
-    if np.any(np.asarray(flow) < 0):
+    # A Python float is compared directly: np.any on a scalar costs far more
+    # than the latency itself.
+    negative = flow < 0 if isinstance(flow, float) else np.any(np.asarray(flow) < 0)
+    if negative:
         raise ValidationError(f"flow must be >= 0, got {flow}")
 
 

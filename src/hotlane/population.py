@@ -22,6 +22,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 from .latency import BprParams, DesignParams, StrategyShares, latency_gap, vehicle_flows, latency_hot, latency_ordinary
 
@@ -126,34 +128,36 @@ def best_response(
     return best_response_at_gap(agent.beta, agent.gamma, gap, design.tau)
 
 
+def region_fractions(gap, tau, pop: PopulationParams):
+    """(toll, pool, ordinary) region fractions at a positive latency gap.
+
+    Elementwise over floats or numpy arrays and unvalidated: the one
+    closed form behind :func:`region_measures_at_gap` and the batched
+    equilibrium kernel. The pool region lies below ``gamma = beta * g``
+    capped at ``t = min(tau, gamma_max)``; with ``h = min(beta_max * g, t)``
+    its area is ``h * (beta_max - h / (2 g))``, a pure triangle while
+    ``beta_max * g <= t`` and a triangle plus rectangle beyond. The toll
+    region is the rectangle above ``gamma = tau`` and right of
+    ``beta = tau / g``.
+    """
+    beta_max, gamma_max = pop.beta_max, pop.gamma_max
+    area = beta_max * gamma_max
+    height = np.minimum(beta_max * gap, np.minimum(tau, gamma_max))
+    pool = height * (beta_max - 0.5 * height / gap) / area
+    toll = np.maximum(0.0, beta_max - tau / gap) * np.maximum(0.0, gamma_max - tau) / area
+    return toll, pool, np.maximum(0.0, 1.0 - pool - toll)
+
+
 def region_measures_at_gap(gap: float, tau: float, pop: PopulationParams) -> StrategyShares:
     """Population fractions of the three best-response regions, closed form.
 
-    With gap ``g > 0`` the pool region is bounded above by the line
-    ``gamma = beta * g`` capped at ``t = min(tau, gamma_max)``: a pure
-    triangle while ``beta_max * g <= t``, a triangle plus rectangle beyond.
-    The toll region is the rectangle above ``gamma = tau`` and right of
-    ``beta = tau / g``. A non-positive gap sends everyone to the ordinary
-    lane.
+    See :func:`region_fractions`. A non-positive gap sends everyone to the
+    ordinary lane.
     """
-    beta_max, gamma_max = pop.beta_max, pop.gamma_max
     if gap <= 0.0:
         return StrategyShares(0.0, 0.0, 1.0)
-
-    cap = min(tau, gamma_max)
-    peak = beta_max * gap
-    if peak <= cap:
-        pool_area = 0.5 * beta_max * peak
-    else:
-        beta_cross = cap / gap
-        pool_area = 0.5 * cap * beta_cross + cap * (beta_max - beta_cross)
-    pool = pool_area / (beta_max * gamma_max)
-
-    beta_cut = tau / gap
-    toll = max(0.0, beta_max - beta_cut) * max(0.0, gamma_max - tau) / (beta_max * gamma_max)
-
-    ordinary = max(0.0, 1.0 - pool - toll)
-    return StrategyShares(toll, pool, ordinary)
+    toll, pool, ordinary = region_fractions(gap, tau, pop)
+    return StrategyShares(float(toll), float(pool), float(ordinary))
 
 
 def region_measures(

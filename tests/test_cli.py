@@ -1,7 +1,9 @@
 """Config parsing, commands, CSV schemas, and exit codes."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from hotlane import DesignParams, HotLaneError, ParseError, ValidationError
@@ -178,14 +180,13 @@ def test_cmd_sweep_single_point(tmp_path):
 
 def test_cmd_sweep_error_rows(tmp_path, monkeypatch):
     bad = DesignParams(0.25, 0.5, 2.5)
-    original = design_mod.solve
+    original = design_mod.solve_batch
 
-    def failing_solve(design, pop, bpr):
-        if design == bad:
-            raise HotLaneError("synthetic failure")
-        return original(design, pop, bpr)
+    def failing_solve_batch(designs, pop, bpr):
+        outcomes = original(designs, pop, bpr)
+        return [HotLaneError("synthetic failure") if d == bad else o for d, o in zip(designs, outcomes)]
 
-    monkeypatch.setattr(design_mod, "solve", failing_solve)
+    monkeypatch.setattr(design_mod, "solve_batch", failing_solve_batch)
     out = tmp_path / "sweep.csv"
     assert cmd_sweep(i880_config(), out) == 1
     lines = out.read_text().splitlines()
@@ -194,6 +195,28 @@ def test_cmd_sweep_error_rows(tmp_path, monkeypatch):
     cells = error_rows[0].split(",")
     assert cells[0] == "0.5" and cells[1] == "0.25"
     assert all(cell == "" for cell in cells[3:])
+
+
+def _dense_config():
+    step = (12.0 - 0.1) / 99
+    rho = tuple(float(r) for r in np.linspace(0.05, 0.95, 50))
+    return dataclasses.replace(
+        i880_config(), rho_values=rho, tau_min=0.1, tau_max=0.1 + 99.5 * step, tau_step=step
+    )
+
+
+@pytest.mark.parametrize("make_config, stride", [(i880_config, 1), (_dense_config, 50)])
+def test_equilibrium_json_matches_sweep_row(make_config, stride, tmp_path, capsys):
+    config = make_config()
+    out = tmp_path / "sweep.csv"
+    assert cmd_sweep(config, out) == 0
+    rows = out.read_text().splitlines()[1:]
+    for index in range(0, len(rows), stride):
+        design = config.design_grid()[index]
+        assert cmd_equilibrium(config, design.tau, design.rho, json_output=True) == 0
+        report = json.loads(capsys.readouterr().out)
+        cells = [report[c] if c == "regime" else format(report[c], ".12g") for c in SWEEP_COLUMNS]
+        assert ",".join(cells) == rows[index]
 
 
 def test_cmd_pareto_csv(tmp_path):

@@ -78,14 +78,13 @@ def test_sweep_empty_and_duplicates(i880_pop, i880_bpr):
 def test_sweep_records_failures(i880_pop, i880_bpr, monkeypatch):
     bad = DesignParams(0.5, 2.0, 2.5)
     good = DesignParams(0.25, 1.0, 2.5)
-    original = design_mod.solve
+    original = design_mod.solve_batch
 
-    def failing_solve(design, pop, bpr):
-        if design == bad:
-            raise HotLaneError("synthetic failure")
-        return original(design, pop, bpr)
+    def failing_solve_batch(designs, pop, bpr):
+        outcomes = original(designs, pop, bpr)
+        return [HotLaneError("synthetic failure") if d == bad else o for d, o in zip(designs, outcomes)]
 
-    monkeypatch.setattr(design_mod, "solve", failing_solve)
+    monkeypatch.setattr(design_mod, "solve_batch", failing_solve_batch)
     results = sweep([good, bad], i880_pop, i880_bpr)
     assert isinstance(results[0], DesignPointResult)
     assert isinstance(results[1], FailedDesignPoint)

@@ -4,23 +4,30 @@ import numpy as np
 import pytest
 
 from hotlane import (
+    BprParams,
     BracketFailure,
     DesignParams,
     EquilibriumOutcome,
+    FailedDesignPoint,
     GapNonPositive,
     InfeasibleClosure,
+    NoConvergence,
+    OracleConfig,
     PopulationParams,
     RegimeLabel,
     StrategyShares,
     ValidationError,
     classify_regime,
     latency_ordinary,
+    oracle_equilibrium,
     probe_gap,
     region_measures,
     solve,
+    solve_batch,
     solve_regime_a1,
     solve_regime_a2,
     solve_regime_b,
+    sweep,
 )
 from hotlane import equilibrium as eq
 from hotlane.equilibrium import (
@@ -277,3 +284,93 @@ def test_a2_unreachable_on_i880(i880_pop, i880_bpr):
         for tau in np.arange(0.5, 10.5, 0.5):
             design = DesignParams(rho=rho, tau=float(tau), occupancy=2.5)
             assert classify_regime(design, i880_pop, i880_bpr) is not RegimeLabel.A2
+
+
+# Seed-0 dense grid of the benchmark: rho = linspace(0.05, 0.95, 50) x
+# tau = 0.1 + i * 11.9/99 for i in 0..99, tau built as the CLI builds it.
+DENSE_RHO = np.linspace(0.05, 0.95, 50)
+DENSE_TAU_STEP = (12.0 - 0.1) / 99
+CONGESTED_POP = PopulationParams(demand=250.0, beta_max=1.5, gamma_max=8.0)
+CONGESTED_BPR = BprParams(a=0.6, b=4.0, t_free=22.0, v_cap=140.0)
+
+
+def dense_design(k: int, i: int) -> DesignParams:
+    return DesignParams(rho=float(DENSE_RHO[k]), tau=0.1 + i * DENSE_TAU_STEP, occupancy=2.5)
+
+
+def dense_grid() -> list[DesignParams]:
+    return [dense_design(k, i) for k in range(50) for i in range(100)]
+
+
+def i880_grid() -> list[DesignParams]:
+    return [DesignParams(rho, 0.5 * k, 2.5) for rho in (0.25, 0.5, 0.75) for k in range(1, 21)]
+
+
+@pytest.mark.parametrize(
+    "calibration, k, i, oracle_checked",
+    [
+        # The probe-share classifier answered A1, 9.9e-3 from the oracle; the
+        # equilibrium is A2.
+        ("i880", 49, 98, True),
+        # The classifier's A2 bracket missed the root: BracketFailure.
+        ("i880", 48, 78, True),
+        # Steep Regime B: the share bisection stopped at width 1e-12 with a
+        # printed residual of 7.5e-9, raising NoConvergence on a correct root.
+        ("congested", 0, 0, False),
+        ("congested", 19, 73, False),  # BracketFailure
+        ("congested", 32, 99, False),  # silent A1, 1.1e-2 off
+    ],
+)
+def test_solve_outside_the_i880_grid(calibration, k, i, oracle_checked, i880_pop, i880_bpr):
+    pop, bpr = (i880_pop, i880_bpr) if calibration == "i880" else (CONGESTED_POP, CONGESTED_BPR)
+    design = dense_design(k, i)
+    out = solve(design, pop, bpr)
+    measured = region_measures(out.shares, design, pop, bpr)
+    assert max(abs(a - b) for a, b in zip(measured.as_tuple(), out.shares.as_tuple())) <= 1e-8
+    assert out.residual <= eq.RESIDUAL_TOL
+    if oracle_checked:
+        oracle, _ = oracle_equilibrium(design, pop, bpr, OracleConfig(grid_n=2000))
+        assert max(abs(a - b) for a, b in zip(oracle.as_tuple(), out.shares.as_tuple())) <= 5e-3
+
+
+def _bits(outcome: EquilibriumOutcome) -> tuple:
+    floats = (*outcome.shares.as_tuple(), outcome.gap, *outcome.flows, outcome.residual, *outcome.latencies)
+    return (outcome.regime, outcome.iterations, tuple(x.hex() for x in floats))
+
+
+@pytest.mark.parametrize("grid, stride", [(i880_grid, 1), (dense_grid, 50)])
+def test_solve_is_a_batch_of_one(grid, stride, i880_pop, i880_bpr):
+    designs = grid()
+    batch = solve_batch(designs, i880_pop, i880_bpr)
+    for index in range(0, len(designs), stride):
+        assert _bits(solve(designs[index], i880_pop, i880_bpr)) == _bits(batch[index])
+
+
+def test_solve_does_not_use_the_regime_solvers(i880_pop, i880_bpr, a2_setup, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve must not classify or dispatch by regime")
+
+    for name in ("classify_regime", "solve_regime_a1", "solve_regime_a2", "solve_regime_b", "regime_bracket"):
+        monkeypatch.setattr(eq, name, forbidden)
+    points = [
+        (DesignParams(0.25, 1.0, 2.5), i880_pop, i880_bpr, RegimeLabel.A1),
+        (DesignParams(0.75, 0.5, 2.5), i880_pop, i880_bpr, RegimeLabel.B),
+        (*a2_setup, RegimeLabel.A2),
+    ]
+    for design, pop, bpr, regime in points:
+        assert solve(design, pop, bpr).regime is regime
+
+
+def test_open_bracket_at_the_cap_is_an_error(i880_pop, i880_bpr, monkeypatch):
+    # With a 3-step budget no point reaches float resolution: every one must
+    # come back as NoConvergence, never as an answer.
+    monkeypatch.setattr(eq, "MAX_BISECT", 3)
+    designs = [DesignParams(0.25, 1.0, 2.5), DesignParams(0.75, 0.5, 2.5)]
+    assert all(isinstance(out, NoConvergence) for out in solve_batch(designs, i880_pop, i880_bpr))
+    with pytest.raises(NoConvergence):
+        solve(designs[0], i880_pop, i880_bpr)
+    assert all(isinstance(entry, FailedDesignPoint) for entry in sweep(designs, i880_pop, i880_bpr))
+
+
+def test_solve_batch_empty(i880_pop, i880_bpr):
+    assert solve_batch([], i880_pop, i880_bpr) == []

@@ -89,6 +89,13 @@ def test_latency_domain_errors(i880_bpr):
         latency_hot(-1.0, 0.5, i880_bpr)
 
 
+def test_negative_flow_rejected_scalar_and_array(i880_bpr):
+    for flow in (-1e-9, np.float64(-2.0), np.array([10.0, -1.0, 5.0])):
+        for latency in (latency_ordinary, latency_hot):
+            with pytest.raises(ValidationError, match="flow must be >= 0"):
+                latency(flow, 0.5, i880_bpr)
+
+
 def test_latency_gap_symmetric_zero(i880_bpr):
     # Equal flows on equally sized lanes: pool/occupancy balances ordinary.
     sigma = StrategyShares(0.0, 2.5 / 3.5, 1.0 / 3.5)
