@@ -2,8 +2,8 @@
 
 The solver uses the regime equations; the oracle knows nothing about them.
 It drops four million agent types on a grid, lets each best-respond, and
-damps the population toward a fixed point. Agreement between the two is a
-strong end-to-end check of the whole model.
+brackets the latency gap until the grid labeling reproduces itself.
+Agreement between the two is a strong end-to-end check of the whole model.
 """
 
 from hotlane import BprParams, DesignParams, OracleConfig, PopulationParams, oracle_equilibrium, solve
@@ -15,7 +15,7 @@ POINTS = [(0.25, 1.0), (0.5, 5.0), (0.75, 0.5), (0.75, 1.0), (0.75, 10.0)]
 
 
 def main() -> None:
-    cfg = OracleConfig()  # 2000 x 2000 agents, damping 0.2
+    cfg = OracleConfig()  # 2000 x 2000 agents
     print(f"oracle grid: {cfg.grid_n} x {cfg.grid_n} agent types\n")
     print(f"{'tau':>5} {'rho':>5} {'regime':>6} {'solver pool':>12} {'oracle pool':>12} {'max-norm dist':>14}")
     for rho, tau in POINTS:
@@ -29,7 +29,7 @@ def main() -> None:
         )
         print(
             f"{tau:>5} {rho:>5} {out.regime.value:>6} {out.shares.pool:>12.6f} "
-            f"{oracle_shares.pool:>12.6f} {distance:>14.3e}  ({iterations} oracle steps)"
+            f"{oracle_shares.pool:>12.6f} {distance:>14.3e}  ({iterations} grid labelings)"
         )
 
 

@@ -16,8 +16,6 @@ prefixes, for example::
     tau_max = 10.0
     tau_step = 0.5
     oracle.grid_n = 2000       # optional block
-    oracle.damping = 0.2
-    oracle.tol = 1e-09
     oracle.max_iters = 10000
 
 Monetary values are dollars, times are minutes. All CSV floats are written
@@ -28,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -144,12 +143,10 @@ _FLOAT_KEYS = {
     "tau_min",
     "tau_max",
     "tau_step",
-    "oracle.damping",
-    "oracle.tol",
 }
 _INT_KEYS = {"oracle.grid_n", "oracle.max_iters"}
 _LIST_KEYS = {"rho_values"}
-_OPTIONAL_KEYS = {"oracle.grid_n", "oracle.damping", "oracle.tol", "oracle.max_iters"}
+_OPTIONAL_KEYS = {"oracle.grid_n", "oracle.max_iters"}
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _LIST_KEYS
 
 
@@ -184,7 +181,7 @@ def parse_config_text(text: str) -> RunConfig:
 
     oracle_kwargs = {
         field: raw[f"oracle.{field}"]
-        for field in ("grid_n", "damping", "tol", "max_iters")
+        for field in ("grid_n", "max_iters")
         if f"oracle.{field}" in raw
     }
     return RunConfig(
@@ -228,8 +225,6 @@ def dump_config(config: RunConfig) -> str:
         f"tau_max = {config.tau_max!r}",
         f"tau_step = {config.tau_step!r}",
         f"oracle.grid_n = {config.oracle.grid_n!r}",
-        f"oracle.damping = {config.oracle.damping!r}",
-        f"oracle.tol = {config.oracle.tol!r}",
         f"oracle.max_iters = {config.oracle.max_iters!r}",
     ]
     return "\n".join(lines) + "\n"
@@ -402,7 +397,9 @@ def cmd_statics(config: RunConfig, tau: float, out_path: str | Path) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hotlane",
         description="Equilibrium solver and design explorer for high-occupancy toll lanes.",

@@ -282,6 +282,21 @@ def test_main_dump_config_round_trip(capsys):
     assert parse_config_text(capsys.readouterr().out) == i880_config()
 
 
+def test_main_twice_in_one_process(capsys):
+    """The parser is built once per process; no flag carries over between calls."""
+    argv = ["--i880-defaults", "equilibrium", "--tau", "0.5", "--rho", "0.75"]
+    assert main(argv + ["--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert text.startswith(f"regime: {report['regime']}\n")
+    assert f"toll share: {format(report['sigma_toll'], '.12g')}\n" in text
+    assert main(["--i880-defaults", "--dump-config"]) == 0
+    assert parse_config_text(capsys.readouterr().out) == i880_config()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == text
+
+
 def test_main_requires_config_source(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["equilibrium", "--tau", "1.0", "--rho", "0.5"])

@@ -5,9 +5,11 @@ import pytest
 
 from hotlane import (
     AgentType,
+    BprParams,
     DesignParams,
     NoConvergence,
     OracleConfig,
+    PopulationParams,
     RegimeLabel,
     StrategyShares,
     ValidationError,
@@ -17,19 +19,19 @@ from hotlane import (
     oracle_equilibrium,
     solve,
 )
+from hotlane import oracle
 from hotlane.population import ActionLabel
+
+# The congested calibration: I-880 with demand 250 and a = 0.6.
+CONGESTED_POP = PopulationParams(demand=250.0, beta_max=1.5, gamma_max=8.0)
+CONGESTED_BPR = BprParams(a=0.6, b=4.0, t_free=22.0, v_cap=140.0)
+I880_POINTS = [(rho, 0.5 * k) for rho in (0.25, 0.5, 0.75) for k in range(1, 21)]
 
 
 def test_oracle_config_validation():
     OracleConfig()
     with pytest.raises(ValidationError):
         OracleConfig(grid_n=5)
-    with pytest.raises(ValidationError):
-        OracleConfig(damping=0.0)
-    with pytest.raises(ValidationError):
-        OracleConfig(damping=1.5)
-    with pytest.raises(ValidationError):
-        OracleConfig(tol=0.0)
     with pytest.raises(ValidationError):
         OracleConfig(max_iters=0)
 
@@ -94,13 +96,13 @@ def test_empirical_shares_tracks_region_measures(i880_pop, congested_bpr):
 
 
 def test_oracle_equilibrium_fixed_point(i880_pop, i880_bpr, oracle_cfg):
-    # Includes the design point whose exact equilibrium straddles a grid
-    # labeling boundary (limit-cycle exit path).
+    # Includes design points whose exact equilibrium straddles a grid
+    # labeling boundary, where no grid state is exactly self-consistent.
     for rho, tau in [(0.25, 1.0), (0.75, 0.5), (0.75, 1.0)]:
         design = DesignParams(rho, tau, 2.5)
         shares, iterations = oracle_equilibrium(design, i880_pop, i880_bpr, oracle_cfg)
         again = empirical_shares(shares, design, i880_pop, i880_bpr, oracle_cfg)
-        floor = oracle_cfg.tol + 2.0 / oracle_cfg.grid_n
+        floor = 2.0 / oracle_cfg.grid_n
         for a, b in zip(shares.as_tuple(), again.as_tuple()):
             assert abs(a - b) <= floor
         assert 1 <= iterations <= oracle_cfg.max_iters
@@ -137,25 +139,79 @@ def test_oracle_grid_refinement(i880_pop, i880_bpr):
             assert abs(a - b) <= 4.0 / base.grid_n
 
 
-def test_oracle_damping_robustness(i880_pop, i880_bpr):
-    """Different damping weights land on the same fixed point."""
+def _self_residual(shares, design, pop, bpr, cfg):
+    """Largest agent-count change when the grid state is labeled against itself."""
+    total = cfg.grid_n * cfg.grid_n
+    again = empirical_shares(shares, design, pop, bpr, cfg)
+    d_toll = round((again.toll - shares.toll) * total)
+    d_pool = round((again.pool - shares.pool) * total)
+    return max(abs(d_toll), abs(d_pool), abs(d_toll + d_pool))
+
+
+def test_oracle_self_residual_within_one_agent(i880_pop, i880_bpr, oracle_cfg):
+    """Exact or straddling, the returned grid state relabels at most one agent."""
     sampled = [(0.25, 1.0), (0.25, 7.5), (0.5, 3.0), (0.75, 4.0), (0.75, 10.0)]
     for rho, tau in sampled:
         design = DesignParams(rho, tau, 2.5)
-        results = []
-        for damping in (0.1, 0.2, 0.5):
-            cfg = OracleConfig(damping=damping)
-            shares, _ = oracle_equilibrium(design, i880_pop, i880_bpr, cfg)
-            results.append(shares.as_tuple())
-        for other in results[1:]:
-            for a, b in zip(results[0], other):
-                assert abs(a - b) <= 10 * OracleConfig().tol
+        shares, _ = oracle_equilibrium(design, i880_pop, i880_bpr, oracle_cfg)
+        assert _self_residual(shares, design, i880_pop, i880_bpr, oracle_cfg) <= 1
+
+
+@pytest.mark.parametrize(
+    "rho, tau",
+    [
+        (0.05, 8.514141414141413),  # A1
+        (0.19693877551020406, 4.908080808080808),  # B
+        (0.2520408163265306, 2.504040404040404),  # B
+    ],
+)
+def test_oracle_converges_on_congested_points(rho, tau):
+    """Congested points where damped best-response iteration cycles without freezing."""
+    design = DesignParams(rho, tau, 2.5)
+    cfg = OracleConfig(grid_n=500)
+    shares, _ = oracle_equilibrium(design, CONGESTED_POP, CONGESTED_BPR, cfg)
+    out = solve(design, CONGESTED_POP, CONGESTED_BPR)
+    tolerance = max(5e-3, 4.0 / cfg.grid_n)
+    assert max(abs(a - b) for a, b in zip(shares.as_tuple(), out.shares.as_tuple())) <= tolerance
+
+
+def test_oracle_labelings_per_point(i880_pop, i880_bpr, oracle_cfg, monkeypatch):
+    """Grid labelings per I-880 point: the work, not the time."""
+    calls = []
+    label_counts = oracle._label_counts
+
+    def counted(*args):
+        calls[-1] += 1
+        return label_counts(*args)
+
+    monkeypatch.setattr(oracle, "_label_counts", counted)
+    for rho, tau in I880_POINTS:
+        calls.append(0)
+        _, labelings = oracle_equilibrium(DesignParams(rho, tau, 2.5), i880_pop, i880_bpr, oracle_cfg)
+        assert labelings == calls[-1]
+    assert np.median(calls) <= 10
+    assert max(calls) <= 80
+
+
+def test_oracle_straddle_surfaced():
+    """No grid state lies within the 2/grid_n floor: a straddle, not the cap."""
+    design = DesignParams(0.8397959183673469, 0.1, 2.5)
+    cfg = OracleConfig(grid_n=2000)
+    with pytest.raises(NoConvergence) as excinfo:
+        oracle_equilibrium(design, CONGESTED_POP, CONGESTED_BPR, cfg)
+    message = str(excinfo.value)
+    assert "straddle" in message and "cap" not in message
+    assert excinfo.value.residual > 2.0 / cfg.grid_n
+    best = excinfo.value.last_value
+    total = cfg.grid_n * cfg.grid_n
+    assert _self_residual(best, design, CONGESTED_POP, CONGESTED_BPR, cfg) == round(excinfo.value.residual * total)
 
 
 def test_oracle_no_convergence_surfaced(i880_pop, i880_bpr):
     cfg = OracleConfig(max_iters=3)
     with pytest.raises(NoConvergence) as excinfo:
         oracle_equilibrium(DesignParams(0.75, 0.5, 2.5), i880_pop, i880_bpr, cfg)
+    assert "cap" in str(excinfo.value) and "straddle" not in str(excinfo.value)
     assert isinstance(excinfo.value.last_value, StrategyShares)
     assert excinfo.value.residual is not None
 
