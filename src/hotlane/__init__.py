@@ -20,7 +20,6 @@ Main entry points:
 """
 
 from .errors import (
-    BracketFailure,
     EmptyInput,
     GapNonPositive,
     HotLaneError,
@@ -51,13 +50,8 @@ from .population import (
 from .equilibrium import (
     EquilibriumOutcome,
     RegimeLabel,
-    classify_regime,
-    probe_gap,
     solve,
     solve_batch,
-    solve_regime_a1,
-    solve_regime_a2,
-    solve_regime_b,
 )
 from .oracle import OracleConfig, empirical_shares, oracle_equilibrium
 from .design import (
@@ -77,7 +71,6 @@ __all__ = [
     "ActionLabel",
     "AgentType",
     "BprParams",
-    "BracketFailure",
     "DesignParams",
     "DesignPointResult",
     "EmptyInput",
@@ -98,7 +91,6 @@ __all__ = [
     "action_cost",
     "best_response",
     "best_response_at_gap",
-    "classify_regime",
     "comparative_statics_scan",
     "dump_config",
     "empirical_shares",
@@ -110,14 +102,10 @@ __all__ = [
     "load_config",
     "oracle_equilibrium",
     "pareto_front",
-    "probe_gap",
     "region_measures",
     "region_measures_at_gap",
     "solve",
     "solve_batch",
-    "solve_regime_a1",
-    "solve_regime_a2",
-    "solve_regime_b",
     "sweep",
     "vehicle_flows",
 ]

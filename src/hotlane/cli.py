@@ -29,6 +29,7 @@ import dataclasses
 import functools
 import json
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,23 +132,35 @@ def i880_config() -> RunConfig:
     )
 
 
-_FLOAT_KEYS = {
-    "population.demand",
-    "population.beta_max",
-    "population.gamma_max",
-    "bpr.a",
-    "bpr.b",
-    "bpr.t_free",
-    "bpr.v_cap",
-    "occupancy",
-    "tau_min",
-    "tau_max",
-    "tau_step",
-}
-_INT_KEYS = {"oracle.grid_n", "oracle.max_iters"}
-_LIST_KEYS = {"rho_values"}
-_OPTIONAL_KEYS = {"oracle.grid_n", "oracle.max_iters"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _LIST_KEYS
+def _schema(cls: type = RunConfig, prefix: tuple[str, ...] = ()):
+    """(attribute path, type, optional) of every config key, in file order.
+
+    Read off the dataclass fields: a nested dataclass becomes a dotted
+    section, and a field with a default is an optional key.
+    """
+    hints = typing.get_type_hints(cls)
+    for field in dataclasses.fields(cls):
+        path, kind = (*prefix, field.name), hints[field.name]
+        if dataclasses.is_dataclass(kind):
+            yield from _schema(kind, path)
+        else:
+            yield path, kind, field.default is not dataclasses.MISSING
+
+
+_KEYS = {".".join(path): (kind, optional) for path, kind, optional in _schema()}
+
+
+def _build(cls: type, raw: dict[str, object], prefix: str = ""):
+    """Instance of the config dataclass ``cls`` from the parsed values under ``prefix``."""
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for field in dataclasses.fields(cls):
+        key = prefix + field.name
+        if dataclasses.is_dataclass(hints[field.name]):
+            kwargs[field.name] = _build(hints[field.name], raw, key + ".")
+        elif key in raw:
+            kwargs[field.name] = raw[key]
+    return cls(**kwargs)
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -161,43 +174,23 @@ def parse_config_text(text: str) -> RunConfig:
             raise ParseError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
+        kind = _KEYS[key][0]
         try:
-            if key in _LIST_KEYS:
+            if typing.get_origin(kind) is tuple:
                 raw[key] = tuple(float(item) for item in value.split(","))
-            elif key in _INT_KEYS:
-                raw[key] = int(value)
             else:
-                raw[key] = float(value)
+                raw[key] = kind(value)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad value for {key!r}: {exc}") from None
 
-    missing = sorted((_ALL_KEYS - _OPTIONAL_KEYS) - raw.keys())
+    missing = sorted(key for key, (_, optional) in _KEYS.items() if not optional and key not in raw)
     if missing:
         raise ValidationError(f"missing required config keys: {', '.join(missing)}")
-
-    oracle_kwargs = {
-        field: raw[f"oracle.{field}"]
-        for field in ("grid_n", "max_iters")
-        if f"oracle.{field}" in raw
-    }
-    return RunConfig(
-        population=PopulationParams(
-            demand=raw["population.demand"],
-            beta_max=raw["population.beta_max"],
-            gamma_max=raw["population.gamma_max"],
-        ),
-        bpr=BprParams(a=raw["bpr.a"], b=raw["bpr.b"], t_free=raw["bpr.t_free"], v_cap=raw["bpr.v_cap"]),
-        occupancy=raw["occupancy"],
-        rho_values=raw["rho_values"],
-        tau_min=raw["tau_min"],
-        tau_max=raw["tau_max"],
-        tau_step=raw["tau_step"],
-        oracle=OracleConfig(**oracle_kwargs),
-    )
+    return _build(RunConfig, raw)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -211,22 +204,11 @@ def load_config(path: str | Path) -> RunConfig:
 
 def dump_config(config: RunConfig) -> str:
     """Serialize a config so that parsing the output reproduces it exactly."""
-    lines = [
-        f"population.demand = {config.population.demand!r}",
-        f"population.beta_max = {config.population.beta_max!r}",
-        f"population.gamma_max = {config.population.gamma_max!r}",
-        f"bpr.a = {config.bpr.a!r}",
-        f"bpr.b = {config.bpr.b!r}",
-        f"bpr.t_free = {config.bpr.t_free!r}",
-        f"bpr.v_cap = {config.bpr.v_cap!r}",
-        f"occupancy = {config.occupancy!r}",
-        "rho_values = " + ", ".join(repr(rho) for rho in config.rho_values),
-        f"tau_min = {config.tau_min!r}",
-        f"tau_max = {config.tau_max!r}",
-        f"tau_step = {config.tau_step!r}",
-        f"oracle.grid_n = {config.oracle.grid_n!r}",
-        f"oracle.max_iters = {config.oracle.max_iters!r}",
-    ]
+    lines = []
+    for key in _KEYS:
+        value = functools.reduce(getattr, key.split("."), config)
+        text = ", ".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
 

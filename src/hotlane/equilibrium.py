@@ -14,29 +14,27 @@ ordinary) > 0`` and has exactly one root on ``[0, gap(everyone ordinary)]``.
 elementwise numpy: each step is a secant step with the Illinois weighting
 that falls back to the midpoint whenever it would leave the bracket, and a
 point stops when its bracket reaches float resolution. :func:`solve` is a
-batch of one.
+batch of one. There is no other solver.
 
 The regime is read off the solution: B if a positive mass pays the toll,
 A2 if ``beta_max * g > gamma_max`` (which forces ``tau > gamma_max``),
-otherwise A1. The residual reported is that of the regime's printed
-equation at the solved shares, in share units:
+otherwise A1. A design on the boundary, where nobody pays at the root, is
+Regime A. The residual reported is that of the regime's printed equation at
+the solved shares, in share units:
 
 * A1: ``(beta_max/(2*gamma_max)) * gap = pool``;
 * A2: ``(gamma_max/(2*beta_max)) / gap = ordinary``;
 * B: ``(1 - tau/(beta_max*gap)) * (gamma_max-tau)/gamma_max = toll``.
 
-The published construction stays here as an independent reference that the
-tests check :func:`solve` against; :func:`solve` does not call it.
-:func:`classify_regime` picks the regime from the weighted latency gap at
-the probe profile ``(0, tau/(2*gamma_max), 1 - tau/(2*gamma_max))``, and
-``solve_regime_*`` bisect the regime's share variable on its bracket. Each
-of those equations has a unique root because its auxiliary function
-(share/gap for A1, gap*(1-share) for A2, the linearly damped gap for B) is
-strictly monotone wherever the latency gap is positive. Boundary designs
-where the regime conditions hold with equality are classified as Regime A,
-the limit of the Regime-B solution approaching the boundary. When
-``tau >= 2*gamma_max`` the probe share would leave the simplex, so the probe
-is clamped to ``(0, 1, 0)``, whose negative gap lands such designs in A1.
+The rest of the module holds the paper's checks on those equations, which
+the tests run at the solved points. :func:`regime_bracket` is the range of
+the regime's share variable, split at the probe share ``tau/(2*gamma_max)``
+(clamped to 1 once ``tau >= 2*gamma_max``), and :func:`positive_gap_bracket`
+cuts it to where the latency gap stays positive. There each regime's
+auxiliary function is strictly monotone, so its printed equation has exactly
+one root: share/gap for A1 (:func:`a1_auxiliary`), gap*(1-share) for A2
+(:func:`a2_auxiliary`), and for B the linearly damped gap
+(:func:`b_auxiliary`) along the closure :func:`b_companion_shares`.
 """
 
 from __future__ import annotations
@@ -47,27 +45,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BracketFailure,
-    GapNonPositive,
-    HotLaneError,
-    InfeasibleClosure,
-    NoConvergence,
-    ValidationError,
-)
-from .latency import BprParams, DesignParams, StrategyShares, bpr_time, lane_flows, latency_gap, vehicle_flows
+from .errors import GapNonPositive, HotLaneError, InfeasibleClosure, NoConvergence, ValidationError
+from .latency import BprParams, DesignParams, StrategyShares, bpr_time, lane_flows, latency_gap
 from .population import PopulationParams, region_fractions
 
 __all__ = [
     "RegimeLabel",
     "EquilibriumOutcome",
-    "probe_gap",
-    "classify_regime",
     "solve",
     "solve_batch",
-    "solve_regime_a1",
-    "solve_regime_a2",
-    "solve_regime_b",
     "a1_auxiliary",
     "a2_auxiliary",
     "b_auxiliary",
@@ -103,7 +89,7 @@ class EquilibriumOutcome:
     ``residual`` the absolute fixed-point residual of the solved equation in
     its printed units, ``iterations`` the root-finding step count, and
     ``latencies`` the (ordinary, HOT) lane travel times in minutes at the
-    solved flows (``None`` from the reference ``solve_regime_*`` solvers).
+    solved flows.
     """
 
     shares: StrategyShares
@@ -112,7 +98,7 @@ class EquilibriumOutcome:
     flows: tuple[float, float]
     residual: float
     iterations: int
-    latencies: tuple[float, float] | None = None
+    latencies: tuple[float, float]
 
     def __post_init__(self):
         if not self.shares.pool > 0:
@@ -127,30 +113,13 @@ class EquilibriumOutcome:
             raise ValidationError(f"fixed-point residual {self.residual} exceeds {RESIDUAL_TOL}")
 
 
+# ---------------------------------------------------------------------------
+# The paper's checks: auxiliary functions and brackets
+# ---------------------------------------------------------------------------
+
+
 def _probe_share(design: DesignParams, pop: PopulationParams) -> float:
     return min(design.tau / (2.0 * pop.gamma_max), 1.0)
-
-
-def probe_gap(design: DesignParams, pop: PopulationParams, bpr: BprParams) -> float:
-    """Latency gap at the probe profile used by the regime boundary."""
-    share = _probe_share(design, pop)
-    sigma = StrategyShares(0.0, share, 1.0 - share)
-    return latency_gap(sigma, design, pop.demand, bpr)
-
-
-def classify_regime(design: DesignParams, pop: PopulationParams, bpr: BprParams) -> RegimeLabel:
-    """Regime of the design point; boundary equalities resolve to Regime A."""
-    weighted_gap = pop.beta_max * probe_gap(design, pop, bpr)
-    if design.tau < min(pop.gamma_max, weighted_gap):
-        return RegimeLabel.B
-    if pop.gamma_max < weighted_gap:
-        return RegimeLabel.A2
-    return RegimeLabel.A1
-
-
-# ---------------------------------------------------------------------------
-# Auxiliary functions and brackets
-# ---------------------------------------------------------------------------
 
 
 def _gap_no_toll(pool_share: float, design: DesignParams, pop: PopulationParams, bpr: BprParams) -> float:
@@ -221,7 +190,7 @@ def positive_gap_bracket(
 
     The auxiliary functions are strictly monotone exactly here; past the
     zero-gap point they sit strictly on the far side of their targets, so
-    the solvers never rely on their shape there.
+    nothing relies on their shape there.
     """
     lo, hi = regime_bracket(regime, design, pop)
 
@@ -250,131 +219,71 @@ def positive_gap_bracket(
 
 
 # ---------------------------------------------------------------------------
-# Bisection driver
-# ---------------------------------------------------------------------------
-
-
-def _bisect_decreasing(residual, lo: float, hi: float) -> tuple[float, int]:
-    """Root of a residual that is positive at ``lo`` and negative at ``hi``
-    and crosses zero exactly once."""
-    iterations = 0
-    while hi - lo > SHARE_TOL:
-        if iterations >= MAX_BISECT:
-            raise NoConvergence(
-                f"bisection did not reach width {SHARE_TOL} within {MAX_BISECT} iterations",
-                last_value=0.5 * (lo + hi),
-                residual=hi - lo,
-            )
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        if residual(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), iterations
-
-
-def _finish(
-    shares: StrategyShares,
-    regime: RegimeLabel,
-    residual: float,
-    iterations: int,
-    design: DesignParams,
-    pop: PopulationParams,
-    bpr: BprParams,
-) -> EquilibriumOutcome:
-    gap = latency_gap(shares, design, pop.demand, bpr)
-    flows = vehicle_flows(shares, pop.demand, design.occupancy)
-    residual = abs(residual)
-    if residual > RESIDUAL_TOL:
-        raise NoConvergence(
-            f"fixed-point residual {residual} exceeds {RESIDUAL_TOL}", last_value=shares, residual=residual
-        )
-    return EquilibriumOutcome(shares, regime, gap, flows, residual, iterations)
-
-
-def solve_regime_a1(
-    design: DesignParams,
-    pop: PopulationParams,
-    bpr: BprParams,
-    bracket: tuple[float, float] | None = None,
-) -> EquilibriumOutcome:
-    """Regime-A1 equilibrium: nobody pays, pool share from the triangle rule."""
-    lo, hi = bracket if bracket is not None else regime_bracket(RegimeLabel.A1, design, pop)
-    coef = 0.5 * pop.beta_max / pop.gamma_max
-
-    def residual(share: float) -> float:
-        return coef * _gap_no_toll(share, design, pop, bpr) - share
-
-    if residual(lo) <= 0.0:
-        if _gap_no_toll(lo, design, pop, bpr) <= 0.0:
-            raise GapNonPositive(
-                "the HOT lane is never faster at the bracket start; check the latency parameters"
-            )
-        raise BracketFailure(f"A1 residual is non-positive at the lower bracket {lo}")
-    if residual(hi) > 0.0:
-        raise BracketFailure(f"A1 residual is positive at the upper bracket {hi}")
-
-    root, iterations = _bisect_decreasing(residual, lo, hi)
-    shares = StrategyShares(0.0, root, 1.0 - root)
-    return _finish(shares, RegimeLabel.A1, residual(root), iterations, design, pop, bpr)
-
-
-def solve_regime_a2(
-    design: DesignParams,
-    pop: PopulationParams,
-    bpr: BprParams,
-    bracket: tuple[float, float] | None = None,
-) -> EquilibriumOutcome:
-    """Regime-A2 equilibrium: nobody pays, ordinary share from the inverse-gap rule."""
-    lo, hi = bracket if bracket is not None else regime_bracket(RegimeLabel.A2, design, pop)
-    if not lo < hi:
-        raise BracketFailure(f"empty A2 bracket ({lo}, {hi}); the design point is outside Regime A2")
-    target = 0.5 * pop.gamma_max / pop.beta_max
-
-    def residual(share: float) -> float:
-        return a2_auxiliary(share, design, pop, bpr) - target
-
-    if residual(lo) < 0.0:
-        raise BracketFailure(f"A2 auxiliary is below its target at the lower bracket {lo}")
-    if residual(hi) > 0.0:
-        raise BracketFailure(f"A2 auxiliary is above its target at the upper bracket {hi}")
-
-    root, iterations = _bisect_decreasing(residual, lo, hi)
-    shares = StrategyShares(0.0, root, 1.0 - root)
-    # Residual of the printed equation, stated in the ordinary share.
-    printed = target / _gap_no_toll(root, design, pop, bpr) - (1.0 - root)
-    return _finish(shares, RegimeLabel.A2, printed, iterations, design, pop, bpr)
-
-
-def solve_regime_b(
-    design: DesignParams,
-    pop: PopulationParams,
-    bpr: BprParams,
-    bracket: tuple[float, float] | None = None,
-) -> EquilibriumOutcome:
-    """Regime-B equilibrium: the toll share zeroes the damped-gap residual."""
-    lo, hi = bracket if bracket is not None else regime_bracket(RegimeLabel.B, design, pop)
-    target = design.tau / pop.beta_max
-
-    def residual(toll_share: float) -> float:
-        return b_auxiliary(toll_share, design, pop, bpr) - target
-
-    if residual(lo) <= 0.0:
-        raise BracketFailure(f"B auxiliary does not exceed its target at the lower bracket {lo}")
-    if residual(hi) >= 0.0:
-        raise BracketFailure(f"B auxiliary does not drop below its target at the upper bracket {hi}")
-
-    root, iterations = _bisect_decreasing(residual, lo, hi)
-    shares = b_companion_shares(root, design, pop)
-    gap = latency_gap(shares, design, pop.demand, bpr)
-    printed = (1.0 - design.tau / (pop.beta_max * gap)) * (pop.gamma_max - design.tau) / pop.gamma_max - root
-    return _finish(shares, RegimeLabel.B, printed, iterations, design, pop, bpr)
-
-
-# ---------------------------------------------------------------------------
 # Batched gap-space solver
 # ---------------------------------------------------------------------------
+
+
+def _design_arrays(designs: list[DesignParams], bpr: BprParams) -> list[np.ndarray]:
+    """Per-point (tau, occupancy, ordinary capacity, HOT capacity) arrays."""
+    rho = np.array([d.rho for d in designs], dtype=float)
+    tau = np.array([d.tau for d in designs], dtype=float)
+    occupancy = np.array([d.occupancy for d in designs], dtype=float)
+    return [tau, occupancy, bpr.v_cap * (1.0 - rho), bpr.v_cap * rho]
+
+
+def _lanes(shares, pop: PopulationParams, bpr: BprParams, occupancy, cap_ordinary, cap_hot):
+    """(ordinary, HOT) vehicle flows and travel times at the shares."""
+    flow_ordinary, flow_hot = lane_flows(*shares, pop.demand, occupancy)
+    times = bpr_time(flow_ordinary, cap_ordinary, bpr), bpr_time(flow_hot, cap_hot, bpr)
+    return (flow_ordinary, flow_hot), times
+
+
+def _excess(g, pop: PopulationParams, bpr: BprParams, tau, *lane_params):
+    """``F(g)`` at a positive gap, elementwise over the :func:`_design_arrays` points."""
+    _, (time_ordinary, time_hot) = _lanes(region_fractions(g, tau, pop), pop, bpr, *lane_params)
+    return time_ordinary - time_hot - g
+
+
+def _gap_root(lo, hi, f_lo, pop: PopulationParams, bpr: BprParams, points: list[np.ndarray]):
+    """Root of ``F`` on the bracket ``[lo, hi]`` of each point, and its step count.
+
+    ``points`` are the points' :func:`_design_arrays`. ``F(lo) > 0`` is
+    passed in because ``F`` cannot be evaluated at a zero gap, and
+    ``F(hi) < 0`` must hold. A root is NaN where the bracket is still open
+    after ``MAX_BISECT`` steps.
+    """
+    root = np.full(lo.shape, np.nan)
+    iterations = np.zeros(lo.shape, dtype=int)
+    # Working arrays hold the points still open; ``index`` maps them back.
+    index = np.arange(lo.size)
+    f_hi = _excess(hi, pop, bpr, *points)
+    moved_lo = moved_hi = np.zeros(lo.size, dtype=bool)  # ends the last step replaced
+    mid = 0.5 * (lo + hi)
+    for step in range(1, MAX_BISECT + 1):
+        if not index.size:
+            break
+        x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+        x = np.where((lo < x) & (x < hi), x, mid)
+        fx = _excess(x, pop, bpr, *points)
+        # F(x) == 0 replaces both ends, closing the bracket on the root.
+        to_lo, to_hi = fx >= 0.0, fx <= 0.0
+        # Illinois: an end kept twice running has its stored value halved.
+        f_hi = np.where(to_lo & moved_lo, 0.5 * f_hi, f_hi)
+        f_lo = np.where(to_hi & moved_hi, 0.5 * f_lo, f_lo)
+        lo, f_lo = np.where(to_lo, x, lo), np.where(to_lo, fx, f_lo)
+        hi, f_hi = np.where(to_hi, x, hi), np.where(to_hi, fx, f_hi)
+        moved_lo, moved_hi = to_lo, to_hi
+        mid = 0.5 * (lo + hi)
+        done = (mid == lo) | (mid == hi)
+        if done.any():
+            root[index[done]] = mid[done]
+            iterations[index[done]] = step
+            keep = ~done
+            index, lo, hi, f_lo, f_hi, moved_lo, moved_hi, mid = (
+                a[keep] for a in (index, lo, hi, f_lo, f_hi, moved_lo, moved_hi, mid)
+            )
+            points = [a[keep] for a in points]
+    return root, iterations
 
 
 def solve_batch(
@@ -389,62 +298,22 @@ def solve_batch(
     so one bad point never aborts the batch. Every step is elementwise, so a
     point's result does not depend on the rest of the batch.
     """
-    rho = np.array([d.rho for d in designs], dtype=float)
-    tau = np.array([d.tau for d in designs], dtype=float)
-    occupancy = np.array([d.occupancy for d in designs], dtype=float)
-    cap_ordinary, cap_hot = bpr.v_cap * (1.0 - rho), bpr.v_cap * rho
-
-    def lanes(shares, occupancy, cap_ordinary, cap_hot):
-        """(ordinary, HOT) vehicle flows and travel times at the shares."""
-        flow_ordinary, flow_hot = lane_flows(*shares, pop.demand, occupancy)
-        times = bpr_time(flow_ordinary, cap_ordinary, bpr), bpr_time(flow_hot, cap_hot, bpr)
-        return (flow_ordinary, flow_hot), times
-
-    def excess(g, tau, *lane_params):
-        _, (time_ordinary, time_hot) = lanes(region_fractions(g, tau, pop), *lane_params)
-        return time_ordinary - time_hot - g
+    points = _design_arrays(designs, bpr)
+    tau, lane_params = points[0], points[1:]
 
     # F(0) is the gap with everyone on the ordinary lanes, the upper bracket end.
-    zeros = np.zeros_like(rho)
-    _, (time_ordinary, time_hot) = lanes((zeros, zeros, 1.0), occupancy, cap_ordinary, cap_hot)
+    zeros = np.zeros_like(tau)
+    _, (time_ordinary, time_hot) = _lanes((zeros, zeros, 1.0), pop, bpr, *lane_params)
     top = time_ordinary - time_hot
     open_ = np.flatnonzero(top > 0.0)
-    root = np.full(rho.shape, np.nan)
-    iterations = np.zeros(rho.shape, dtype=int)
-
-    # Working arrays hold the points still open; ``open_`` maps them back.
-    params = [tau[open_], occupancy[open_], cap_ordinary[open_], cap_hot[open_]]
-    lo, hi = np.zeros(open_.size), top[open_]
-    f_lo, f_hi = hi.copy(), excess(hi, *params)
-    moved_lo = moved_hi = np.zeros(open_.size, dtype=bool)  # ends the last step replaced
-    mid = 0.5 * (lo + hi)
-    for step in range(1, MAX_BISECT + 1):
-        if not open_.size:
-            break
-        x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
-        x = np.where((lo < x) & (x < hi), x, mid)
-        fx = excess(x, *params)
-        # F(x) == 0 replaces both ends, closing the bracket on the root.
-        to_lo, to_hi = fx >= 0.0, fx <= 0.0
-        # Illinois: an end kept twice running has its stored value halved.
-        f_hi = np.where(to_lo & moved_lo, 0.5 * f_hi, f_hi)
-        f_lo = np.where(to_hi & moved_hi, 0.5 * f_lo, f_lo)
-        lo, f_lo = np.where(to_lo, x, lo), np.where(to_lo, fx, f_lo)
-        hi, f_hi = np.where(to_hi, x, hi), np.where(to_hi, fx, f_hi)
-        moved_lo, moved_hi = to_lo, to_hi
-        mid = 0.5 * (lo + hi)
-        done = (mid == lo) | (mid == hi)
-        if done.any():
-            root[open_[done]] = mid[done]
-            iterations[open_[done]] = step
-            keep = ~done
-            open_, lo, hi, f_lo, f_hi, moved_lo, moved_hi, mid = (
-                a[keep] for a in (open_, lo, hi, f_lo, f_hi, moved_lo, moved_hi, mid)
-            )
-            params = [a[keep] for a in params]
+    root = np.full(tau.shape, np.nan)
+    iterations = np.zeros(tau.shape, dtype=int)
+    root[open_], iterations[open_] = _gap_root(
+        np.zeros(open_.size), top[open_], top[open_], pop, bpr, [a[open_] for a in points]
+    )
 
     toll, pool, ordinary = shares = region_fractions(np.where(root > 0.0, root, 1.0), tau, pop)
-    (flow_ordinary, flow_hot), (time_ordinary, time_hot) = lanes(shares, occupancy, cap_ordinary, cap_hot)
+    (flow_ordinary, flow_hot), (time_ordinary, time_hot) = _lanes(shares, pop, bpr, *lane_params)
     gap = time_ordinary - time_hot
     regime = np.where(toll > 0.0, 2, np.where(pop.beta_max * root > pop.gamma_max, 1, 0))
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -13,15 +13,6 @@ class ParseError(HotLaneError, ValueError):
     """A configuration file could not be parsed; message carries line/key."""
 
 
-class BracketFailure(HotLaneError):
-    """The root-finding bracket does not straddle the target value.
-
-    This signals a regime-classification bug or an invalid design point,
-    not a numerical accident: the monotone auxiliary functions are
-    guaranteed to straddle their targets on the documented brackets.
-    """
-
-
 class NoConvergence(HotLaneError):
     """An iterative procedure hit its iteration cap before reaching tolerance."""
 

@@ -1,6 +1,16 @@
+import numpy as np
 import pytest
 
-from hotlane import BprParams, DesignParams, OracleConfig, PopulationParams
+from hotlane import (
+    BprParams,
+    DesignParams,
+    OracleConfig,
+    PopulationParams,
+    StrategyShares,
+    latency_gap,
+    region_measures_at_gap,
+)
+from hotlane import equilibrium as eq
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +42,25 @@ def a2_setup(congested_bpr):
 @pytest.fixture(scope="session")
 def oracle_cfg() -> OracleConfig:
     return OracleConfig()
+
+
+@pytest.fixture(scope="session")
+def resolve_in_shrunk_bracket():
+    """Shares of the equilibrium re-found from a perturbed gap bracket.
+
+    The bracket is ``[0, gap(everyone ordinary)]`` shrunk by 1e-6 of its
+    width at each end, searched by the same root finder as ``solve``.
+    """
+
+    def resolve(design: DesignParams, pop: PopulationParams, bpr: BprParams) -> StrategyShares:
+        points = eq._design_arrays([design], bpr)
+        width = latency_gap(StrategyShares(0.0, 0.0, 1.0), design, pop.demand, bpr)
+        lo, hi = np.array([1e-6 * width]), np.array([width - 1e-6 * width])
+        (root,), _ = eq._gap_root(lo, hi, eq._excess(lo, pop, bpr, *points), pop, bpr, points)
+        assert not np.isnan(root), "the perturbed bracket did not close"
+        return region_measures_at_gap(float(root), design.tau, pop)
+
+    return resolve
 
 
 def make_design(rho: float, tau: float, occupancy: float = 2.5) -> DesignParams:

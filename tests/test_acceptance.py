@@ -16,16 +16,12 @@ from hotlane import (
     OracleConfig,
     PopulationParams,
     RegimeLabel,
-    classify_regime,
     latency_hot,
     latency_ordinary,
     oracle_equilibrium,
     pareto_front,
     region_measures,
     solve,
-    solve_regime_a1,
-    solve_regime_a2,
-    solve_regime_b,
     sweep,
 )
 from hotlane.equilibrium import (
@@ -35,7 +31,6 @@ from hotlane.equilibrium import (
     a2_auxiliary,
     b_auxiliary,
     positive_gap_bracket,
-    regime_bracket,
 )
 
 ORACLE_TOL = 5e-3
@@ -230,28 +225,18 @@ def test_pareto_against_brute_force(grid, pop, bpr):
     assert ok
 
 
-def test_uniqueness_probe(pop, bpr, solved):
-    """Re-solving from perturbed brackets reproduces the same root."""
+def test_uniqueness_probe(pop, bpr, resolve_in_shrunk_bracket):
+    """Re-solving from a perturbed gap bracket reproduces the same root."""
     sampled = [
         (0.25, 0.5), (0.25, 4.0), (0.25, 10.0), (0.5, 1.5), (0.5, 5.0),
         (0.5, 9.5), (0.75, 0.5), (0.75, 1.0), (0.75, 6.0), (0.75, 10.0),
     ]
-    solvers = {
-        RegimeLabel.A1: solve_regime_a1,
-        RegimeLabel.A2: solve_regime_a2,
-        RegimeLabel.B: solve_regime_b,
-    }
     worst = 0.0
     for rho, tau in sampled:
         design = DesignParams(rho=rho, tau=tau, occupancy=2.5)
-        regime = classify_regime(design, pop, bpr)
-        lo, hi = regime_bracket(regime, design, pop)
-        width = hi - lo
-        baseline = solvers[regime](design, pop, bpr)
-        perturbed = solvers[regime](
-            design, pop, bpr, bracket=(lo + 1e-6 * width, hi - 1e-6 * width)
-        )
-        for a, b in zip(baseline.shares.as_tuple(), perturbed.shares.as_tuple()):
+        baseline = solve(design, pop, bpr)
+        perturbed = resolve_in_shrunk_bracket(design, pop, bpr)
+        for a, b in zip(baseline.shares.as_tuple(), perturbed.as_tuple()):
             worst = max(worst, abs(a - b))
     ok = worst <= UNIQUENESS_TOL
     _report(ok, "uniqueness probe", f"10 designs, worst perturbed-root shift {worst:.3e} <= {UNIQUENESS_TOL}")

@@ -1,11 +1,10 @@
-"""Regime classification and the three fixed-point solvers."""
+"""The gap-space equilibrium solver and the paper's regime checks."""
 
 import numpy as np
 import pytest
 
 from hotlane import (
     BprParams,
-    BracketFailure,
     DesignParams,
     EquilibriumOutcome,
     FailedDesignPoint,
@@ -17,16 +16,11 @@ from hotlane import (
     RegimeLabel,
     StrategyShares,
     ValidationError,
-    classify_regime,
-    latency_ordinary,
+    latency_gap,
     oracle_equilibrium,
-    probe_gap,
     region_measures,
     solve,
     solve_batch,
-    solve_regime_a1,
-    solve_regime_a2,
-    solve_regime_b,
     sweep,
 )
 from hotlane import equilibrium as eq
@@ -39,77 +33,62 @@ from hotlane.equilibrium import (
     regime_bracket,
 )
 
-# Frozen from 40-digit evaluation at the probe profile (0, 3/16, 13/16).
-PROBE_GAP_TAU3_RHO025 = 0.006943106410829162
 # Frozen from the damped best-response oracle at grid_n=2000.
 ORACLE_POOL_TAU1_RHO025 = 0.0014935
 ORACLE_B_TAU1_RHO075 = (0.0686875, 0.06739125, 0.86392125)
 
 
-def test_probe_gap_symmetric_zero(i880_bpr):
-    # tau/(2*gamma_max) = 2.5/3.5 puts equal flows on equal capacities.
-    pop = PopulationParams(demand=115.0, beta_max=1.5, gamma_max=1.75)
-    design = DesignParams(rho=0.5, tau=2.5, occupancy=2.5)
-    assert probe_gap(design, pop, i880_bpr) == 0.0
-
-
-def test_probe_gap_frozen(i880_pop, i880_bpr):
-    design = DesignParams(rho=0.25, tau=3.0, occupancy=2.5)
-    assert probe_gap(design, i880_pop, i880_bpr) == pytest.approx(PROBE_GAP_TAU3_RHO025, rel=1e-13)
-
-
-def test_probe_gap_small_tau_limit(i880_pop, i880_bpr):
-    design = DesignParams(rho=0.25, tau=1e-12, occupancy=2.5)
-    all_ordinary = latency_ordinary(115.0, 0.25, i880_bpr) - i880_bpr.t_free
-    assert probe_gap(design, i880_pop, i880_bpr) == pytest.approx(all_ordinary, rel=1e-9)
+def probe_profile_gap(design, pop, bpr):
+    """Latency gap at the paper's probe profile (0, p, 1 - p), p = min(tau/(2*gamma_max), 1)."""
+    share = min(design.tau / (2 * pop.gamma_max), 1.0)
+    return latency_gap(StrategyShares(0.0, share, 1.0 - share), design, pop.demand, bpr)
 
 
 def test_probe_gap_clamps_high_tau(i880_pop, i880_bpr):
     # tau >= 2*gamma_max would push the probe share past 1; it clamps to
     # (0, 1, 0), where the empty ordinary lane is at free flow.
     design = DesignParams(rho=0.5, tau=20.0, occupancy=2.5)
-    gap = probe_gap(design, i880_pop, i880_bpr)
-    assert gap < 0
-    assert classify_regime(design, i880_pop, i880_bpr) is RegimeLabel.A1
-    solve(design, i880_pop, i880_bpr)  # still solvable
+    assert regime_bracket(RegimeLabel.A1, design, i880_pop) == (0.0, 1.0)
+    assert probe_profile_gap(design, i880_pop, i880_bpr) < 0
+    assert solve(design, i880_pop, i880_bpr).regime is RegimeLabel.A1
 
 
 def test_classify_regime_i880(i880_pop, i880_bpr):
     # tau above gamma_max is always Regime A.
-    assert classify_regime(DesignParams(0.25, 10.0, 2.5), i880_pop, i880_bpr) is RegimeLabel.A1
+    assert solve(DesignParams(0.25, 10.0, 2.5), i880_pop, i880_bpr).regime is RegimeLabel.A1
     # Mid toll, weighted probe gap below tau: Regime A1.
-    assert classify_regime(DesignParams(0.25, 4.0, 2.5), i880_pop, i880_bpr) is RegimeLabel.A1
+    assert solve(DesignParams(0.25, 4.0, 2.5), i880_pop, i880_bpr).regime is RegimeLabel.A1
     # Wide HOT allocation with a cheap toll: Regime B.
-    assert classify_regime(DesignParams(0.75, 0.5, 2.5), i880_pop, i880_bpr) is RegimeLabel.B
-    assert classify_regime(DesignParams(0.75, 1.0, 2.5), i880_pop, i880_bpr) is RegimeLabel.B
+    assert solve(DesignParams(0.75, 0.5, 2.5), i880_pop, i880_bpr).regime is RegimeLabel.B
+    assert solve(DesignParams(0.75, 1.0, 2.5), i880_pop, i880_bpr).regime is RegimeLabel.B
     # As tau -> 0+ both Regime-B inequalities hold whenever the loaded
     # ordinary lane is slower than free flow.
-    assert classify_regime(DesignParams(0.25, 1e-3, 2.5), i880_pop, i880_bpr) is RegimeLabel.B
+    assert solve(DesignParams(0.25, 1e-3, 2.5), i880_pop, i880_bpr).regime is RegimeLabel.B
 
 
 def test_classify_regime_low_tau_congested(i880_pop, congested_bpr):
     # Steep latency makes the probe gap exceed tau/beta_max at low tolls.
-    assert classify_regime(DesignParams(0.5, 0.5, 2.5), i880_pop, congested_bpr) is RegimeLabel.B
+    assert solve(DesignParams(0.5, 0.5, 2.5), i880_pop, congested_bpr).regime is RegimeLabel.B
 
 
 def test_classify_regime_a2(a2_setup):
     design, pop, bpr = a2_setup
-    assert pop.gamma_max < pop.beta_max * probe_gap(design, pop, bpr)
+    assert pop.gamma_max < pop.beta_max * probe_profile_gap(design, pop, bpr)
     assert design.tau > pop.gamma_max
-    assert classify_regime(design, pop, bpr) is RegimeLabel.A2
+    assert solve(design, pop, bpr).regime is RegimeLabel.A2
 
 
 def test_classify_boundary_tau_equals_gamma_max(congested_bpr):
     # tau == gamma_max sits on the Regime-B boundary; ties resolve to A.
     pop = PopulationParams(demand=115.0, beta_max=2.0, gamma_max=1.5)
     design = DesignParams(rho=0.7, tau=1.5, occupancy=3.0)
-    assert pop.beta_max * probe_gap(design, pop, congested_bpr) > design.tau
-    assert classify_regime(design, pop, congested_bpr) in (RegimeLabel.A1, RegimeLabel.A2)
+    assert pop.beta_max * probe_profile_gap(design, pop, congested_bpr) > design.tau
+    assert solve(design, pop, congested_bpr).regime in (RegimeLabel.A1, RegimeLabel.A2)
 
 
 def test_solve_regime_a1_i880(i880_pop, i880_bpr):
     design = DesignParams(rho=0.25, tau=1.0, occupancy=2.5)
-    out = solve_regime_a1(design, i880_pop, i880_bpr)
+    out = solve(design, i880_pop, i880_bpr)
     assert out.regime is RegimeLabel.A1
     assert out.shares.toll == 0.0
     assert out.shares.pool == pytest.approx(ORACLE_POOL_TAU1_RHO025, abs=5e-3)
@@ -125,14 +104,14 @@ def test_solve_regime_a1_symmetric_bound(i880_bpr):
     # must stay strictly below it.
     pop = PopulationParams(demand=115.0, beta_max=1.5, gamma_max=0.1)
     design = DesignParams(rho=0.5, tau=10.0, occupancy=2.5)
-    out = solve_regime_a1(design, pop, i880_bpr)
+    out = solve(design, pop, i880_bpr)
     assert out.shares.pool < 2.5 / 3.5
     assert out.gap > 0
 
 
 def test_solve_regime_a2(a2_setup):
     design, pop, bpr = a2_setup
-    out = solve_regime_a2(design, pop, bpr)
+    out = solve(design, pop, bpr)
     assert out.regime is RegimeLabel.A2
     assert out.shares.toll == 0.0
     assert out.shares.pool + out.shares.ordinary == 1.0
@@ -145,7 +124,7 @@ def test_solve_regime_a2(a2_setup):
 
 def test_solve_regime_b_i880(i880_pop, i880_bpr):
     design = DesignParams(rho=0.75, tau=1.0, occupancy=2.5)
-    out = solve_regime_b(design, i880_pop, i880_bpr)
+    out = solve(design, i880_pop, i880_bpr)
     assert out.regime is RegimeLabel.B
     expected = ORACLE_B_TAU1_RHO075
     assert out.shares.toll == pytest.approx(expected[0], abs=5e-3)
@@ -161,7 +140,7 @@ def test_b_auxiliary_brackets(i880_pop, i880_bpr):
     # At zero toll share the auxiliary reduces to the probe gap, above the
     # Regime-B target.
     h0 = b_auxiliary(0.0, design, i880_pop, i880_bpr)
-    assert h0 == pytest.approx(probe_gap(design, i880_pop, i880_bpr), rel=1e-12)
+    assert h0 == pytest.approx(probe_profile_gap(design, i880_pop, i880_bpr), rel=1e-12)
     assert h0 > design.tau / i880_pop.beta_max
     # The linear factor vanishes at the upper bracket.
     hi = (i880_pop.gamma_max - design.tau) / i880_pop.gamma_max
@@ -180,14 +159,14 @@ def test_b_companion_shares(i880_pop):
 
 def test_solve_dispatch(i880_pop, i880_bpr, a2_setup):
     points = [
-        (DesignParams(0.25, 1.0, 2.5), i880_pop, i880_bpr),
-        (DesignParams(0.75, 0.5, 2.5), i880_pop, i880_bpr),
-        (DesignParams(0.5, 7.5, 2.5), i880_pop, i880_bpr),
-        a2_setup,
+        (DesignParams(0.25, 1.0, 2.5), i880_pop, i880_bpr, RegimeLabel.A1),
+        (DesignParams(0.75, 0.5, 2.5), i880_pop, i880_bpr, RegimeLabel.B),
+        (DesignParams(0.5, 7.5, 2.5), i880_pop, i880_bpr, RegimeLabel.A1),
+        (*a2_setup, RegimeLabel.A2),
     ]
-    for design, pop, bpr in points:
+    for design, pop, bpr, regime in points:
         out = solve(design, pop, bpr)
-        assert out.regime is classify_regime(design, pop, bpr)
+        assert out.regime is regime
         assert out.shares.pool > 0
         assert out.shares.ordinary > 0
         assert (out.shares.toll == 0.0) == out.regime.is_regime_a
@@ -206,18 +185,17 @@ def test_self_consistency_with_region_measures(i880_pop, i880_bpr, a2_setup):
         assert measured.ordinary == pytest.approx(out.shares.ordinary, abs=1e-8)
 
 
-def test_uniqueness_under_bracket_perturbation(i880_pop, i880_bpr, a2_setup):
+def test_uniqueness_under_bracket_perturbation(i880_pop, i880_bpr, a2_setup, resolve_in_shrunk_bracket):
     cases = [
-        (solve_regime_a1, DesignParams(0.25, 1.0, 2.5), i880_pop, i880_bpr, RegimeLabel.A1),
-        (solve_regime_b, DesignParams(0.75, 0.5, 2.5), i880_pop, i880_bpr, RegimeLabel.B),
-        (solve_regime_a2, a2_setup[0], a2_setup[1], a2_setup[2], RegimeLabel.A2),
+        (DesignParams(0.25, 1.0, 2.5), i880_pop, i880_bpr, RegimeLabel.A1),
+        (DesignParams(0.75, 0.5, 2.5), i880_pop, i880_bpr, RegimeLabel.B),
+        (*a2_setup, RegimeLabel.A2),
     ]
-    for solver, design, pop, bpr, regime in cases:
-        lo, hi = regime_bracket(regime, design, pop)
-        width = hi - lo
-        baseline = solver(design, pop, bpr)
-        perturbed = solver(design, pop, bpr, bracket=(lo + 1e-6 * width, hi - 1e-6 * width))
-        for a, b in zip(baseline.shares.as_tuple(), perturbed.shares.as_tuple()):
+    for design, pop, bpr, regime in cases:
+        baseline = solve(design, pop, bpr)
+        assert baseline.regime is regime
+        perturbed = resolve_in_shrunk_bracket(design, pop, bpr)
+        for a, b in zip(baseline.shares.as_tuple(), perturbed.as_tuple()):
             assert abs(a - b) <= 2e-10
 
 
@@ -246,44 +224,37 @@ def test_a1_auxiliary_inf_past_zero_gap(i880_pop, i880_bpr):
     assert a1_auxiliary(0.0, design, i880_pop, i880_bpr) == 0.0
 
 
-def test_bracket_failures(i880_pop, i880_bpr):
-    # Solving Regime B at a Regime-A design point must fail loudly.
+def test_gap_non_positive_guard(i880_pop):
+    # A vanishing congestion coefficient underflows the all-ordinary latency
+    # gap to 0.0: the HOT lane is never faster. That must be surfaced, not
+    # papered over with a fake root.
+    bpr = BprParams(a=1e-100, b=4.0, t_free=22.0, v_cap=140.0)
     design = DesignParams(0.25, 1.0, 2.5)
-    assert classify_regime(design, i880_pop, i880_bpr) is RegimeLabel.A1
-    with pytest.raises(BracketFailure):
-        solve_regime_b(design, i880_pop, i880_bpr)
-    # A perturbed bracket that excludes the root is rejected.
-    with pytest.raises(BracketFailure):
-        solve_regime_a1(design, i880_pop, i880_bpr, bracket=(0.05, 0.0625))
-
-
-def test_gap_non_positive_guard(i880_pop, i880_bpr, monkeypatch):
-    # A latency model violating the monotonicity assumptions (gap <= 0
-    # everywhere) must be surfaced, not papered over with a fake root.
-    monkeypatch.setattr(eq, "latency_gap", lambda *args, **kwargs: -1.0)
+    (out,) = solve_batch([design], i880_pop, bpr)
+    assert isinstance(out, GapNonPositive)
     with pytest.raises(GapNonPositive):
-        solve_regime_a1(DesignParams(0.25, 1.0, 2.5), i880_pop, i880_bpr)
+        solve(design, i880_pop, bpr)
 
 
 def test_outcome_invariants_enforced():
     good = StrategyShares(0.0, 0.2, 0.8)
     with pytest.raises(ValidationError):
-        EquilibriumOutcome(StrategyShares(0.0, 0.0, 1.0), RegimeLabel.A1, 0.1, (1.0, 0.0), 0.0, 10)
+        EquilibriumOutcome(StrategyShares(0.0, 0.0, 1.0), RegimeLabel.A1, 0.1, (1.0, 0.0), 0.0, 10, (22.1, 22.0))
     with pytest.raises(ValidationError):
-        EquilibriumOutcome(good, RegimeLabel.B, 0.1, (1.0, 0.2), 0.0, 10)  # B needs toll > 0
+        EquilibriumOutcome(good, RegimeLabel.B, 0.1, (1.0, 0.2), 0.0, 10, (22.1, 22.0))  # B needs toll > 0
     with pytest.raises(ValidationError):
-        EquilibriumOutcome(good, RegimeLabel.A1, 0.1, (1.0, 0.2), 1e-3, 10)  # residual too big
-    EquilibriumOutcome(good, RegimeLabel.A1, 0.1, (1.0, 0.2), 1e-12, 10)
+        EquilibriumOutcome(good, RegimeLabel.A1, 0.1, (1.0, 0.2), 1e-3, 10, (22.1, 22.0))  # residual too big
+    EquilibriumOutcome(good, RegimeLabel.A1, 0.1, (1.0, 0.2), 1e-12, 10, (22.1, 22.0))
 
 
 def test_a2_unreachable_on_i880(i880_pop, i880_bpr):
-    # The mild I-880 latency keeps the weighted probe gap far below
-    # gamma_max, so no grid point classifies as A2; the A2 machinery is
-    # exercised on the synthetic setup instead.
+    # The mild I-880 latency keeps beta_max * gap far below gamma_max, so no
+    # grid point solves into A2; the A2 equations are exercised on the
+    # synthetic setup instead.
     for rho in (0.25, 0.5, 0.75):
         for tau in np.arange(0.5, 10.5, 0.5):
             design = DesignParams(rho=rho, tau=float(tau), occupancy=2.5)
-            assert classify_regime(design, i880_pop, i880_bpr) is not RegimeLabel.A2
+            assert solve(design, i880_pop, i880_bpr).regime is not RegimeLabel.A2
 
 
 # Seed-0 dense grid of the benchmark: rho = linspace(0.05, 0.95, 50) x
@@ -308,8 +279,10 @@ def i880_grid() -> list[DesignParams]:
 
 @pytest.mark.parametrize(
     "calibration, k, i, oracle_checked",
+    # Points that a per-regime construction (a probe-share classifier, then
+    # a bisection of the regime's share variable) got wrong.
     [
-        # The probe-share classifier answered A1, 9.9e-3 from the oracle; the
+        # The classifier answered A1, 9.9e-3 from the oracle; the
         # equilibrium is A2.
         ("i880", 49, 98, True),
         # The classifier's A2 bracket missed the root: BracketFailure.
@@ -348,9 +321,17 @@ def test_solve_is_a_batch_of_one(grid, stride, i880_pop, i880_bpr):
 
 def test_solve_does_not_use_the_regime_solvers(i880_pop, i880_bpr, a2_setup, monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("solve must not classify or dispatch by regime")
+        raise AssertionError("solve must not depend on the paper's regime checks")
 
-    for name in ("classify_regime", "solve_regime_a1", "solve_regime_a2", "solve_regime_b", "regime_bracket"):
+    checks = (
+        "regime_bracket",
+        "positive_gap_bracket",
+        "a1_auxiliary",
+        "a2_auxiliary",
+        "b_auxiliary",
+        "b_companion_shares",
+    )
+    for name in checks:
         monkeypatch.setattr(eq, name, forbidden)
     points = [
         (DesignParams(0.25, 1.0, 2.5), i880_pop, i880_bpr, RegimeLabel.A1),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hotlane import (
     AgentType,
@@ -14,7 +16,6 @@ from hotlane import (
     StrategyShares,
     ValidationError,
     best_response,
-    classify_regime,
     empirical_shares,
     oracle_equilibrium,
     solve,
@@ -118,7 +119,7 @@ def test_oracle_matches_solver_named_point(i880_pop, i880_bpr, oracle_cfg):
 
 def test_oracle_regime_a_toll_share(i880_pop, i880_bpr, oracle_cfg):
     design = DesignParams(0.25, 4.0, 2.5)
-    assert classify_regime(design, i880_pop, i880_bpr) is RegimeLabel.A1
+    assert solve(design, i880_pop, i880_bpr).regime is RegimeLabel.A1
     shares, _ = oracle_equilibrium(design, i880_pop, i880_bpr, oracle_cfg)
     assert shares.toll <= 2.0 / oracle_cfg.grid_n
 
@@ -173,6 +174,37 @@ def test_oracle_converges_on_congested_points(rho, tau):
     out = solve(design, CONGESTED_POP, CONGESTED_BPR)
     tolerance = max(5e-3, 4.0 / cfg.grid_n)
     assert max(abs(a - b) for a, b in zip(shares.as_tuple(), out.shares.as_tuple())) <= tolerance
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    demand=st.floats(50.0, 300.0),
+    a=st.floats(0.1, 1.0),
+    b=st.floats(1.0, 6.0),
+    beta_max=st.floats(0.5, 3.0),
+    gamma_max=st.floats(1.0, 12.0),
+    rho=st.floats(0.05, 0.95),
+    tau=st.floats(0.1, 15.0),
+    occupancy=st.floats(2.0, 4.0),
+)
+def test_solve_matches_oracle_over_a_wide_box(demand, a, b, beta_max, gamma_max, rho, tau, occupancy):
+    """solve never fails in the box, and the grid oracle at grid_n=500 agrees with it.
+
+    A straddle has no self-consistent grid state, so its nearest state may
+    sit a further self-residual away; the cap must never be reached.
+    """
+    pop = PopulationParams(demand=demand, beta_max=beta_max, gamma_max=gamma_max)
+    bpr = BprParams(a=a, b=b, t_free=22.0, v_cap=140.0)
+    design = DesignParams(rho, tau, occupancy)
+    cfg = OracleConfig(grid_n=500)
+    out = solve(design, pop, bpr)
+    tolerance = max(5e-3, 4.0 / cfg.grid_n)
+    try:
+        shares, _ = oracle_equilibrium(design, pop, bpr, cfg)
+    except NoConvergence as exc:
+        assert "straddle" in str(exc), str(exc)
+        shares, tolerance = exc.last_value, tolerance + exc.residual
+    assert max(abs(x - y) for x, y in zip(shares.as_tuple(), out.shares.as_tuple())) <= tolerance
 
 
 def test_oracle_labelings_per_point(i880_pop, i880_bpr, oracle_cfg, monkeypatch):
