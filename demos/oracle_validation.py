@@ -2,8 +2,11 @@
 
 The solver uses the regime equations; the oracle knows nothing about them.
 It drops four million agent types on a grid, lets each best-respond, and
-brackets the latency gap until the grid labeling reproduces itself.
-Agreement between the two is a strong end-to-end check of the whole model.
+brackets the latency gap until a grid labeling reproduces itself, or until
+the bracket ends are two adjacent labelings that the equilibrium falls
+between. Each labeling knows the range of gaps it holds on, so most points
+take two labelings. Agreement between the two is a strong end-to-end check
+of the whole model.
 """
 
 from hotlane import BprParams, DesignParams, OracleConfig, PopulationParams, oracle_equilibrium, solve

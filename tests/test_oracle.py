@@ -1,5 +1,8 @@
 """Brute-force oracle: exact labeling semantics and fixed-point behavior."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,8 +224,82 @@ def test_oracle_labelings_per_point(i880_pop, i880_bpr, oracle_cfg, monkeypatch)
         calls.append(0)
         _, labelings = oracle_equilibrium(DesignParams(rho, tau, 2.5), i880_pop, i880_bpr, oracle_cfg)
         assert labelings == calls[-1]
-    assert np.median(calls) <= 10
-    assert max(calls) <= 80
+    assert np.median(calls) <= 3
+    assert max(calls) <= 20
+    # The 19 points whose equilibrium straddles two grid labelings stop once
+    # the bracket ends are adjacent labelings, not at float resolution.
+    straddles = [count for (rho, tau), count in zip(I880_POINTS, calls) if rho == 0.75 and tau >= 1.0]
+    assert len(straddles) == 19
+    assert sum(straddles) <= 19 * 10
+
+
+def test_oracle_i880_shares_pinned(i880_pop, i880_bpr, oracle_cfg):
+    """The 60 I-880 oracle states at grid_n=2000, bit for bit.
+
+    The digest was taken from a search that narrowed every bracket to float
+    resolution. The states are unique, so a faster search must reproduce it.
+    """
+    lines = []
+    for rho, tau in I880_POINTS:
+        shares, _ = oracle_equilibrium(DesignParams(rho, tau, 2.5), i880_pop, i880_bpr, oracle_cfg)
+        lines.append(repr(shares.as_tuple()))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "20a484ca0094442e38fc353dc8a77ef93e184213e8a6d7e538b5af1a5026b9cf"
+
+
+def test_oracle_straddle_pinned():
+    """The congested straddle names the same grid state and self-residual, bit for bit."""
+    design = DesignParams(0.8397959183673469, 0.1, 2.5)
+    with pytest.raises(NoConvergence) as excinfo:
+        oracle_equilibrium(design, CONGESTED_POP, CONGESTED_BPR, OracleConfig(grid_n=2000))
+    assert excinfo.value.last_value == StrategyShares(0.82900625, 0.01149575, 0.159498)
+    assert excinfo.value.residual == 0.0367665
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    grid_n=st.integers(10, 500),
+    beta_max=st.floats(0.2, 4.0),
+    gamma_max=st.floats(0.5, 15.0),
+    tau=st.floats(0.01, 20.0),
+    reach=st.floats(0.0, 1.5),
+    snap=st.none() | st.sampled_from([1, 3, 5]),
+)
+def test_label_interval_is_exact(grid_n, beta_max, gamma_max, tau, reach, snap):
+    """The kernel's gap interval [start, end) is exactly where its labeling holds.
+
+    ``reach`` places the gap so that the largest ``beta*gap`` runs from 0 to
+    1.5 times the larger of ``tau`` and ``gamma_max``. ``snap`` instead puts
+    it at ``snap * gamma_max / beta_max``, written as the ratio of two
+    midpoints ``(2j+1)/(2i+1)``: there every column ``i`` with a midpoint
+    ``j = snap*i + (snap-1)/2`` crosses a threshold within a few ulps of the
+    gap, so the interval edges are near-ties between many columns.
+    """
+    pop = PopulationParams(demand=100.0, beta_max=beta_max, gamma_max=gamma_max)
+    beta_mid, gamma_pool, above_tau = oracle._grid(tau, pop, grid_n)
+    gamma_mid = oracle._midpoints(gamma_max, grid_n)
+
+    def labeling(g):
+        return oracle._label_counts(g, tau, beta_mid, gamma_pool, above_tau)[0]
+
+    gaps = [reach * max(tau, gamma_max) / beta_max]
+    if snap is not None:
+        i = round(reach / 1.5 * (grid_n // snap - 1))
+        ratio = float(gamma_mid[snap * i + (snap - 1) // 2] / beta_mid[i])
+        gaps = [math.nextafter(ratio, -math.inf), ratio]
+    for gap in gaps:
+        state, start, end = oracle._label_counts(gap, tau, beta_mid, gamma_pool, above_tau)
+        assert start <= gap < end
+        if start > 0.0:
+            assert labeling(start) == state
+            assert labeling(math.nextafter(start, -math.inf)) != state
+        else:  # nobody tolls or pools: the labeling holds down to zero gap
+            assert start == -math.inf and state == (0, 0) == labeling(0.0)
+        if end < math.inf:
+            assert labeling(math.nextafter(end, -math.inf)) == state
+            assert labeling(end) != state
+        else:  # every column is saturated
+            assert labeling(2.0 * gap) == state
 
 
 def test_oracle_straddle_surfaced():
