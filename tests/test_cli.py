@@ -1,6 +1,7 @@
 """Config parsing, commands, CSV schemas, and exit codes."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -321,3 +322,42 @@ def test_main_runs_verify(capsys, tmp_path):
     code = main(["--config", str(path), "verify", "--tau", "4.0", "--rho", "0.25"])
     assert code == 0
     assert "max-norm distance" in capsys.readouterr().out
+
+
+# sha256 of the CLI outputs, taken before the row formatter and the lane
+# times were each given a single definition; every byte must stay the same.
+GOLDEN_SHA256 = {
+    "i880_sweep": "9f7d6c386e1b4ed47a6ef969db5899391266f90f7dedba13e2a922aff38b82cb",
+    "i880_pareto_per_rho": "55ddd4e929db8bb03ebb482b4ad9971192c7836cc473b340f1aa87c399931d8e",
+    "i880_statics_tau3": "6da167c478881b91198096b7b57e11f641c6f15b800ee701c9693ba2d5fb67ae",
+    "dense_sweep": "24355b093c1d178a6bb309584880105159853a02444af8cb9dc06646d057cc9e",
+    "equilibrium_A1_text": "b80ae76e863677624a28f18c241cfa9abc98f9cdb312cae1969fb5b9c15b35a0",
+    "equilibrium_A1_json": "772288945385fb199e51284f7d20c4c74b0b2ae76f81c4e8afb764770827d711",
+    "equilibrium_B_text": "46e3422d39b3776ad9076e9f2bbd770bf802d706a1428a587ac2c0c3a3a70045",
+    "equilibrium_B_json": "8f89db304ac9b3134eb935374dc4ede7139d02f74cb5a12e5e14532be4f2b0ec",
+}
+
+
+def _golden_outputs(tmp_path, capsys) -> dict[str, bytes]:
+    outputs = {}
+    for name, command in (
+        ("i880_sweep", lambda out: cmd_sweep(i880_config(), out)),
+        ("i880_pareto_per_rho", lambda out: cmd_pareto(i880_config(), out, per_rho=True)),
+        ("i880_statics_tau3", lambda out: cmd_statics(i880_config(), 3.0, out)),
+        ("dense_sweep", lambda out: cmd_sweep(_dense_config(), out)),
+    ):
+        out = tmp_path / f"{name}.csv"
+        assert command(out) == 0
+        outputs[name] = out.read_bytes()
+    for label, tau, rho in (("A1", 4.0, 0.25), ("B", 0.5, 0.75)):
+        for kind, json_output in (("text", False), ("json", True)):
+            assert cmd_equilibrium(i880_config(), tau, rho, json_output=json_output) == 0
+            outputs[f"equilibrium_{label}_{kind}"] = capsys.readouterr().out.encode()
+    return outputs
+
+
+def test_golden_outputs(tmp_path, capsys):
+    digests = {
+        name: hashlib.sha256(data).hexdigest() for name, data in _golden_outputs(tmp_path, capsys).items()
+    }
+    assert digests == GOLDEN_SHA256
