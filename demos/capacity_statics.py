@@ -21,7 +21,7 @@ def main() -> None:
         for row in table.rows:
             out = row.outcome
             print(
-                f"{row.rho:>6} {out.regime.value:>6} {out.shares.toll:>10.6f} "
+                f"{row.design.rho:>6} {out.regime.value:>6} {out.shares.toll:>10.6f} "
                 f"{out.shares.pool:>10.6f} {out.shares.ordinary:>10.6f} {out.gap:>10.6f}"
             )
         for column, flag in table.flags.items():

@@ -18,7 +18,8 @@ from hotlane import (
     BprParams,
     DesignParams,
     PopulationParams,
-    region_measures,
+    latency_gap,
+    region_measures_at_gap,
     solve,
 )
 
@@ -40,7 +41,7 @@ CASES = [
 def main() -> None:
     for name, design, pop, bpr in CASES:
         out = solve(design, pop, bpr)
-        measured = region_measures(out.shares, design, pop, bpr)
+        measured = region_measures_at_gap(latency_gap(out.shares, design, pop.demand, bpr), design.tau, pop)
         consistency = max(
             abs(measured.toll - out.shares.toll),
             abs(measured.pool - out.shares.pool),

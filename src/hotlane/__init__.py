@@ -33,18 +33,12 @@ from .latency import (
     DesignParams,
     StrategyShares,
     latency_gap,
-    latency_hot,
-    latency_ordinary,
-    vehicle_flows,
 )
 from .population import (
     ActionLabel,
-    AgentType,
     PopulationParams,
     action_cost,
-    best_response,
     best_response_at_gap,
-    region_measures,
     region_measures_at_gap,
 )
 from .equilibrium import (
@@ -69,7 +63,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionLabel",
-    "AgentType",
     "BprParams",
     "DesignParams",
     "DesignPointResult",
@@ -89,7 +82,6 @@ __all__ = [
     "StrategyShares",
     "ValidationError",
     "action_cost",
-    "best_response",
     "best_response_at_gap",
     "comparative_statics_scan",
     "dump_config",
@@ -97,15 +89,11 @@ __all__ = [
     "evaluate_design",
     "i880_config",
     "latency_gap",
-    "latency_hot",
-    "latency_ordinary",
     "load_config",
     "oracle_equilibrium",
     "pareto_front",
-    "region_measures",
     "region_measures_at_gap",
     "solve",
     "solve_batch",
     "sweep",
-    "vehicle_flows",
 ]

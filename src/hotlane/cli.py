@@ -60,21 +60,27 @@ __all__ = [
     "main",
 ]
 
-SWEEP_COLUMNS = (
-    "tau",
-    "rho",
-    "regime",
-    "sigma_toll",
-    "sigma_pool",
-    "sigma_o",
-    "c_delta",
-    "latency_hot",
-    "latency_ordinary",
-    "avg_time",
-    "revenue",
-    "residual",
+# The sweep CSV columns in order, each with its label in the equilibrium
+# text report, which prints neither tau nor rho.
+_COLUMN_LABELS = (
+    ("tau", None),
+    ("rho", None),
+    ("regime", "regime"),
+    ("sigma_toll", "toll share"),
+    ("sigma_pool", "pool share"),
+    ("sigma_o", "ordinary share"),
+    ("c_delta", "c_delta (min)"),
+    ("latency_hot", "latency_hot (min)"),
+    ("latency_ordinary", "latency_ordinary (min)"),
+    ("avg_time", "avg_time (min)"),
+    ("revenue", "revenue ($/min)"),
+    ("residual", "residual"),
 )
-STATICS_COLUMNS = ("rho", "regime", "sigma_toll", "sigma_pool", "sigma_o", "c_delta")
+SWEEP_COLUMNS = tuple(column for column, _ in _COLUMN_LABELS)
+_CELL_FORMATS = ["{}" if column == "regime" else "{:.12g}" for column in SWEEP_COLUMNS]
+# A statics row is a slice of the sweep row.
+_STATICS_CELLS = slice(1, 7)
+STATICS_COLUMNS = SWEEP_COLUMNS[_STATICS_CELLS]
 
 
 @dataclass(frozen=True)
@@ -98,6 +104,8 @@ class RunConfig:
         for rho in self.rho_values:
             if not 0 < rho < 1:
                 raise ValidationError(f"every rho must lie in the open interval (0, 1), got {rho}")
+        if any(b <= a for a, b in zip(self.rho_values, self.rho_values[1:])):
+            raise ValidationError(f"rho_values must be strictly increasing, got {self.rho_values}")
         if not self.tau_min > 0:
             raise ValidationError(f"tau_min must be > 0, got {self.tau_min}")
         if not self.tau_step > 0:
@@ -113,7 +121,7 @@ class RunConfig:
         """Grid ordered rho outer ascending, tau inner ascending."""
         return [
             DesignParams(rho=rho, tau=tau, occupancy=self.occupancy)
-            for rho in sorted(self.rho_values)
+            for rho in self.rho_values
             for tau in self.tau_values()
         ]
 
@@ -216,40 +224,55 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
+def _row_values(entry: DesignPointResult | FailedDesignPoint) -> tuple:
+    """The entry's values in ``SWEEP_COLUMNS`` order; a failed point has only tau, rho and ``"ERROR"``."""
+    design = entry.design
+    if isinstance(entry, FailedDesignPoint):
+        return design.tau, design.rho, "ERROR"
+    outcome = entry.outcome
+    shares = outcome.shares
+    ordinary_time, hot_time = outcome.latencies
+    return (
+        design.tau,
+        design.rho,
+        outcome.regime.value,
+        shares.toll,
+        shares.pool,
+        shares.ordinary,
+        outcome.gap,
+        hot_time,
+        ordinary_time,
+        entry.avg_time,
+        entry.revenue,
+        outcome.residual,
+    )
+
+
+def _row_line(values: tuple) -> str:
+    """CSV line of :func:`_row_values` output: floats to 12 significant digits, a blank cell
+    per missing value. No cell holds a comma, so ``split(",")`` gives the cells back."""
+    formats = _CELL_FORMATS[: len(values)] + [""] * (len(SWEEP_COLUMNS) - len(values))
+    return ",".join(formats).format(*values)
+
+
+def _exit_status(entries: list[DesignPointResult | FailedDesignPoint]) -> int:
+    """0 when every point was solved, 1 otherwise."""
+    return int(any(isinstance(entry, FailedDesignPoint) for entry in entries))
+
+
 def cmd_equilibrium(config: RunConfig, tau: float, rho: float, json_output: bool = False) -> int:
     """Solve one design point and print its equilibrium report."""
     design = DesignParams(rho=rho, tau=tau, occupancy=config.occupancy)
     result = evaluate_design(design, config.population, config.bpr)
-    outcome = result.outcome
-    report = {
-        "tau": tau,
-        "rho": rho,
-        "regime": outcome.regime.value,
-        "sigma_toll": outcome.shares.toll,
-        "sigma_pool": outcome.shares.pool,
-        "sigma_o": outcome.shares.ordinary,
-        "c_delta": outcome.gap,
-        "latency_hot": outcome.latencies[1],
-        "latency_ordinary": outcome.latencies[0],
-        "avg_time": result.avg_time,
-        "revenue": result.revenue,
-        "residual": outcome.residual,
-        "iterations": outcome.iterations,
-    }
+    values = _row_values(result)
     if json_output:
+        report = dict(zip(SWEEP_COLUMNS, values), iterations=result.outcome.iterations)
         print(json.dumps(report, sort_keys=True))
         return 0
-    print(f"regime: {report['regime']}")
-    print(f"toll share: {_fmt(report['sigma_toll'])}")
-    print(f"pool share: {_fmt(report['sigma_pool'])}")
-    print(f"ordinary share: {_fmt(report['sigma_o'])}")
-    print(f"c_delta (min): {_fmt(report['c_delta'])}")
-    print(f"latency_hot (min): {_fmt(report['latency_hot'])}")
-    print(f"latency_ordinary (min): {_fmt(report['latency_ordinary'])}")
-    print(f"avg_time (min): {_fmt(report['avg_time'])}")
-    print(f"revenue ($/min): {_fmt(report['revenue'])}")
-    print(f"residual: {_fmt(report['residual'])}")
-    print(f"iterations: {report['iterations']}")
+    for (_, label), cell in zip(_COLUMN_LABELS, _row_line(values).split(",")):
+        if label is not None:
+            print(f"{label}: {cell}")
+    print(f"iterations: {result.outcome.iterations}")
     return 0
 
 
@@ -285,67 +308,27 @@ def cmd_verify(config: RunConfig, tau: float, rho: float, grid_n: int | None = N
     return 1
 
 
-def _result_cells(result: DesignPointResult) -> list[str]:
-    outcome = result.outcome
-    design = result.design
-    ordinary_time, hot_time = outcome.latencies
-    return [
-        _fmt(design.tau),
-        _fmt(design.rho),
-        outcome.regime.value,
-        _fmt(outcome.shares.toll),
-        _fmt(outcome.shares.pool),
-        _fmt(outcome.shares.ordinary),
-        _fmt(outcome.gap),
-        _fmt(hot_time),
-        _fmt(ordinary_time),
-        _fmt(result.avg_time),
-        _fmt(result.revenue),
-        _fmt(outcome.residual),
-    ]
-
-
-def _sweep_rows(config: RunConfig) -> tuple[list[str], int]:
-    """CSV data rows for the config's design grid, plus the failure count."""
-    entries = sweep(config.design_grid(), config.population, config.bpr)
-    rows: list[str] = []
-    failures = 0
-    for entry in entries:
-        if isinstance(entry, FailedDesignPoint):
-            failures += 1
-            cells = [_fmt(entry.design.tau), _fmt(entry.design.rho), "ERROR"] + [""] * 9
-        else:
-            cells = _result_cells(entry)
-        rows.append(",".join(cells))
-    return rows, failures
-
-
 def cmd_sweep(config: RunConfig, out_path: str | Path) -> int:
     """Evaluate the whole design grid and write one CSV row per point."""
-    rows, failures = _sweep_rows(config)
-    lines = [",".join(SWEEP_COLUMNS)] + rows
+    entries = sweep(config.design_grid(), config.population, config.bpr)
+    lines = [",".join(SWEEP_COLUMNS)] + [_row_line(_row_values(entry)) for entry in entries]
     Path(out_path).write_text("\n".join(lines) + "\n")
-    return 0 if failures == 0 else 1
+    return _exit_status(entries)
 
 
 def cmd_pareto(config: RunConfig, out_path: str | Path, per_rho: bool = False) -> int:
     """Write the Pareto front of the sweep; optionally one front per rho."""
     entries = sweep(config.design_grid(), config.population, config.bpr)
     solved = [entry for entry in entries if isinstance(entry, DesignPointResult)]
-    failures = len(entries) - len(solved)
-    lines = [",".join(SWEEP_COLUMNS) + ",front_id"]
-    for point in pareto_front(solved).points:
-        lines.append(",".join(_result_cells(point) + ["global"]))
+    fronts = [("global", solved)]
     if per_rho:
-        for rho in sorted(set(config.rho_values)):
-            subset = [point for point in solved if point.design.rho == rho]
-            if not subset:
-                continue
-            front_id = f"rho={_fmt(rho)}"
-            for point in pareto_front(subset).points:
-                lines.append(",".join(_result_cells(point) + [front_id]))
+        subsets = ((rho, [point for point in solved if point.design.rho == rho]) for rho in config.rho_values)
+        fronts += [(f"rho={_fmt(rho)}", subset) for rho, subset in subsets if subset]
+    lines = [",".join(SWEEP_COLUMNS) + ",front_id"]
+    for front_id, subset in fronts:
+        lines += [f"{_row_line(_row_values(point))},{front_id}" for point in pareto_front(subset).points]
     Path(out_path).write_text("\n".join(lines) + "\n")
-    return 0 if failures == 0 else 1
+    return _exit_status(entries)
 
 
 def cmd_statics(config: RunConfig, tau: float, out_path: str | Path) -> int:
@@ -354,29 +337,10 @@ def cmd_statics(config: RunConfig, tau: float, out_path: str | Path) -> int:
         tau, list(config.rho_values), config.occupancy, config.population, config.bpr
     )
     lines = [",".join(STATICS_COLUMNS)]
-    failures = 0
-    for row in table.rows:
-        if row.outcome is None:
-            failures += 1
-            lines.append(",".join([_fmt(row.rho), "ERROR", "", "", "", ""]))
-        else:
-            outcome = row.outcome
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(row.rho),
-                        outcome.regime.value,
-                        _fmt(outcome.shares.toll),
-                        _fmt(outcome.shares.pool),
-                        _fmt(outcome.shares.ordinary),
-                        _fmt(outcome.gap),
-                    ]
-                )
-            )
-    for column in ("sigma_toll", "sigma_pool", "sigma_o", "c_delta"):
-        lines.append(f"# monotonicity,{column},{table.flags[column]}")
+    lines += [",".join(_row_line(_row_values(row)).split(",")[_STATICS_CELLS]) for row in table.rows]
+    lines += [f"# monotonicity,{column},{flag}" for column, flag in table.flags.items()]
     Path(out_path).write_text("\n".join(lines) + "\n")
-    return 0 if failures == 0 else 1
+    return _exit_status(table.rows)
 
 
 @functools.cache

@@ -25,7 +25,6 @@ __all__ = [
     "sweep",
     "pareto_front",
     "comparative_statics_scan",
-    "StaticsRow",
     "StaticsTable",
 ]
 
@@ -126,25 +125,19 @@ def pareto_front(results: list[DesignPointResult]) -> ParetoFront:
 
 
 @dataclass(frozen=True)
-class StaticsRow:
-    rho: float
-    outcome: EquilibriumOutcome | None
-    error: str | None = None
-
-
-@dataclass(frozen=True)
 class StaticsTable:
-    """Per-rho equilibria at a fixed toll plus observed column directions.
+    """Per-rho sweep entries at a fixed toll plus observed column directions.
 
+    ``rows`` holds the :func:`sweep` entry of each rho in grid order.
     ``flags`` maps each numeric column (``sigma_toll``, ``sigma_pool``,
     ``sigma_o``, ``c_delta``) to ``"non-decreasing"``, ``"non-increasing"``
-    or ``"neither"``. Directions are reported, not asserted: the published
+    or ``"neither"`` over the solved rows. Directions are reported, not asserted: the published
     directional claims conflict with each other, so observation is the
     honest output.
     """
 
     tau: float
-    rows: tuple[StaticsRow, ...]
+    rows: tuple[DesignPointResult | FailedDesignPoint, ...]
     flags: dict[str, str]
 
 
@@ -165,21 +158,15 @@ def comparative_statics_scan(
     pop: PopulationParams,
     bpr: BprParams,
 ) -> StaticsTable:
-    """Equilibria along an ascending capacity-fraction grid at a fixed toll."""
+    """:func:`sweep` along a strictly increasing capacity-fraction grid at a fixed toll."""
     if not rho_grid:
         raise EmptyInput("rho_grid must be non-empty")
     if any(b <= a for a, b in zip(rho_grid, rho_grid[1:])):
         raise ValidationError(f"rho_grid must be strictly increasing, got {rho_grid}")
 
     designs = [DesignParams(rho=rho, tau=tau, occupancy=occupancy) for rho in rho_grid]
-    rows = [
-        StaticsRow(rho, None, _describe(outcome))
-        if isinstance(outcome, HotLaneError)
-        else StaticsRow(rho, outcome)
-        for rho, outcome in zip(rho_grid, solve_batch(designs, pop, bpr))
-    ]
-
-    solved = [row.outcome for row in rows if row.outcome is not None]
+    rows = sweep(designs, pop, bpr)
+    solved = [row.outcome for row in rows if isinstance(row, DesignPointResult)]
     columns = {
         "sigma_toll": [o.shares.toll for o in solved],
         "sigma_pool": [o.shares.pool for o in solved],

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapNonPositive, HotLaneError, InfeasibleClosure, NoConvergence, ValidationError
-from .latency import BprParams, DesignParams, StrategyShares, bpr_time, lane_flows, latency_gap
+from .latency import BprParams, DesignParams, StrategyShares, lane_times, latency_gap
 from .population import PopulationParams, region_fractions
 
 __all__ = [
@@ -223,24 +223,17 @@ def positive_gap_bracket(
 # ---------------------------------------------------------------------------
 
 
-def _design_arrays(designs: list[DesignParams], bpr: BprParams) -> list[np.ndarray]:
-    """Per-point (tau, occupancy, ordinary capacity, HOT capacity) arrays."""
-    rho = np.array([d.rho for d in designs], dtype=float)
+def _design_arrays(designs: list[DesignParams]) -> list[np.ndarray]:
+    """Per-point (tau, occupancy, rho) arrays."""
     tau = np.array([d.tau for d in designs], dtype=float)
     occupancy = np.array([d.occupancy for d in designs], dtype=float)
-    return [tau, occupancy, bpr.v_cap * (1.0 - rho), bpr.v_cap * rho]
+    rho = np.array([d.rho for d in designs], dtype=float)
+    return [tau, occupancy, rho]
 
 
-def _lanes(shares, pop: PopulationParams, bpr: BprParams, occupancy, cap_ordinary, cap_hot):
-    """(ordinary, HOT) vehicle flows and travel times at the shares."""
-    flow_ordinary, flow_hot = lane_flows(*shares, pop.demand, occupancy)
-    times = bpr_time(flow_ordinary, cap_ordinary, bpr), bpr_time(flow_hot, cap_hot, bpr)
-    return (flow_ordinary, flow_hot), times
-
-
-def _excess(g, pop: PopulationParams, bpr: BprParams, tau, *lane_params):
+def _excess(g, pop: PopulationParams, bpr: BprParams, tau, occupancy, rho):
     """``F(g)`` at a positive gap, elementwise over the :func:`_design_arrays` points."""
-    _, (time_ordinary, time_hot) = _lanes(region_fractions(g, tau, pop), pop, bpr, *lane_params)
+    _, (time_ordinary, time_hot) = lane_times(region_fractions(g, tau, pop), pop.demand, occupancy, rho, bpr)
     return time_ordinary - time_hot - g
 
 
@@ -298,12 +291,11 @@ def solve_batch(
     so one bad point never aborts the batch. Every step is elementwise, so a
     point's result does not depend on the rest of the batch.
     """
-    points = _design_arrays(designs, bpr)
-    tau, lane_params = points[0], points[1:]
+    points = tau, occupancy, rho = _design_arrays(designs)
 
     # F(0) is the gap with everyone on the ordinary lanes, the upper bracket end.
     zeros = np.zeros_like(tau)
-    _, (time_ordinary, time_hot) = _lanes((zeros, zeros, 1.0), pop, bpr, *lane_params)
+    _, (time_ordinary, time_hot) = lane_times((zeros, zeros, 1.0), pop.demand, occupancy, rho, bpr)
     top = time_ordinary - time_hot
     open_ = np.flatnonzero(top > 0.0)
     root = np.full(tau.shape, np.nan)
@@ -313,7 +305,7 @@ def solve_batch(
     )
 
     toll, pool, ordinary = shares = region_fractions(np.where(root > 0.0, root, 1.0), tau, pop)
-    (flow_ordinary, flow_hot), (time_ordinary, time_hot) = _lanes(shares, pop, bpr, *lane_params)
+    (flow_ordinary, flow_hot), (time_ordinary, time_hot) = lane_times(shares, pop.demand, occupancy, rho, bpr)
     gap = time_ordinary - time_hot
     regime = np.where(toll > 0.0, 2, np.where(pop.beta_max * root > pop.gamma_max, 1, 0))
     with np.errstate(divide="ignore", invalid="ignore"):

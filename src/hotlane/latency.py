@@ -13,13 +13,14 @@ flow/capacity ratio *inside* the power. The more common BPR convention is
 ``t_free * (1 + a * (flow / capacity) ** b)``; if your coefficients come
 from a source using that convention, rescale ``a`` accordingly
 (``a_inside = a_outside ** (1/b)``).
+
+The parameter types validate their fields; the formulas validate nothing.
+Every lane time in the package comes from :func:`lane_times`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -27,9 +28,6 @@ __all__ = [
     "BprParams",
     "DesignParams",
     "StrategyShares",
-    "vehicle_flows",
-    "latency_ordinary",
-    "latency_hot",
     "latency_gap",
 ]
 
@@ -114,21 +112,11 @@ class StrategyShares:
         return (self.toll, self.pool, self.ordinary)
 
 
-def vehicle_flows(sigma: StrategyShares, demand: float, occupancy: float) -> tuple[float, float]:
-    """Aggregate vehicle flows (ordinary, HOT) induced by the shares.
-
-    Carpools of size ``occupancy`` fold that many travelers into one vehicle,
-    so the HOT flow is ``(toll + pool/occupancy) * demand``.
-    """
-    if not demand > 0:
-        raise ValidationError(f"demand must be > 0, got {demand}")
-    return lane_flows(sigma.toll, sigma.pool, sigma.ordinary, demand, occupancy)
-
-
 def lane_flows(toll, pool, ordinary, demand, occupancy):
     """(ordinary, HOT) vehicle flows, elementwise over floats or numpy arrays.
 
-    The formula behind :func:`vehicle_flows`; it validates nothing.
+    Carpools of size ``occupancy`` fold that many travelers into one vehicle,
+    so the HOT flow is ``(toll + pool/occupancy) * demand``.
     """
     return ordinary * demand, (toll + pool / occupancy) * demand
 
@@ -137,41 +125,20 @@ def bpr_time(flow, capacity, bpr: BprParams):
     """Volume-delay curve ``t_free * (1 + (a * flow / capacity) ** b)``.
 
     Elementwise over floats or numpy arrays and unvalidated: the one
-    definition of the curve behind :func:`latency_ordinary`,
-    :func:`latency_hot` and the batched equilibrium kernel.
+    definition of the curve behind :func:`lane_times`.
     """
     return bpr.t_free * (1.0 + (bpr.a * flow / capacity) ** bpr.b)
 
 
-def latency_ordinary(flow, rho: float, bpr: BprParams):
-    """Ordinary-lane travel time in minutes at the given vehicle flow.
+def lane_times(shares, demand, occupancy, rho, bpr: BprParams):
+    """(ordinary, HOT) vehicle flows and travel times at the (toll, pool, ordinary) shares.
 
-    The ordinary lanes hold the ``1 - rho`` capacity share, so their latency
-    grows as ``rho`` grows. Accepts scalar or numpy-array ``flow``.
+    The ordinary lanes hold capacity ``v_cap * (1 - rho)``, the HOT lanes
+    ``v_cap * rho``. Elementwise over floats or numpy arrays and unvalidated.
     """
-    if not 0 < rho < 1:
-        raise ValidationError(f"capacity fraction rho must lie in (0, 1), got {rho}")
-    _check_flow(flow)
-    return bpr_time(flow, bpr.v_cap * (1.0 - rho), bpr)
-
-
-def latency_hot(flow, rho: float, bpr: BprParams):
-    """HOT-lane travel time in minutes at the given vehicle flow.
-
-    Mirrors :func:`latency_ordinary` with capacity ``v_cap * rho``.
-    """
-    if not 0 < rho < 1:
-        raise ValidationError(f"capacity fraction rho must lie in (0, 1), got {rho}")
-    _check_flow(flow)
-    return bpr_time(flow, bpr.v_cap * rho, bpr)
-
-
-def _check_flow(flow) -> None:
-    # A Python float is compared directly: np.any on a scalar costs far more
-    # than the latency itself.
-    negative = flow < 0 if isinstance(flow, float) else np.any(np.asarray(flow) < 0)
-    if negative:
-        raise ValidationError(f"flow must be >= 0, got {flow}")
+    flow_ordinary, flow_hot = lane_flows(*shares, demand, occupancy)
+    times = bpr_time(flow_ordinary, bpr.v_cap * (1.0 - rho), bpr), bpr_time(flow_hot, bpr.v_cap * rho, bpr)
+    return (flow_ordinary, flow_hot), times
 
 
 def latency_gap(sigma: StrategyShares, design: DesignParams, demand: float, bpr: BprParams) -> float:
@@ -180,5 +147,5 @@ def latency_gap(sigma: StrategyShares, design: DesignParams, demand: float, bpr:
     Positive when the HOT lane is faster. Decreasing in the pool share when
     the toll share is held fixed and the remainder rides the ordinary lane.
     """
-    flow_ordinary, flow_hot = vehicle_flows(sigma, demand, design.occupancy)
-    return latency_ordinary(flow_ordinary, design.rho, bpr) - latency_hot(flow_hot, design.rho, bpr)
+    _, (time_ordinary, time_hot) = lane_times(sigma.as_tuple(), demand, design.occupancy, design.rho, bpr)
+    return time_ordinary - time_hot

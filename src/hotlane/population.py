@@ -1,4 +1,4 @@
-"""Traveler population: types, action costs, and the best-response partition.
+"""Traveler population: action costs and the best-response partition.
 
 Travelers are nonatomic agents with a value of time ``beta`` (dollars/minute)
 and a carpool disutility ``gamma`` (dollars), jointly uniform on the
@@ -15,6 +15,10 @@ Region measures are returned as population fractions (the uniform density
 through vehicle flows. Boundary ties have zero measure and are broken by the
 fixed priority pool > toll > ordinary so that agent-level labeling is
 deterministic and reproducible.
+
+An agent type is the float pair ``(beta, gamma)``. The shares that
+best-respond to a profile ``sigma`` are
+``region_measures_at_gap(latency_gap(sigma, ...), tau, pop)``.
 """
 
 from __future__ import annotations
@@ -25,16 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .latency import BprParams, DesignParams, StrategyShares, latency_gap, vehicle_flows, latency_hot, latency_ordinary
+from .latency import BprParams, DesignParams, StrategyShares, lane_times
 
 __all__ = [
     "PopulationParams",
-    "AgentType",
     "ActionLabel",
     "action_cost",
-    "best_response",
     "best_response_at_gap",
-    "region_measures",
     "region_measures_at_gap",
 ]
 
@@ -61,18 +62,6 @@ class PopulationParams:
             raise ValidationError(f"gamma_max must be > 0, got {self.gamma_max}")
 
 
-@dataclass(frozen=True)
-class AgentType:
-    """One traveler type: value of time and carpool disutility, both >= 0."""
-
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        if self.beta < 0 or self.gamma < 0:
-            raise ValidationError(f"agent type must be non-negative, got ({self.beta}, {self.gamma})")
-
-
 class ActionLabel(enum.Enum):
     TOLL = "toll"
     POOL = "pool"
@@ -80,25 +69,26 @@ class ActionLabel(enum.Enum):
 
 
 def action_cost(
-    agent: AgentType,
+    beta: float,
+    gamma: float,
     action: ActionLabel,
     sigma: StrategyShares,
     design: DesignParams,
     pop: PopulationParams,
     bpr: BprParams,
 ) -> float:
-    """Dollar cost the agent incurs by playing ``action`` against ``sigma``.
+    """Dollar cost an agent of type ``(beta, gamma)`` incurs by playing ``action`` against ``sigma``.
 
     Time is priced at the agent's value of time; paying the toll adds
-    ``tau`` and carpooling adds the agent's ``gamma``.
+    ``tau`` and carpooling adds the agent's ``gamma``. The payoff that
+    :func:`best_response_at_gap` minimizes.
     """
-    flow_ordinary, flow_hot = vehicle_flows(sigma, pop.demand, design.occupancy)
+    _, (time_ordinary, time_hot) = lane_times(sigma.as_tuple(), pop.demand, design.occupancy, design.rho, bpr)
     if action is ActionLabel.ORDINARY:
-        return agent.beta * latency_ordinary(flow_ordinary, design.rho, bpr)
-    hot_time = latency_hot(flow_hot, design.rho, bpr)
+        return beta * time_ordinary
     if action is ActionLabel.TOLL:
-        return agent.beta * hot_time + design.tau
-    return agent.beta * hot_time + agent.gamma
+        return beta * time_hot + design.tau
+    return beta * time_hot + gamma
 
 
 def best_response_at_gap(beta: float, gamma: float, gap: float, tau: float) -> ActionLabel:
@@ -114,18 +104,6 @@ def best_response_at_gap(beta: float, gamma: float, gap: float, tau: float) -> A
     if weighted >= tau and gamma >= tau:
         return ActionLabel.TOLL
     return ActionLabel.ORDINARY
-
-
-def best_response(
-    agent: AgentType,
-    sigma: StrategyShares,
-    design: DesignParams,
-    pop: PopulationParams,
-    bpr: BprParams,
-) -> ActionLabel:
-    """Cost-minimizing action for the agent against the profile ``sigma``."""
-    gap = latency_gap(sigma, design, pop.demand, bpr)
-    return best_response_at_gap(agent.beta, agent.gamma, gap, design.tau)
 
 
 def region_fractions(gap, tau, pop: PopulationParams):
@@ -159,13 +137,3 @@ def region_measures_at_gap(gap: float, tau: float, pop: PopulationParams) -> Str
     toll, pool, ordinary = region_fractions(gap, tau, pop)
     return StrategyShares(float(toll), float(pool), float(ordinary))
 
-
-def region_measures(
-    sigma: StrategyShares,
-    design: DesignParams,
-    pop: PopulationParams,
-    bpr: BprParams,
-) -> StrategyShares:
-    """Fractions of the population best-responding with each action."""
-    gap = latency_gap(sigma, design, pop.demand, bpr)
-    return region_measures_at_gap(gap, design.tau, pop)

@@ -16,14 +16,14 @@ from hotlane import (
     OracleConfig,
     PopulationParams,
     RegimeLabel,
-    latency_hot,
-    latency_ordinary,
+    latency_gap,
     oracle_equilibrium,
     pareto_front,
-    region_measures,
+    region_measures_at_gap,
     solve,
     sweep,
 )
+from hotlane.latency import bpr_time
 from hotlane.equilibrium import (
     MAX_BISECT,
     RESIDUAL_TOL,
@@ -89,7 +89,8 @@ def test_self_consistency(solved, pop, bpr):
     """Region measures reproduce the solved shares (equilibrium condition)."""
     worst = 0.0
     for design, outcome in solved:
-        measured = region_measures(outcome.shares, design, pop, bpr)
+        gap = latency_gap(outcome.shares, design, pop.demand, bpr)
+        measured = region_measures_at_gap(gap, design.tau, pop)
         worst = max(
             worst,
             abs(measured.toll - outcome.shares.toll),
@@ -265,23 +266,19 @@ def test_latency_assumptions(bpr):
     for _ in range(1000):
         rho_pair = np.sort(rng.uniform(0.05, 0.95, size=2))
         flow_pair = np.sort(rng.uniform(0.0, 300.0, size=2))
+        ordinary = bpr.v_cap * (1 - rho_pair)
+        hot = bpr.v_cap * rho_pair
         if flow_pair[0] < flow_pair[1]:
-            strict_ok = strict_ok and latency_ordinary(flow_pair[0], rho_pair[0], bpr) < latency_ordinary(
-                flow_pair[1], rho_pair[0], bpr
+            strict_ok = strict_ok and bpr_time(flow_pair[0], ordinary[0], bpr) < bpr_time(
+                flow_pair[1], ordinary[0], bpr
             )
-            strict_ok = strict_ok and latency_hot(flow_pair[0], rho_pair[1], bpr) < latency_hot(
-                flow_pair[1], rho_pair[1], bpr
-            )
+            strict_ok = strict_ok and bpr_time(flow_pair[0], hot[1], bpr) < bpr_time(flow_pair[1], hot[1], bpr)
         if rho_pair[0] < rho_pair[1]:
             flow = rng.uniform(1.0, 300.0)
-            strict_ok = strict_ok and latency_ordinary(flow, rho_pair[0], bpr) < latency_ordinary(
-                flow, rho_pair[1], bpr
-            )
-            strict_ok = strict_ok and latency_hot(flow, rho_pair[0], bpr) > latency_hot(
-                flow, rho_pair[1], bpr
-            )
+            strict_ok = strict_ok and bpr_time(flow, ordinary[0], bpr) < bpr_time(flow, ordinary[1], bpr)
+            strict_ok = strict_ok and bpr_time(flow, hot[0], bpr) > bpr_time(flow, hot[1], bpr)
     exact_ok = all(
-        latency_ordinary(0.0, rho, bpr) == bpr.t_free and latency_hot(0.0, rho, bpr) == bpr.t_free
+        bpr_time(0.0, bpr.v_cap * (1 - rho), bpr) == bpr.t_free and bpr_time(0.0, bpr.v_cap * rho, bpr) == bpr.t_free
         for rho in np.linspace(0.01, 0.99, 99)
     )
     ok = strict_ok and exact_ok

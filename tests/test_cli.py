@@ -260,22 +260,27 @@ def test_cmd_statics_csv(tmp_path):
     assert labels == sorted(labels, reverse=True)
 
 
-def test_cmd_statics_non_ascending_rho(capsys):
-    text = I880_TEXT.replace("rho_values = 0.25, 0.5, 0.75", "rho_values = 0.75, 0.25")
-    config = parse_config_text(text)
-    code = main_with_config(config, ["statics", "--tau", "1.0", "--out", "/dev/null"])
+def test_cmd_statics_non_ascending_rho(capsys, tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(I880_TEXT.replace("rho_values = 0.25, 0.5, 0.75", "rho_values = 0.75, 0.25"))
+    code = main(["--config", str(path), "statics", "--tau", "1.0", "--out", str(tmp_path / "statics.csv")])
     assert code == 1
     assert "ValidationError" in capsys.readouterr().err
 
 
-def main_with_config(config, args):
-    """Drive main() with an in-memory config via a temp file."""
-    import tempfile
-
-    with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as handle:
-        handle.write(dump_config(config))
-        path = handle.name
-    return main(["--config", path, *args])
+@pytest.mark.parametrize("rho_values", ["0.75, 0.25", "0.25, 0.5, 0.5"])
+def test_rho_values_must_strictly_increase(rho_values, capsys, tmp_path):
+    """Every command reads the same grid, so the config rejects an unordered one."""
+    text = I880_TEXT.replace("rho_values = 0.25, 0.5, 0.75", f"rho_values = {rho_values}")
+    message = rf"rho_values must be strictly increasing, got \({rho_values}\)"
+    with pytest.raises(ValidationError, match=message):
+        parse_config_text(text)
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    out = tmp_path / "sweep.csv"
+    assert main(["--config", str(path), "sweep", "--out", str(out)]) == 1
+    assert "ValidationError: rho_values must be strictly increasing" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_dump_config_round_trip(capsys):

@@ -13,12 +13,11 @@ from hotlane import (
     ValidationError,
     comparative_statics_scan,
     evaluate_design,
-    latency_hot,
-    latency_ordinary,
     pareto_front,
     sweep,
 )
 from hotlane import design as design_mod
+from hotlane.latency import bpr_time
 
 
 def i880_grid():
@@ -39,8 +38,8 @@ def test_evaluate_design_objectives(i880_pop, i880_bpr):
     design = DesignParams(0.75, 1.0, 2.5)
     result = evaluate_design(design, i880_pop, i880_bpr)
     flow_ordinary, flow_hot = result.outcome.flows
-    hot_time = latency_hot(flow_hot, design.rho, i880_bpr)
-    ordinary_time = latency_ordinary(flow_ordinary, design.rho, i880_bpr)
+    hot_time = bpr_time(flow_hot, i880_bpr.v_cap * design.rho, i880_bpr)
+    ordinary_time = bpr_time(flow_ordinary, i880_bpr.v_cap * (1 - design.rho), i880_bpr)
     # The average is a convex combination of the two lane latencies.
     assert min(hot_time, ordinary_time) <= result.avg_time <= max(hot_time, ordinary_time)
     assert result.avg_time >= i880_bpr.t_free
@@ -186,7 +185,8 @@ def test_pareto_front_on_i880_sweep(i880_pop, i880_bpr):
 def test_statics_scan_i880(i880_pop, i880_bpr):
     table = comparative_statics_scan(3.0, [0.25, 0.5, 0.75], 2.5, i880_pop, i880_bpr)
     assert len(table.rows) == 3
-    assert all(row.outcome is not None for row in table.rows)
+    assert all(isinstance(row, DesignPointResult) for row in table.rows)
+    assert [row.design.rho for row in table.rows] == [0.25, 0.5, 0.75]
     assert set(table.flags) == {"sigma_toll", "sigma_pool", "sigma_o", "c_delta"}
     assert all(flag in {"non-decreasing", "non-increasing", "neither"} for flag in table.flags.values())
 

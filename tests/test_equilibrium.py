@@ -18,7 +18,7 @@ from hotlane import (
     ValidationError,
     latency_gap,
     oracle_equilibrium,
-    region_measures,
+    region_measures_at_gap,
     solve,
     solve_batch,
     sweep,
@@ -179,7 +179,7 @@ def test_self_consistency_with_region_measures(i880_pop, i880_bpr, a2_setup):
         a2_setup,
     ]:
         out = solve(design, pop, bpr)
-        measured = region_measures(out.shares, design, pop, bpr)
+        measured = region_measures_at_gap(latency_gap(out.shares, design, pop.demand, bpr), design.tau, pop)
         assert measured.toll == pytest.approx(out.shares.toll, abs=1e-8)
         assert measured.pool == pytest.approx(out.shares.pool, abs=1e-8)
         assert measured.ordinary == pytest.approx(out.shares.ordinary, abs=1e-8)
@@ -298,7 +298,7 @@ def test_solve_outside_the_i880_grid(calibration, k, i, oracle_checked, i880_pop
     pop, bpr = (i880_pop, i880_bpr) if calibration == "i880" else (CONGESTED_POP, CONGESTED_BPR)
     design = dense_design(k, i)
     out = solve(design, pop, bpr)
-    measured = region_measures(out.shares, design, pop, bpr)
+    measured = region_measures_at_gap(latency_gap(out.shares, design, pop.demand, bpr), design.tau, pop)
     assert max(abs(a - b) for a, b in zip(measured.as_tuple(), out.shares.as_tuple())) <= 1e-8
     assert out.residual <= eq.RESIDUAL_TOL
     if oracle_checked:

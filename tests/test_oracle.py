@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hotlane import (
-    AgentType,
     BprParams,
     DesignParams,
     NoConvergence,
@@ -18,9 +17,11 @@ from hotlane import (
     RegimeLabel,
     StrategyShares,
     ValidationError,
-    best_response,
+    best_response_at_gap,
     empirical_shares,
+    latency_gap,
     oracle_equilibrium,
+    region_measures_at_gap,
     solve,
 )
 from hotlane import oracle
@@ -43,11 +44,12 @@ def test_oracle_config_validation():
 def _loop_shares(sigma, design, pop, bpr, grid_n):
     """Reference implementation: label every midpoint agent one by one."""
     counts = {label: 0 for label in ActionLabel}
+    gap = latency_gap(sigma, design, pop.demand, bpr)
     for i in range(grid_n):
         beta = (i + 0.5) * pop.beta_max / grid_n
         for j in range(grid_n):
             gamma = (j + 0.5) * pop.gamma_max / grid_n
-            label = best_response(AgentType(beta, gamma), sigma, design, pop, bpr)
+            label = best_response_at_gap(beta, gamma, gap, design.tau)
             counts[label] += 1
     total = grid_n * grid_n
     return (
@@ -84,8 +86,6 @@ def test_empirical_shares_nonpositive_gap(i880_pop, i880_bpr):
 
 def test_empirical_shares_tracks_region_measures(i880_pop, congested_bpr):
     """Quadrature converges to the closed-form areas at O(1/grid_n)."""
-    from hotlane import region_measures
-
     rng = np.random.default_rng(3)
     cfg = OracleConfig(grid_n=500)
     for _ in range(20):
@@ -94,7 +94,8 @@ def test_empirical_shares_tracks_region_measures(i880_pop, congested_bpr):
         sigma = StrategyShares(toll, pool, 1.0 - toll - pool)
         design = DesignParams(rng.uniform(0.2, 0.8), rng.uniform(0.3, 10.0), 2.5)
         grid = empirical_shares(sigma, design, i880_pop, congested_bpr, cfg)
-        exact = region_measures(sigma, design, i880_pop, congested_bpr)
+        gap = latency_gap(sigma, design, i880_pop.demand, congested_bpr)
+        exact = region_measures_at_gap(gap, design.tau, i880_pop)
         for a, b in zip(grid.as_tuple(), exact.as_tuple()):
             assert abs(a - b) <= 2.0 / cfg.grid_n
 

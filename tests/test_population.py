@@ -5,18 +5,17 @@ import pytest
 
 from hotlane import (
     ActionLabel,
-    AgentType,
     DesignParams,
     PopulationParams,
     StrategyShares,
     ValidationError,
     action_cost,
-    best_response,
     best_response_at_gap,
     latency_gap,
-    region_measures,
     region_measures_at_gap,
 )
+from hotlane.latency import lane_times
+from hotlane.population import region_fractions
 
 # Frozen from 40-digit evaluation: beta=1.5, gamma=4, sigma=(0.1, 0.2, 0.7),
 # rho=0.25, tau=3 on the I-880 calibration.
@@ -34,46 +33,35 @@ def test_population_params_validation():
         PopulationParams(demand=115.0, beta_max=1.5, gamma_max=-2.0)
 
 
-def test_agent_type_validation():
-    AgentType(0.0, 0.0)
-    with pytest.raises(ValidationError):
-        AgentType(-0.1, 1.0)
-    with pytest.raises(ValidationError):
-        AgentType(0.1, -1.0)
-
-
 def test_action_cost_zero_type(i880_pop, i880_bpr):
     # With zero value of time only the direct payments remain.
-    agent = AgentType(0.0, 0.0)
     sigma = StrategyShares(0.2, 0.3, 0.5)
     design = DesignParams(rho=0.5, tau=3.0, occupancy=2.5)
-    assert action_cost(agent, ActionLabel.TOLL, sigma, design, i880_pop, i880_bpr) == 3.0
-    assert action_cost(agent, ActionLabel.POOL, sigma, design, i880_pop, i880_bpr) == 0.0
-    assert action_cost(agent, ActionLabel.ORDINARY, sigma, design, i880_pop, i880_bpr) == 0.0
+    assert action_cost(0.0, 0.0, ActionLabel.TOLL, sigma, design, i880_pop, i880_bpr) == 3.0
+    assert action_cost(0.0, 0.0, ActionLabel.POOL, sigma, design, i880_pop, i880_bpr) == 0.0
+    assert action_cost(0.0, 0.0, ActionLabel.ORDINARY, sigma, design, i880_pop, i880_bpr) == 0.0
 
 
 def test_action_cost_indifference_line(i880_pop, i880_bpr):
     # gamma == tau makes toll and pool cost identical.
-    agent = AgentType(1.0, 3.0)
     sigma = StrategyShares(0.1, 0.4, 0.5)
     design = DesignParams(rho=0.4, tau=3.0, occupancy=2.5)
-    toll = action_cost(agent, ActionLabel.TOLL, sigma, design, i880_pop, i880_bpr)
-    pool = action_cost(agent, ActionLabel.POOL, sigma, design, i880_pop, i880_bpr)
+    toll = action_cost(1.0, 3.0, ActionLabel.TOLL, sigma, design, i880_pop, i880_bpr)
+    pool = action_cost(1.0, 3.0, ActionLabel.POOL, sigma, design, i880_pop, i880_bpr)
     assert toll == pool
 
 
 def test_action_cost_frozen(i880_pop, i880_bpr):
-    agent = AgentType(1.5, 4.0)
     sigma = StrategyShares(0.1, 0.2, 0.7)
     design = DesignParams(rho=0.25, tau=3.0, occupancy=2.5)
-    assert action_cost(agent, ActionLabel.TOLL, sigma, design, i880_pop, i880_bpr) == pytest.approx(
+    assert action_cost(1.5, 4.0, ActionLabel.TOLL, sigma, design, i880_pop, i880_bpr) == pytest.approx(
         COST_TOLL, rel=1e-13
     )
-    assert action_cost(agent, ActionLabel.POOL, sigma, design, i880_pop, i880_bpr) == pytest.approx(
+    assert action_cost(1.5, 4.0, ActionLabel.POOL, sigma, design, i880_pop, i880_bpr) == pytest.approx(
         COST_POOL, rel=1e-13
     )
     assert action_cost(
-        agent, ActionLabel.ORDINARY, sigma, design, i880_pop, i880_bpr
+        1.5, 4.0, ActionLabel.ORDINARY, sigma, design, i880_pop, i880_bpr
     ) == pytest.approx(COST_ORDINARY, rel=1e-13)
 
 
@@ -108,20 +96,20 @@ def test_best_response_matches_cost_argmin(i880_pop, i880_bpr):
     gap = latency_gap(sigma, design, i880_pop.demand, i880_bpr)
     assert gap > 0
     for _ in range(500):
-        agent = AgentType(rng.uniform(0, 1.5), rng.uniform(0, 8.0))
+        beta, gamma = rng.uniform(0, 1.5), rng.uniform(0, 8.0)
         margins = (
-            abs(agent.beta * gap - design.tau),
-            abs(agent.beta * gap - agent.gamma),
-            abs(agent.gamma - design.tau),
+            abs(beta * gap - design.tau),
+            abs(beta * gap - gamma),
+            abs(gamma - design.tau),
         )
         if min(margins) < 1e-6:  # boundary ties are measure zero; skip them
             continue
         costs = {
-            action: action_cost(agent, action, sigma, design, i880_pop, i880_bpr)
+            action: action_cost(beta, gamma, action, sigma, design, i880_pop, i880_bpr)
             for action in ActionLabel
         }
         cheapest = min(costs, key=costs.get)
-        assert best_response(agent, sigma, design, i880_pop, i880_bpr) is cheapest
+        assert best_response_at_gap(beta, gamma, gap, design.tau) is cheapest
 
 
 def test_region_measures_nonpositive_gap(i880_pop):
@@ -148,12 +136,19 @@ def test_region_measures_quarter_toll():
 
 
 def test_region_measures_composes_gap(i880_pop, i880_bpr):
-    sigma = StrategyShares(0.0, 0.3, 0.7)
-    design = DesignParams(rho=0.25, tau=1.0, occupancy=2.5)
-    gap = latency_gap(sigma, design, i880_pop.demand, i880_bpr)
-    assert region_measures(sigma, design, i880_pop, i880_bpr) == region_measures_at_gap(
-        gap, design.tau, i880_pop
-    )
+    """The scalar composition and the batch kernel's arrays give the same shares."""
+    profiles = [StrategyShares(0.0, 0.3, 0.7), StrategyShares(0.1, 0.1, 0.8), StrategyShares(0.0, 0.05, 0.95)]
+    designs = [DesignParams(rho, tau, 2.5) for rho, tau in ((0.25, 1.0), (0.75, 0.5), (0.75, 3.0))]
+    shares = tuple(np.array(column) for column in zip(*(sigma.as_tuple() for sigma in profiles)))
+    rho = np.array([design.rho for design in designs])
+    tau = np.array([design.tau for design in designs])
+    _, (time_ordinary, time_hot) = lane_times(shares, i880_pop.demand, 2.5, rho, i880_bpr)
+    batch = region_fractions(time_ordinary - time_hot, tau, i880_pop)
+    for k, (sigma, design) in enumerate(zip(profiles, designs)):
+        gap = latency_gap(sigma, design, i880_pop.demand, i880_bpr)
+        assert gap > 0
+        scalar = region_measures_at_gap(gap, design.tau, i880_pop)
+        assert scalar.as_tuple() == tuple(float(column[k]) for column in batch)
 
 
 def test_region_measures_simplex(i880_pop):
@@ -201,7 +196,7 @@ def test_partition_monte_carlo(i880_pop, i880_bpr):
             pool_mask.mean(),
             1.0 - toll_mask.mean() - pool_mask.mean(),
         )
-        expected = region_measures(sigma, design, i880_pop, i880_bpr)
+        expected = region_measures_at_gap(gap, design.tau, i880_pop)
         # 5-sigma Monte-Carlo band for one million samples.
         assert empirical[0] == pytest.approx(expected.toll, abs=2.5e-3)
         assert empirical[1] == pytest.approx(expected.pool, abs=2.5e-3)
