@@ -322,8 +322,10 @@ def cmd_pareto(config: RunConfig, out_path: str | Path, per_rho: bool = False) -
     solved = [entry for entry in entries if isinstance(entry, DesignPointResult)]
     fronts = [("global", solved)]
     if per_rho:
-        subsets = ((rho, [point for point in solved if point.design.rho == rho]) for rho in config.rho_values)
-        fronts += [(f"rho={_fmt(rho)}", subset) for rho, subset in subsets if subset]
+        for rho in config.rho_values:
+            subset = [point for point in solved if point.design.rho == rho]
+            if subset:  # a rho whose every point failed has no front
+                fronts.append((f"rho={_fmt(rho)}", subset))
     lines = [",".join(SWEEP_COLUMNS) + ",front_id"]
     for front_id, subset in fronts:
         lines += [f"{_row_line(_row_values(point))},{front_id}" for point in pareto_front(subset).points]

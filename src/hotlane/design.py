@@ -131,9 +131,9 @@ class StaticsTable:
     ``rows`` holds the :func:`sweep` entry of each rho in grid order.
     ``flags`` maps each numeric column (``sigma_toll``, ``sigma_pool``,
     ``sigma_o``, ``c_delta``) to ``"non-decreasing"``, ``"non-increasing"``
-    or ``"neither"`` over the solved rows. Directions are reported, not asserted: the published
-    directional claims conflict with each other, so observation is the
-    honest output.
+    or ``"neither"`` over the solved rows. Directions are reported, not
+    asserted: the published directional claims conflict with each other, so
+    observation is the honest output.
     """
 
     tau: float

@@ -136,4 +136,3 @@ def region_measures_at_gap(gap: float, tau: float, pop: PopulationParams) -> Str
         return StrategyShares(0.0, 0.0, 1.0)
     toll, pool, ordinary = region_fractions(gap, tau, pop)
     return StrategyShares(float(toll), float(pool), float(ordinary))
-

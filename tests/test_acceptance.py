@@ -23,7 +23,6 @@ from hotlane import (
     solve,
     sweep,
 )
-from hotlane.latency import bpr_time
 from hotlane.equilibrium import (
     MAX_BISECT,
     RESIDUAL_TOL,
@@ -32,6 +31,7 @@ from hotlane.equilibrium import (
     b_auxiliary,
     positive_gap_bracket,
 )
+from hotlane.latency import bpr_time
 
 ORACLE_TOL = 5e-3
 SELF_CONSISTENCY_TOL = 1e-8
@@ -272,13 +272,16 @@ def test_latency_assumptions(bpr):
             strict_ok = strict_ok and bpr_time(flow_pair[0], ordinary[0], bpr) < bpr_time(
                 flow_pair[1], ordinary[0], bpr
             )
-            strict_ok = strict_ok and bpr_time(flow_pair[0], hot[1], bpr) < bpr_time(flow_pair[1], hot[1], bpr)
+            strict_ok = strict_ok and bpr_time(flow_pair[0], hot[1], bpr) < bpr_time(
+                flow_pair[1], hot[1], bpr
+            )
         if rho_pair[0] < rho_pair[1]:
             flow = rng.uniform(1.0, 300.0)
             strict_ok = strict_ok and bpr_time(flow, ordinary[0], bpr) < bpr_time(flow, ordinary[1], bpr)
             strict_ok = strict_ok and bpr_time(flow, hot[0], bpr) > bpr_time(flow, hot[1], bpr)
     exact_ok = all(
-        bpr_time(0.0, bpr.v_cap * (1 - rho), bpr) == bpr.t_free and bpr_time(0.0, bpr.v_cap * rho, bpr) == bpr.t_free
+        bpr_time(0.0, bpr.v_cap * (1 - rho), bpr) == bpr.t_free
+        and bpr_time(0.0, bpr.v_cap * rho, bpr) == bpr.t_free
         for rho in np.linspace(0.01, 0.99, 99)
     )
     ok = strict_ok and exact_ok

@@ -70,7 +70,8 @@ def test_latency_hot_values(i880_bpr):
         assert bpr_time(0.0, i880_bpr.v_cap * rho, i880_bpr) == 22.0
     assert bpr_time(46.0, i880_bpr.v_cap * 0.25, i880_bpr) == pytest.approx(L_HOT_46_QUARTER, rel=1e-13)
     # Symmetric capacities give identical curves.
-    assert bpr_time(61.0, i880_bpr.v_cap * 0.5, i880_bpr) == bpr_time(61.0, i880_bpr.v_cap * (1 - 0.5), i880_bpr)
+    hot, ordinary = i880_bpr.v_cap * 0.5, i880_bpr.v_cap * (1 - 0.5)
+    assert bpr_time(61.0, hot, i880_bpr) == bpr_time(61.0, ordinary, i880_bpr)
 
 
 def test_latency_gap_symmetric_zero(i880_bpr):
