@@ -206,6 +206,16 @@ def _dense_config():
     )
 
 
+def _congested_config():
+    """The dense grid at demand 250 on a steeper curve (a = 0.6): mostly Regime B."""
+    config = _dense_config()
+    return dataclasses.replace(
+        config,
+        population=dataclasses.replace(config.population, demand=250.0),
+        bpr=dataclasses.replace(config.bpr, a=0.6),
+    )
+
+
 @pytest.mark.parametrize("make_config, stride", [(i880_config, 1), (_dense_config, 50)])
 def test_equilibrium_json_matches_sweep_row(make_config, stride, tmp_path, capsys):
     config = make_config()
@@ -330,7 +340,10 @@ def test_main_runs_verify(capsys, tmp_path):
 
 
 # sha256 of the CLI outputs, taken before the row formatter and the lane
-# times were each given a single definition; every byte must stay the same.
+# times were each given a single definition (the i880, dense_sweep and
+# equilibrium entries) and before the batch became numpy columns (the
+# dense_pareto, dense_statics and congested entries); every byte must stay
+# the same.
 GOLDEN_SHA256 = {
     "i880_sweep": "9f7d6c386e1b4ed47a6ef969db5899391266f90f7dedba13e2a922aff38b82cb",
     "i880_pareto_per_rho": "55ddd4e929db8bb03ebb482b4ad9971192c7836cc473b340f1aa87c399931d8e",
@@ -340,6 +353,12 @@ GOLDEN_SHA256 = {
     "equilibrium_A1_json": "772288945385fb199e51284f7d20c4c74b0b2ae76f81c4e8afb764770827d711",
     "equilibrium_B_text": "46e3422d39b3776ad9076e9f2bbd770bf802d706a1428a587ac2c0c3a3a70045",
     "equilibrium_B_json": "8f89db304ac9b3134eb935374dc4ede7139d02f74cb5a12e5e14532be4f2b0ec",
+    "dense_pareto_per_rho": "ec20cf32a40b0818d7e611e60503e5e95a50d78a80d5352e0dd6932379667e15",
+    "dense_statics_tau0.5": "1dd2b3e979cdfc4f60a40e4d9f3170a9e1ede0a6dd81c324645e9ee02a1d0d51",
+    "dense_statics_tau3": "8678d8aaf7a5470842dd4dd35396170a2b3ed5f36831feb9a8a54df8a1676690",
+    "dense_statics_tau10": "0e651fa6b476ff62e53c23333ed79947c27876c488d2e2425786854cae5f3d0f",
+    "congested_sweep": "05b4f374be32121dbece007e1b46ee21e5ea660004093543b37d44cc3401753c",
+    "congested_pareto_per_rho": "d60e7589824922d8df3c2f9dc672851b5adce18f61c36ca029e21ff43b44d883",
 }
 
 
@@ -350,6 +369,12 @@ def _golden_outputs(tmp_path, capsys) -> dict[str, bytes]:
         ("i880_pareto_per_rho", lambda out: cmd_pareto(i880_config(), out, per_rho=True)),
         ("i880_statics_tau3", lambda out: cmd_statics(i880_config(), 3.0, out)),
         ("dense_sweep", lambda out: cmd_sweep(_dense_config(), out)),
+        ("dense_pareto_per_rho", lambda out: cmd_pareto(_dense_config(), out, per_rho=True)),
+        ("dense_statics_tau0.5", lambda out: cmd_statics(_dense_config(), 0.5, out)),
+        ("dense_statics_tau3", lambda out: cmd_statics(_dense_config(), 3.0, out)),
+        ("dense_statics_tau10", lambda out: cmd_statics(_dense_config(), 10.0, out)),
+        ("congested_sweep", lambda out: cmd_sweep(_congested_config(), out)),
+        ("congested_pareto_per_rho", lambda out: cmd_pareto(_congested_config(), out, per_rho=True)),
     ):
         out = tmp_path / f"{name}.csv"
         assert command(out) == 0
