@@ -18,7 +18,7 @@ def main() -> None:
         table = comparative_statics_scan(tau, RHO_GRID, 2.5, POP, BPR)
         print(f"tau = {tau}")
         print(f"{'rho':>6} {'regime':>6} {'toll':>10} {'pool':>10} {'ordinary':>10} {'gap (min)':>10}")
-        for row in table.rows:
+        for row in map(table.rows.result, range(len(table.rows))):
             out = row.outcome
             print(
                 f"{row.design.rho:>6} {out.regime.value:>6} {out.shares.toll:>10.6f} "

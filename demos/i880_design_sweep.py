@@ -4,26 +4,32 @@ Sixty design points (three capacity splits, twenty toll prices) each get an
 equilibrium, an average travel time T, and a toll revenue R. The authority
 wants T small and R large; the Pareto front is the set of designs where
 improving one objective must worsen the other.
+
+The sweep is one batch of numpy columns (``table.avg_time``,
+``table.revenue``, ...); ``table.result(i)`` gives point ``i`` as a
+``DesignPointResult``.
 """
+
+import numpy as np
 
 from hotlane import i880_config, pareto_front, sweep
 
 def main() -> None:
     config = i880_config()
-    results = sweep(config.design_grid(), config.population, config.bpr)
-    print(f"swept {len(results)} design points")
+    table = sweep(*config.design_grid(), config.population, config.bpr)
+    print(f"swept {len(table)} design points")
 
-    front = pareto_front(results)
-    print(f"Pareto front has {len(front.points)} points (min T first):\n")
+    front = pareto_front(table).points
+    print(f"Pareto front has {len(front)} points (min T first):\n")
     print(f"{'tau':>5} {'rho':>5} {'regime':>6} {'toll share':>11} {'T (min)':>10} {'R ($/min)':>10}")
-    for point in front.points:
+    for point in map(front.result, range(len(front))):
         print(
             f"{point.design.tau:>5} {point.design.rho:>5} {point.outcome.regime.value:>6} "
             f"{point.outcome.shares.toll:>11.6f} {point.avg_time:>10.4f} {point.revenue:>10.4f}"
         )
 
-    best_time = min(results, key=lambda r: r.avg_time)
-    best_revenue = max(results, key=lambda r: r.revenue)
+    best_time = table.result(int(np.argmin(table.avg_time)))
+    best_revenue = table.result(int(np.argmax(table.revenue)))
     print(f"\nfastest design: tau={best_time.design.tau}, rho={best_time.design.rho} "
           f"(T={best_time.avg_time:.4f} min)")
     print(f"highest revenue: tau={best_revenue.design.tau}, rho={best_revenue.design.rho} "

@@ -10,11 +10,11 @@ sweeps design grids to trade average travel time against toll revenue.
 Main entry points:
 
 * :func:`hotlane.equilibrium.solve` / :func:`hotlane.equilibrium.solve_batch` -
-  the equilibrium of one design point or of a whole grid at once, as the
-  root of the latency-gap fixed point.
+  the equilibrium of one design point, or of a whole grid at once as numpy
+  columns, as the root of the latency-gap fixed point.
 * :func:`hotlane.oracle.oracle_equilibrium` - independent brute-force check.
 * :func:`hotlane.design.sweep` / :func:`hotlane.design.pareto_front` -
-  design-grid evaluation and Pareto extraction.
+  design-grid evaluation as numpy columns, and Pareto extraction.
 * ``hotlane`` console script - equilibrium / verify / sweep / pareto /
   statics commands over a config file or the built-in I-880 calibration.
 """
@@ -42,6 +42,7 @@ from .population import (
     region_measures_at_gap,
 )
 from .equilibrium import (
+    EquilibriumBatch,
     EquilibriumOutcome,
     RegimeLabel,
     solve,
@@ -50,7 +51,6 @@ from .equilibrium import (
 from .oracle import OracleConfig, empirical_shares, oracle_equilibrium
 from .design import (
     DesignPointResult,
-    FailedDesignPoint,
     ParetoFront,
     comparative_statics_scan,
     evaluate_design,
@@ -67,8 +67,8 @@ __all__ = [
     "DesignParams",
     "DesignPointResult",
     "EmptyInput",
+    "EquilibriumBatch",
     "EquilibriumOutcome",
-    "FailedDesignPoint",
     "GapNonPositive",
     "HotLaneError",
     "InfeasibleClosure",

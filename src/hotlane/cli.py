@@ -1,25 +1,11 @@
 """Command-line interface: config handling, reports, CSV emission.
 
 Configs are flat ``key = value`` text with ``#`` comments and dotted section
-prefixes, for example::
-
-    population.demand = 115.0
-    population.beta_max = 1.5
-    population.gamma_max = 8.0
-    bpr.a = 0.15
-    bpr.b = 4.0
-    bpr.t_free = 22.0
-    bpr.v_cap = 140.0
-    occupancy = 2.5
-    rho_values = 0.25, 0.5, 0.75
-    tau_min = 0.5
-    tau_max = 10.0
-    tau_step = 0.5
-    oracle.grid_n = 2000       # optional block
-    oracle.max_iters = 10000
-
-Monetary values are dollars, times are minutes. All CSV floats are written
-with 12 significant digits so repeated runs produce byte-identical files.
+prefixes, such as ``population.demand = 115.0`` or ``rho_values = 0.25, 0.5``;
+the keys are the :class:`RunConfig` fields, and ``--dump-config`` prints a
+complete config. Monetary values are dollars, times are minutes. All CSV
+floats are written with 12 significant digits, so repeated runs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -33,15 +19,11 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .design import (
-    DesignPointResult,
-    FailedDesignPoint,
-    comparative_statics_scan,
-    evaluate_design,
-    pareto_front,
-    sweep,
-)
-from .errors import HotLaneError, NoConvergence, ParseError, ValidationError
+import numpy as np
+
+from .design import DesignBatch, comparative_statics_scan, pareto_front, sweep
+from .equilibrium import RegimeLabel, solve
+from .errors import HotLaneError, NoConvergence, ParseError, ValidationError, require_finite
 from .latency import BprParams, DesignParams
 from .oracle import OracleConfig, oracle_equilibrium
 from .population import PopulationParams
@@ -77,7 +59,10 @@ _COLUMN_LABELS = (
     ("residual", "residual"),
 )
 SWEEP_COLUMNS = tuple(column for column, _ in _COLUMN_LABELS)
-_CELL_FORMATS = ["{}" if column == "regime" else "{:.12g}" for column in SWEEP_COLUMNS]
+_ROW_FORMAT = ",".join("{}" if column == "regime" else "{:.12g}" for column in SWEEP_COLUMNS).format
+# A failed point keeps tau and rho; every cell after "ERROR" is blank.
+_ERROR_FORMAT = ("{:.12g},{:.12g},ERROR" + "," * (len(SWEEP_COLUMNS) - 3)).format
+_REGIME_CELLS = tuple(label.value for label in RegimeLabel)
 # A statics row is a slice of the sweep row.
 _STATICS_CELLS = slice(1, 7)
 STATICS_COLUMNS = SWEEP_COLUMNS[_STATICS_CELLS]
@@ -97,6 +82,7 @@ class RunConfig:
     oracle: OracleConfig
 
     def __post_init__(self):
+        require_finite(self)
         if not self.occupancy >= 2:
             raise ValidationError(f"occupancy must be >= 2, got {self.occupancy}")
         if not self.rho_values:
@@ -117,13 +103,10 @@ class RunConfig:
         count = int((self.tau_max - self.tau_min) / self.tau_step + 1e-9) + 1
         return [self.tau_min + i * self.tau_step for i in range(count)]
 
-    def design_grid(self) -> list[DesignParams]:
-        """Grid ordered rho outer ascending, tau inner ascending."""
-        return [
-            DesignParams(rho=rho, tau=tau, occupancy=self.occupancy)
-            for rho in self.rho_values
-            for tau in self.tau_values()
-        ]
+    def design_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(tau, rho, occupancy) arrays of the grid, rho outer ascending, tau inner ascending."""
+        tau, rho = np.array(self.tau_values()), np.array(self.rho_values)
+        return np.tile(tau, rho.size), np.repeat(rho, tau.size), np.full(rho.size * tau.size, self.occupancy)
 
 
 def i880_config() -> RunConfig:
@@ -224,55 +207,38 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _row_values(entry: DesignPointResult | FailedDesignPoint) -> tuple:
-    """The entry's values in ``SWEEP_COLUMNS`` order; a failed point has only tau, rho and ``"ERROR"``."""
-    design = entry.design
-    if isinstance(entry, FailedDesignPoint):
-        return design.tau, design.rho, "ERROR"
-    outcome = entry.outcome
-    shares = outcome.shares
-    ordinary_time, hot_time = outcome.latencies
-    return (
-        design.tau,
-        design.rho,
-        outcome.regime.value,
-        shares.toll,
-        shares.pool,
-        shares.ordinary,
-        outcome.gap,
-        hot_time,
-        ordinary_time,
-        entry.avg_time,
-        entry.revenue,
-        outcome.residual,
+def _columns(table: DesignBatch) -> list[list]:
+    """The table's columns in ``SWEEP_COLUMNS`` order, as lists of Python values."""
+    toll, pool, ordinary = table.shares.tolist()
+    time_ordinary, time_hot = table.latencies.tolist()
+    regime = [_REGIME_CELLS[code] for code in table.regime.tolist()]
+    tau, rho, gap, avg_time, revenue, residual = (
+        column.tolist() for column in (table.tau, table.rho, table.gap, table.avg_time, table.revenue, table.residual)
     )
+    return [tau, rho, regime, toll, pool, ordinary, gap, time_hot, time_ordinary, avg_time, revenue, residual]
 
 
-def _row_line(values: tuple) -> str:
-    """CSV line of :func:`_row_values` output: floats to 12 significant digits, a blank cell
-    per missing value. No cell holds a comma, so ``split(",")`` gives the cells back."""
-    formats = _CELL_FORMATS[: len(values)] + [""] * (len(SWEEP_COLUMNS) - len(values))
-    return ",".join(formats).format(*values)
-
-
-def _exit_status(entries: list[DesignPointResult | FailedDesignPoint]) -> int:
-    """0 when every point was solved, 1 otherwise."""
-    return int(any(isinstance(entry, FailedDesignPoint) for entry in entries))
+def _lines(table: DesignBatch) -> list[str]:
+    """One sweep CSV line per point: floats to 12 significant digits, a failed point as
+    tau, rho, ``ERROR`` and blank cells. No cell holds a comma, so ``split(",")`` gives the cells back."""
+    lines = list(map(_ROW_FORMAT, *_columns(table)))
+    for i in table.errors:
+        lines[i] = _ERROR_FORMAT(table.tau[i], table.rho[i])
+    return lines
 
 
 def cmd_equilibrium(config: RunConfig, tau: float, rho: float, json_output: bool = False) -> int:
     """Solve one design point and print its equilibrium report."""
-    design = DesignParams(rho=rho, tau=tau, occupancy=config.occupancy)
-    result = evaluate_design(design, config.population, config.bpr)
-    values = _row_values(result)
+    table = sweep([tau], [rho], [config.occupancy], config.population, config.bpr)
+    iterations = table.result(0).outcome.iterations  # raises the point's typed error
     if json_output:
-        report = dict(zip(SWEEP_COLUMNS, values), iterations=result.outcome.iterations)
+        report = dict(zip(SWEEP_COLUMNS, (column[0] for column in _columns(table))), iterations=iterations)
         print(json.dumps(report, sort_keys=True))
         return 0
-    for (_, label), cell in zip(_COLUMN_LABELS, _row_line(values).split(",")):
+    for (_, label), cell in zip(_COLUMN_LABELS, _lines(table)[0].split(",")):
         if label is not None:
             print(f"{label}: {cell}")
-    print(f"iterations: {result.outcome.iterations}")
+    print(f"iterations: {iterations}")
     return 0
 
 
@@ -280,27 +246,17 @@ def cmd_verify(config: RunConfig, tau: float, rho: float, grid_n: int | None = N
     """Compare the analytic equilibrium against the brute-force oracle."""
     design = DesignParams(rho=rho, tau=tau, occupancy=config.occupancy)
     oracle_cfg = config.oracle if grid_n is None else dataclasses.replace(config.oracle, grid_n=grid_n)
-    solve_shares = evaluate_design(design, config.population, config.bpr).outcome.shares
+    solve_shares = solve(design, config.population, config.bpr).shares
     try:
         oracle_shares, iterations = oracle_equilibrium(design, config.population, config.bpr, oracle_cfg)
     except NoConvergence as exc:
         print(f"oracle failed to converge: {exc}", file=sys.stderr)
         return 2
-    distance = max(
-        abs(solve_shares.toll - oracle_shares.toll),
-        abs(solve_shares.pool - oracle_shares.pool),
-        abs(solve_shares.ordinary - oracle_shares.ordinary),
-    )
+    solver, oracle = solve_shares.as_tuple(), oracle_shares.as_tuple()
+    distance = max(abs(a - b) for a, b in zip(solver, oracle))
     tolerance = max(5e-3, 4.0 / oracle_cfg.grid_n)
-    print(
-        "solver: "
-        f"({_fmt(solve_shares.toll)}, {_fmt(solve_shares.pool)}, {_fmt(solve_shares.ordinary)})"
-    )
-    print(
-        "oracle: "
-        f"({_fmt(oracle_shares.toll)}, {_fmt(oracle_shares.pool)}, {_fmt(oracle_shares.ordinary)})"
-        f"  [grid_n={oracle_cfg.grid_n}, iterations={iterations}]"
-    )
+    print(f"solver: ({', '.join(map(_fmt, solver))})")
+    print(f"oracle: ({', '.join(map(_fmt, oracle))})  [grid_n={oracle_cfg.grid_n}, iterations={iterations}]")
     print(f"max-norm distance: {_fmt(distance)} (tolerance {_fmt(tolerance)})")
     if distance <= tolerance:
         return 0
@@ -310,39 +266,35 @@ def cmd_verify(config: RunConfig, tau: float, rho: float, grid_n: int | None = N
 
 def cmd_sweep(config: RunConfig, out_path: str | Path) -> int:
     """Evaluate the whole design grid and write one CSV row per point."""
-    entries = sweep(config.design_grid(), config.population, config.bpr)
-    lines = [",".join(SWEEP_COLUMNS)] + [_row_line(_row_values(entry)) for entry in entries]
-    Path(out_path).write_text("\n".join(lines) + "\n")
-    return _exit_status(entries)
+    table = sweep(*config.design_grid(), config.population, config.bpr)
+    Path(out_path).write_text("\n".join([",".join(SWEEP_COLUMNS), *_lines(table)]) + "\n")
+    return int(bool(table.errors))
 
 
 def cmd_pareto(config: RunConfig, out_path: str | Path, per_rho: bool = False) -> int:
     """Write the Pareto front of the sweep; optionally one front per rho."""
-    entries = sweep(config.design_grid(), config.population, config.bpr)
-    solved = [entry for entry in entries if isinstance(entry, DesignPointResult)]
-    fronts = [("global", solved)]
-    if per_rho:
-        for rho in config.rho_values:
-            subset = [point for point in solved if point.design.rho == rho]
-            if subset:  # a rho whose every point failed has no front
-                fronts.append((f"rho={_fmt(rho)}", subset))
+    table = sweep(*config.design_grid(), config.population, config.bpr)
     lines = [",".join(SWEEP_COLUMNS) + ",front_id"]
-    for front_id, subset in fronts:
-        lines += [f"{_row_line(_row_values(point))},{front_id}" for point in pareto_front(subset).points]
+    lines += [f"{line},global" for line in _lines(pareto_front(table).points)]
+    if per_rho:
+        # The rows are rho-major, so each rho's points are one contiguous slice.
+        n_tau = len(table) // len(config.rho_values)
+        for k, rho in enumerate(config.rho_values):
+            subset = table.take(slice(k * n_tau, (k + 1) * n_tau))
+            if subset.solved.any():  # a rho whose every point failed has no front
+                lines += [f"{line},rho={_fmt(rho)}" for line in _lines(pareto_front(subset).points)]
     Path(out_path).write_text("\n".join(lines) + "\n")
-    return _exit_status(entries)
+    return int(bool(table.errors))
 
 
 def cmd_statics(config: RunConfig, tau: float, out_path: str | Path) -> int:
     """Scan the config's rho grid at a fixed toll and report directions."""
-    table = comparative_statics_scan(
-        tau, list(config.rho_values), config.occupancy, config.population, config.bpr
-    )
+    table = comparative_statics_scan(tau, list(config.rho_values), config.occupancy, config.population, config.bpr)
     lines = [",".join(STATICS_COLUMNS)]
-    lines += [",".join(_row_line(_row_values(row)).split(",")[_STATICS_CELLS]) for row in table.rows]
+    lines += [",".join(line.split(",")[_STATICS_CELLS]) for line in _lines(table.rows)]
     lines += [f"# monotonicity,{column},{flag}" for column, flag in table.flags.items()]
     Path(out_path).write_text("\n".join(lines) + "\n")
-    return _exit_status(table.rows)
+    return int(bool(table.rows.errors))
 
 
 @functools.cache

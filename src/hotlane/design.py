@@ -3,23 +3,28 @@
 The authority weighs two objectives at equilibrium: the demand-weighted
 average travel time ``T = (toll + pool) * hot_latency + ordinary * ordinary_latency``
 (to minimize) and the toll revenue ``R = demand * toll_share * tau`` (to
-maximize). A sweep evaluates a list of design points, recording per-point
-failures instead of aborting, and the Pareto front keeps the non-dominated
-subset under (minimize T, maximize R).
+maximize). A sweep solves a whole grid in one batch and adds both objectives
+as numpy columns (a :class:`DesignBatch`); a point that fails keeps its typed
+error in the batch instead of aborting the run. The Pareto front keeps the
+non-dominated points under (minimize T, maximize R): a stable lexsort by
+``(T, -R)`` and a running maximum of ``R``. :func:`evaluate_design` is a
+sweep of one point, returned as a :class:`DesignPointResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .equilibrium import EquilibriumOutcome, solve, solve_batch
+import numpy as np
+
+from .equilibrium import EquilibriumBatch, EquilibriumOutcome, RegimeLabel, solve_batch
 from .errors import EmptyInput, HotLaneError, ValidationError
 from .latency import BprParams, DesignParams
 from .population import PopulationParams
 
 __all__ = [
     "DesignPointResult",
-    "FailedDesignPoint",
+    "DesignBatch",
     "ParetoFront",
     "evaluate_design",
     "sweep",
@@ -31,124 +36,130 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DesignPointResult:
-    """Equilibrium outcome of one design point plus its two objectives."""
+    """Equilibrium outcome of one design point plus its two objectives: one row of a :class:`DesignBatch`."""
 
     design: DesignParams
     outcome: EquilibriumOutcome
     avg_time: float
     revenue: float
 
-    def __post_init__(self):
-        if self.revenue < 0:
-            raise ValidationError(f"revenue must be >= 0, got {self.revenue}")
-        if self.outcome.regime.is_regime_a and self.revenue != 0.0:
-            raise ValidationError(f"Regime-A points collect no revenue, got {self.revenue}")
 
+@dataclass(frozen=True, eq=False)
+class DesignBatch(EquilibriumBatch):
+    """An :class:`EquilibriumBatch` plus the objective columns ``avg_time`` (min) and ``revenue`` ($/min).
 
-@dataclass(frozen=True)
-class FailedDesignPoint:
-    """Marker kept in sweep output when a design point could not be solved."""
+    ``errors`` also holds the points whose objectives break the result
+    invariants (see :func:`sweep`).
+    """
 
-    design: DesignParams
-    error: str
+    avg_time: np.ndarray
+    revenue: np.ndarray
+
+    def result(self, i: int) -> DesignPointResult:
+        """Point ``i`` as a :class:`DesignPointResult`; raises the point's typed error if it failed."""
+        design = DesignParams(rho=self.rho[i].item(), tau=self.tau[i].item(), occupancy=self.occupancy[i].item())
+        return DesignPointResult(design, self.outcome(i), self.avg_time[i].item(), self.revenue[i].item())
 
 
 @dataclass(frozen=True)
 class ParetoFront:
     """Non-dominated design points, sorted by average time ascending.
 
-    Along the front both coordinates strictly increase: shaving travel time
-    always costs revenue and vice versa.
+    ``points`` holds them as :func:`pareto_front` was given them: a tuple of
+    :class:`DesignPointResult` or a :class:`DesignBatch`. Along the front
+    both coordinates strictly increase: shaving travel time always costs
+    revenue and vice versa.
     """
 
-    points: tuple[DesignPointResult, ...]
+    points: tuple[DesignPointResult, ...] | DesignBatch
 
     def __post_init__(self):
-        for earlier, later in zip(self.points, self.points[1:]):
-            if not (earlier.avg_time < later.avg_time and earlier.revenue < later.revenue):
-                raise ValidationError("front points must strictly increase in both avg_time and revenue")
+        avg_time, revenue = _objective_columns(self.points)
+        if not ((np.diff(avg_time) > 0.0) & (np.diff(revenue) > 0.0)).all():
+            raise ValidationError("front points must strictly increase in both avg_time and revenue")
 
 
-def _objectives(
-    design: DesignParams, outcome: EquilibriumOutcome, pop: PopulationParams
-) -> DesignPointResult:
-    shares = outcome.shares
-    ordinary_time, hot_time = outcome.latencies
-    avg_time = (shares.toll + shares.pool) * hot_time + shares.ordinary * ordinary_time
-    revenue = pop.demand * shares.toll * design.tau
-    return DesignPointResult(design, outcome, avg_time, revenue)
+def _objective_columns(points) -> tuple[np.ndarray, np.ndarray]:
+    """(avg_time, revenue) arrays of a :class:`DesignBatch` or of a sequence of results."""
+    if isinstance(points, DesignBatch):
+        return points.avg_time, points.revenue
+    return np.array([p.avg_time for p in points], dtype=float), np.array([p.revenue for p in points], dtype=float)
 
 
-def _describe(exc: HotLaneError) -> str:
-    return f"{type(exc).__name__}: {exc}"
+_REGIME_B = tuple(RegimeLabel).index(RegimeLabel.B)
 
 
 def evaluate_design(design: DesignParams, pop: PopulationParams, bpr: BprParams) -> DesignPointResult:
-    """Solve the design point and evaluate both objectives at equilibrium."""
-    return _objectives(design, solve(design, pop, bpr), pop)
+    """Both objectives at the design point's equilibrium: row 0 of a sweep of one, or its typed error raised."""
+    return sweep([design.tau], [design.rho], [design.occupancy], pop, bpr).result(0)
 
 
-def sweep(
-    designs: list[DesignParams], pop: PopulationParams, bpr: BprParams
-) -> list[DesignPointResult | FailedDesignPoint]:
-    """Evaluate every design point in one batched solve; output order matches input order.
+def sweep(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> DesignBatch:
+    """Evaluate every design point in one batched solve, as columns in input order.
 
-    Solver failures become :class:`FailedDesignPoint` entries so a single
-    bad point cannot abort a grid run.
+    The design points are given as in :func:`~hotlane.equilibrium.solve_batch`.
+    A point that fails keeps its typed error in ``errors``, so a single bad
+    point cannot abort a grid run.
     """
-    return [
-        FailedDesignPoint(design, _describe(outcome))
-        if isinstance(outcome, HotLaneError)
-        else _objectives(design, outcome, pop)
-        for design, outcome in zip(designs, solve_batch(designs, pop, bpr))
-    ]
+    batch = solve_batch(tau, rho, occupancy, pop, bpr)
+    toll, pool, ordinary = batch.shares
+    time_ordinary, time_hot = batch.latencies
+    avg_time = (toll + pool) * time_hot + ordinary * time_ordinary
+    revenue = pop.demand * toll * batch.tau
+    # The result invariants, checked at all points at once: revenue is >= 0, and 0 in Regime A.
+    failed = np.flatnonzero(~(revenue >= 0.0) | ((batch.regime != _REGIME_B) & (revenue != 0.0))).tolist()
+    errors = {i: ValidationError(f"revenue must be >= 0, and 0 in Regime A; got {revenue[i]}") for i in failed}
+    errors.update(batch.errors)
+    return DesignBatch(**{**vars(batch), "errors": errors}, avg_time=avg_time, revenue=revenue)
 
 
-def pareto_front(results: list[DesignPointResult]) -> ParetoFront:
+def _front(avg_time: np.ndarray, revenue: np.ndarray) -> np.ndarray:
+    """Positions of the non-dominated points, in front order.
+
+    A stable lexsort by (avg_time, -revenue) puts each point after every
+    point that dominates it, and exact ties in input order; a point is kept
+    when its revenue beats the running maximum of the points before it.
+    """
+    if not avg_time.size:
+        raise EmptyInput("pareto_front requires at least one result")
+    order = np.lexsort((np.arange(avg_time.size), -revenue, avg_time))
+    revenue = revenue[order]
+    best = np.maximum.accumulate(revenue)
+    return order[np.concatenate(([True], revenue[1:] > best[:-1]))]
+
+
+def pareto_front(results: list[DesignPointResult] | DesignBatch) -> ParetoFront:
     """Maximal non-dominated subset under (minimize avg_time, maximize revenue).
 
     A point dominates another when it is no slower and no less profitable,
     strictly better in at least one coordinate. Exact ties on both
-    coordinates keep the first-seen point.
+    coordinates keep the first-seen point. ``results`` is a list of
+    :class:`DesignPointResult` or a :class:`DesignBatch`, whose failed points
+    are skipped; the front holds its points in the same form.
     """
-    if not results:
-        raise EmptyInput("pareto_front requires at least one result")
-    order = sorted(range(len(results)), key=lambda i: (results[i].avg_time, -results[i].revenue, i))
-    kept: list[DesignPointResult] = []
-    best_revenue = -1.0
-    for i in order:
-        point = results[i]
-        if point.revenue > best_revenue:
-            kept.append(point)
-            best_revenue = point.revenue
-    return ParetoFront(tuple(kept))
+    if isinstance(results, DesignBatch):
+        if results.errors:
+            results = results.take(results.solved)
+        return ParetoFront(results.take(_front(results.avg_time, results.revenue)))
+    front = _front(*_objective_columns(results))
+    return ParetoFront(tuple(results[i] for i in front.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StaticsTable:
-    """Per-rho sweep entries at a fixed toll plus observed column directions.
+    """Per-rho sweep rows at a fixed toll plus observed column directions.
 
-    ``rows`` holds the :func:`sweep` entry of each rho in grid order.
-    ``flags`` maps each numeric column (``sigma_toll``, ``sigma_pool``,
-    ``sigma_o``, ``c_delta``) to ``"non-decreasing"``, ``"non-increasing"``
-    or ``"neither"`` over the solved rows. Directions are reported, not
+    ``rows`` is the :func:`sweep` of the rho grid, in grid order. ``flags``
+    maps each numeric column (``sigma_toll``, ``sigma_pool``, ``sigma_o``,
+    ``c_delta``) to ``"non-decreasing"``, ``"non-increasing"`` or
+    ``"neither"`` over the solved rows. Directions are reported, not
     asserted: the published directional claims conflict with each other, so
     observation is the honest output.
     """
 
     tau: float
-    rows: tuple[DesignPointResult | FailedDesignPoint, ...]
+    rows: DesignBatch
     flags: dict[str, str]
-
-
-def _direction(values: list[float]) -> str:
-    non_decreasing = all(b >= a for a, b in zip(values, values[1:]))
-    non_increasing = all(b <= a for a, b in zip(values, values[1:]))
-    if non_decreasing:
-        return "non-decreasing"
-    if non_increasing:
-        return "non-increasing"
-    return "neither"
 
 
 def comparative_statics_scan(
@@ -164,14 +175,9 @@ def comparative_statics_scan(
     if any(b <= a for a, b in zip(rho_grid, rho_grid[1:])):
         raise ValidationError(f"rho_grid must be strictly increasing, got {rho_grid}")
 
-    designs = [DesignParams(rho=rho, tau=tau, occupancy=occupancy) for rho in rho_grid]
-    rows = sweep(designs, pop, bpr)
-    solved = [row.outcome for row in rows if isinstance(row, DesignPointResult)]
-    columns = {
-        "sigma_toll": [o.shares.toll for o in solved],
-        "sigma_pool": [o.shares.pool for o in solved],
-        "sigma_o": [o.shares.ordinary for o in solved],
-        "c_delta": [o.gap for o in solved],
-    }
-    flags = {name: _direction(values) for name, values in columns.items()}
-    return StaticsTable(tau, tuple(rows), flags)
+    rows = sweep(tau, rho_grid, occupancy, pop, bpr)
+    steps = np.diff(np.vstack((rows.shares, rows.gap))[:, rows.solved], axis=1)
+    up, down = (steps >= 0.0).all(axis=1).tolist(), (steps <= 0.0).all(axis=1).tolist()
+    names = ("sigma_toll", "sigma_pool", "sigma_o", "c_delta")
+    flags = {n: "non-decreasing" if u else "non-increasing" if d else "neither" for n, u, d in zip(names, up, down)}
+    return StaticsTable(tau, rows, flags)

@@ -13,8 +13,12 @@ ordinary) > 0`` and has exactly one root on ``[0, gap(everyone ordinary)]``.
 :func:`solve_batch` brackets that root for every design point at once, in
 elementwise numpy: each step is a secant step with the Illinois weighting
 that falls back to the midpoint whenever it would leave the bracket, and a
-point stops when its bracket reaches float resolution. :func:`solve` is a
-batch of one. There is no other solver.
+point stops when its bracket reaches float resolution. The batch is numpy
+columns end to end: the points come in as ``tau``, ``rho`` and
+``occupancy`` arrays, checked against the parameter domain once, and go out
+as one :class:`EquilibriumBatch` whose invariants are checked once,
+vectorised; a failed point keeps its typed error by index. :func:`solve` is
+row 0 of a batch of one. There is no other solver.
 
 The regime is read off the solution: B if a positive mass pays the toll,
 A2 if ``beta_max * g > gamma_max`` (which forces ``tau > gamma_max``),
@@ -46,12 +50,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapNonPositive, HotLaneError, InfeasibleClosure, NoConvergence, ValidationError
-from .latency import BprParams, DesignParams, StrategyShares, lane_times, latency_gap
+from .latency import SIMPLEX_TOL, BprParams, DesignParams, StrategyShares, lane_times, latency_gap
 from .population import PopulationParams, region_fractions
 
 __all__ = [
     "RegimeLabel",
     "EquilibriumOutcome",
+    "EquilibriumBatch",
     "solve",
     "solve_batch",
     "a1_auxiliary",
@@ -80,16 +85,19 @@ class RegimeLabel(enum.Enum):
         return self in (RegimeLabel.A1, RegimeLabel.A2)
 
 
+_LABELS = tuple(RegimeLabel)  # the batch's regime codes index this
+
+
 @dataclass(frozen=True)
 class EquilibriumOutcome:
-    """Solved equilibrium: shares plus diagnostics.
+    """Solved equilibrium of one design point: shares plus diagnostics.
 
     ``gap`` is the ordinary-minus-HOT latency difference at the solved
     shares (minutes), ``flows`` the (ordinary, HOT) vehicle flows,
     ``residual`` the absolute fixed-point residual of the solved equation in
     its printed units, ``iterations`` the root-finding step count, and
     ``latencies`` the (ordinary, HOT) lane travel times in minutes at the
-    solved flows.
+    solved flows. It is one row of an :class:`EquilibriumBatch` (see :func:`_failures`).
     """
 
     shares: StrategyShares
@@ -99,18 +107,6 @@ class EquilibriumOutcome:
     residual: float
     iterations: int
     latencies: tuple[float, float]
-
-    def __post_init__(self):
-        if not self.shares.pool > 0:
-            raise ValidationError(f"equilibrium pool share must be > 0, got {self.shares.pool}")
-        if not self.shares.ordinary > 0:
-            raise ValidationError(f"equilibrium ordinary share must be > 0, got {self.shares.ordinary}")
-        if self.regime.is_regime_a and self.shares.toll != 0.0:
-            raise ValidationError(f"regime {self.regime.value} requires a zero toll share, got {self.shares.toll}")
-        if not self.regime.is_regime_a and not self.shares.toll > 0:
-            raise ValidationError(f"regime B requires a positive toll share, got {self.shares.toll}")
-        if not self.residual <= RESIDUAL_TOL:
-            raise ValidationError(f"fixed-point residual {self.residual} exceeds {RESIDUAL_TOL}")
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +219,79 @@ def positive_gap_bracket(
 # ---------------------------------------------------------------------------
 
 
-def _design_arrays(designs: list[DesignParams]) -> list[np.ndarray]:
-    """Per-point (tau, occupancy, rho) arrays."""
-    tau = np.array([d.tau for d in designs], dtype=float)
-    occupancy = np.array([d.occupancy for d in designs], dtype=float)
-    rho = np.array([d.rho for d in designs], dtype=float)
-    return [tau, occupancy, rho]
+@dataclass(frozen=True, eq=False)
+class EquilibriumBatch:
+    """Equilibria of many design points as numpy columns, in input order.
+
+    ``tau``, ``rho`` and ``occupancy`` hold the design points. The other
+    columns mirror :class:`EquilibriumOutcome`: ``shares`` is the ``(3, n)``
+    array of (toll, pool, ordinary) shares, ``flows`` and ``latencies`` are
+    the ``(2, n)`` arrays of (ordinary, HOT) flows and lane times, and
+    ``regime`` holds codes into ``tuple(RegimeLabel)`` (0 A1, 1 A2, 2 B).
+    ``errors`` maps the index of every point without a valid equilibrium to
+    its typed error; the columns hold no meaningful value at those indices.
+    """
+
+    tau: np.ndarray
+    rho: np.ndarray
+    occupancy: np.ndarray
+    shares: np.ndarray
+    regime: np.ndarray
+    gap: np.ndarray
+    flows: np.ndarray
+    residual: np.ndarray
+    iterations: np.ndarray
+    latencies: np.ndarray
+    errors: dict[int, HotLaneError]
+
+    def __len__(self) -> int:
+        return self.tau.size
+
+    @property
+    def solved(self) -> np.ndarray:
+        """Boolean mask of the points that have an equilibrium."""
+        mask = np.ones(len(self), dtype=bool)
+        mask[list(self.errors)] = False
+        return mask
+
+    def take(self, index):
+        """The points at the numpy index ``index`` (a slice, mask or positions), errors renumbered."""
+        positions = np.arange(len(self))[index].tolist() if self.errors else []
+        errors = {new: self.errors[old] for new, old in enumerate(positions) if old in self.errors}
+        columns = {name: value[..., index] for name, value in vars(self).items() if name != "errors"}
+        return type(self)(**columns, errors=errors)
+
+    def outcome(self, i: int) -> EquilibriumOutcome:
+        """Point ``i`` as an :class:`EquilibriumOutcome`; raises the point's typed error if it failed."""
+        if i in self.errors:
+            raise self.errors[i]
+        shares, flows, times = (tuple(a[:, i].tolist()) for a in (self.shares, self.flows, self.latencies))
+        regime, gap, residual, steps = (a[i].item() for a in (self.regime, self.gap, self.residual, self.iterations))
+        return EquilibriumOutcome(StrategyShares(*shares), _LABELS[regime], gap, flows, residual, steps, times)
 
 
-def _excess(g, pop: PopulationParams, bpr: BprParams, tau, occupancy, rho):
-    """``F(g)`` at a positive gap, elementwise over the :func:`_design_arrays` points."""
+def _check_designs(tau, rho, occupancy) -> list[np.ndarray]:
+    """The design points as equal-length float arrays, checked once against the
+    :class:`DesignParams` domain; the first bad index of a column raises ``ValidationError``."""
+    try:
+        columns = [np.asarray(x, dtype=float).ravel() for x in (tau, rho, occupancy)]
+        shape = np.broadcast(*columns).shape
+    except ValueError as exc:
+        raise ValidationError(f"tau, rho and occupancy must be numbers that broadcast to one length: {exc}") from None
+    tau, rho, occupancy = (x if x.shape == shape else np.full(shape, x) for x in columns)
+    for name, values, ok, rule in (
+        ("rho", rho, (0.0 < rho) & (rho < 1.0), "lie in the open interval (0, 1)"),
+        ("tau", tau, (0.0 < tau) & (tau < np.inf), "be finite and > 0"),
+        ("occupancy", occupancy, (2.0 <= occupancy) & (occupancy < np.inf), "be finite and >= 2"),
+    ):
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ValidationError(f"design point {i}: {name} must {rule}, got {values[i]}")
+    return [tau, rho, occupancy]
+
+
+def _excess(g, pop: PopulationParams, bpr: BprParams, tau, rho, occupancy):
+    """``F(g)`` at a positive gap, elementwise over the design points' (tau, rho, occupancy) arrays."""
     _, (time_ordinary, time_hot) = lane_times(region_fractions(g, tau, pop), pop.demand, occupancy, rho, bpr)
     return time_ordinary - time_hot - g
 
@@ -240,7 +299,7 @@ def _excess(g, pop: PopulationParams, bpr: BprParams, tau, occupancy, rho):
 def _gap_root(lo, hi, f_lo, pop: PopulationParams, bpr: BprParams, points: list[np.ndarray]):
     """Root of ``F`` on the bracket ``[lo, hi]`` of each point, and its step count.
 
-    ``points`` are the points' :func:`_design_arrays`. ``F(lo) > 0`` is
+    ``points`` are the points' (tau, rho, occupancy) arrays. ``F(lo) > 0`` is
     passed in because ``F`` cannot be evaluated at a zero gap, and
     ``F(hi) < 0`` must hold. A root is NaN where the bracket is still open
     after ``MAX_BISECT`` steps.
@@ -279,19 +338,52 @@ def _gap_root(lo, hi, f_lo, pop: PopulationParams, bpr: BprParams, points: list[
     return root, iterations
 
 
-def solve_batch(
-    designs: list[DesignParams], pop: PopulationParams, bpr: BprParams
-) -> list[EquilibriumOutcome | HotLaneError]:
-    """Equilibria of many design points at once, in input order.
+def _failures(top, root, shares, regime, residual) -> dict[int, HotLaneError]:
+    """The typed error of every point without a valid equilibrium, by index.
 
-    A point that cannot be solved comes back as its typed error instance in
-    place of an outcome (``GapNonPositive`` when the HOT lane is never
-    faster, ``NoConvergence`` when the bracket is still open after
-    ``MAX_BISECT`` steps or the printed residual exceeds ``RESIDUAL_TOL``),
-    so one bad point never aborts the batch. Every step is elementwise, so a
-    point's result does not depend on the rest of the batch.
+    The one definition of the outcome invariants, checked at all points at
+    once; a point gets the error of the first check it fails. A valid
+    equilibrium has a root, a printed residual of at most ``RESIDUAL_TOL``,
+    shares on the simplex with positive pool and ordinary shares, and a toll
+    share that is positive exactly in Regime B.
     """
-    points = tau, occupancy, rho = _design_arrays(designs)
+    toll, pool, ordinary = shares
+    valid = (
+        ((0.0 <= shares) & (shares <= 1.0)).all(axis=0)
+        & (abs(toll + pool + ordinary - 1.0) <= SIMPLEX_TOL)
+        & (pool > 0.0)
+        & (ordinary > 0.0)
+        & ((regime == _LABELS.index(RegimeLabel.B)) == (toll > 0.0))
+    )
+    checks = (
+        (~(top > 0.0), lambda i: GapNonPositive(f"the HOT lane is never faster: all-ordinary latency gap {top[i]}")),
+        (np.isnan(root), lambda i: NoConvergence(f"the gap bracket is still open after {MAX_BISECT} steps")),
+        (~(residual <= RESIDUAL_TOL), lambda i: NoConvergence(
+            f"fixed-point residual {residual[i]} exceeds {RESIDUAL_TOL}",
+            last_value=tuple(shares[:, i].tolist()),
+            residual=residual[i].item(),
+        )),
+        (~valid, lambda i: ValidationError(
+            f"equilibrium shares {tuple(shares[:, i].tolist())} are not valid in regime {_LABELS[regime[i]].value}"
+        )),
+    )
+    bad = np.flatnonzero(np.logical_or.reduce([failed for failed, _ in checks])).tolist()
+    return {i: next(error(i) for failed, error in checks if failed[i]) for i in bad}
+
+
+def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> EquilibriumBatch:
+    """Equilibria of many design points at once, as numpy columns in input order.
+
+    ``tau``, ``rho`` and ``occupancy`` are array-likes that broadcast to one
+    length (a scalar occupancy serves every point); a point outside the
+    :class:`DesignParams` domain raises ``ValidationError``. A point that
+    cannot be solved gets its typed error in ``errors`` (``GapNonPositive``
+    when the HOT lane is never faster, ``NoConvergence`` when the bracket is
+    still open after ``MAX_BISECT`` steps or the printed residual exceeds
+    ``RESIDUAL_TOL``), so one bad point never aborts the batch. Every step is
+    elementwise, so a point's result does not depend on the rest of the batch.
+    """
+    points = tau, rho, occupancy = _check_designs(tau, rho, occupancy)
 
     # F(0) is the gap with everyone on the ordinary lanes, the upper bracket end.
     zeros = np.zeros_like(tau)
@@ -304,9 +396,10 @@ def solve_batch(
         np.zeros(open_.size), top[open_], top[open_], pop, bpr, [a[open_] for a in points]
     )
 
-    toll, pool, ordinary = shares = region_fractions(np.where(root > 0.0, root, 1.0), tau, pop)
-    (flow_ordinary, flow_hot), (time_ordinary, time_hot) = lane_times(shares, pop.demand, occupancy, rho, bpr)
-    gap = time_ordinary - time_hot
+    shares = np.array(region_fractions(np.where(root > 0.0, root, 1.0), tau, pop))
+    flows, latencies = (np.array(pair) for pair in lane_times(shares, pop.demand, occupancy, rho, bpr))
+    toll, pool, ordinary = shares
+    gap = latencies[0] - latencies[1]
     regime = np.where(toll > 0.0, 2, np.where(pop.beta_max * root > pop.gamma_max, 1, 0))
     with np.errstate(divide="ignore", invalid="ignore"):
         printed = np.choose(
@@ -317,49 +410,14 @@ def solve_batch(
                 (1.0 - tau / (pop.beta_max * gap)) * (pop.gamma_max - tau) / pop.gamma_max - toll,
             ],
         )
-    columns = (
-        top, root, *shares, regime, gap, flow_ordinary, flow_hot, np.abs(printed), iterations, time_ordinary, time_hot
-    )
-    return [_outcome(*values) for values in zip(*(column.tolist() for column in columns))]
-
-
-_LABELS = (RegimeLabel.A1, RegimeLabel.A2, RegimeLabel.B)
-
-
-def _outcome(
-    top, root, toll, pool, ordinary, regime, gap, flow_ordinary, flow_hot, residual, iterations, *latencies
-) -> EquilibriumOutcome | HotLaneError:
-    """One point of :func:`solve_batch` as an outcome, or as the error it failed with."""
-    if not top > 0.0:
-        return GapNonPositive(f"the HOT lane is never faster: all-ordinary latency gap {top}")
-    if math.isnan(root):
-        return NoConvergence(f"the gap bracket is still open after {MAX_BISECT} steps")
-    if not residual <= RESIDUAL_TOL:
-        return NoConvergence(
-            f"fixed-point residual {residual} exceeds {RESIDUAL_TOL}",
-            last_value=(toll, pool, ordinary),
-            residual=residual,
-        )
-    try:
-        return EquilibriumOutcome(
-            StrategyShares(toll, pool, ordinary),
-            _LABELS[regime],
-            gap,
-            (flow_ordinary, flow_hot),
-            residual,
-            iterations,
-            latencies,
-        )
-    except HotLaneError as exc:
-        return exc
+    residual = np.abs(printed)
+    errors = _failures(top, root, shares, regime, residual)
+    return EquilibriumBatch(tau, rho, occupancy, shares, regime, gap, flows, residual, iterations, latencies, errors)
 
 
 def solve(design: DesignParams, pop: PopulationParams, bpr: BprParams) -> EquilibriumOutcome:
-    """Equilibrium of one design point: :func:`solve_batch` on a batch of one.
+    """Equilibrium of one design point: row 0 of :func:`solve_batch` on a batch of one.
 
     Raises the point's typed error instead of returning it.
     """
-    (outcome,) = solve_batch([design], pop, bpr)
-    if isinstance(outcome, HotLaneError):
-        raise outcome
-    return outcome
+    return solve_batch([design.tau], [design.rho], [design.occupancy], pop, bpr).outcome(0)

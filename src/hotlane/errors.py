@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check of the parameter types."""
+
+import math
 
 
 class HotLaneError(Exception):
@@ -52,3 +54,10 @@ class GapNonPositive(HotLaneError):
 
 class EmptyInput(HotLaneError, ValueError):
     """An operation requiring a non-empty collection received an empty one."""
+
+
+def require_finite(params) -> None:
+    """Raise ``ValidationError`` naming the first float field of the dataclass ``params`` that is not finite."""
+    for name, value in vars(params).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value}")

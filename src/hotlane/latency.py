@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 
 __all__ = [
     "BprParams",
@@ -48,6 +48,8 @@ class BprParams:
         Free-flow travel time of the segment in minutes, > 0.
     v_cap : float
         Total capacity of the segment in vehicles/minute, > 0.
+
+    All four must be finite.
     """
 
     a: float
@@ -56,6 +58,7 @@ class BprParams:
     v_cap: float
 
     def __post_init__(self):
+        require_finite(self)
         if not self.a > 0:
             raise ValidationError(f"BPR coefficient a must be > 0, got {self.a}")
         if not self.b >= 1:
@@ -72,9 +75,9 @@ class DesignParams:
 
     ``rho`` is the HOT capacity fraction and must lie strictly inside (0, 1);
     either extreme would leave one lane group with zero capacity. ``tau`` is
-    the toll in dollars, > 0. ``occupancy`` is the carpool size required for
-    free HOT access, >= 2 (fractional values such as 2.5 model mixed
-    requirements along the segment).
+    the toll in dollars, finite and > 0. ``occupancy`` is the carpool size
+    required for free HOT access, finite and >= 2 (fractional values such as
+    2.5 model mixed requirements along the segment).
     """
 
     rho: float
@@ -82,6 +85,7 @@ class DesignParams:
     occupancy: float
 
     def __post_init__(self):
+        require_finite(self)
         if not 0 < self.rho < 1:
             raise ValidationError(
                 f"capacity fraction rho must lie in the open interval (0, 1), got {self.rho}"

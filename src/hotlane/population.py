@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 from .latency import BprParams, DesignParams, StrategyShares, lane_times
 
 __all__ = [
@@ -46,7 +46,7 @@ class PopulationParams:
 
     ``demand`` is in vehicles/minute equivalents (every traveler counts as
     one vehicle unless folded into a carpool), ``beta_max`` in
-    dollars/minute, ``gamma_max`` in dollars. All strictly positive.
+    dollars/minute, ``gamma_max`` in dollars. All finite and strictly positive.
     """
 
     demand: float
@@ -54,6 +54,7 @@ class PopulationParams:
     gamma_max: float
 
     def __post_init__(self):
+        require_finite(self)
         if not self.demand > 0:
             raise ValidationError(f"demand must be > 0, got {self.demand}")
         if not self.beta_max > 0:

@@ -53,7 +53,7 @@ def resolve_in_shrunk_bracket():
     """
 
     def resolve(design: DesignParams, pop: PopulationParams, bpr: BprParams) -> StrategyShares:
-        points = eq._design_arrays([design])
+        points = [np.array([design.tau]), np.array([design.rho]), np.array([design.occupancy])]
         width = latency_gap(StrategyShares(0.0, 0.0, 1.0), design, pop.demand, bpr)
         lo, hi = np.array([1e-6 * width]), np.array([width - 1e-6 * width])
         (root,), _ = eq._gap_root(lo, hi, eq._excess(lo, pop, bpr, *points), pop, bpr, points)

@@ -202,7 +202,9 @@ def _brute_force_front(results):
 
 def test_pareto_against_brute_force(grid, pop, bpr):
     """Fast front extraction equals the quadratic dominance scan exactly."""
-    results = sweep(grid, pop, bpr)
+    table = sweep([d.tau for d in grid], [d.rho for d in grid], [d.occupancy for d in grid], pop, bpr)
+    assert not table.errors
+    results = [table.result(i) for i in range(len(table))]
     assert all(isinstance(r, DesignPointResult) for r in results)
     ok = list(pareto_front(results).points) == _brute_force_front(results)
 

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from hotlane import DesignParams, HotLaneError, ParseError, ValidationError
+from hotlane import BprParams, DesignParams, HotLaneError, ParseError, PopulationParams, ValidationError
 from hotlane.cli import (
     STATICS_COLUMNS,
     SWEEP_COLUMNS,
@@ -53,7 +53,12 @@ def test_i880_defaults_match_calibration():
     assert config.occupancy == 2.5
     assert config.rho_values == (0.25, 0.5, 0.75)
     assert config.tau_values() == [0.5 * k for k in range(1, 21)]
-    assert len(config.design_grid()) == 60
+    tau, rho, occupancy = config.design_grid()
+    assert len(tau) == len(rho) == len(occupancy) == 60
+    # rho outer, tau inner.
+    assert tau.tolist() == config.tau_values() * 3
+    assert rho.tolist() == [r for r in config.rho_values for _ in range(20)]
+    assert set(occupancy.tolist()) == {2.5}
 
 
 def test_parse_config_text_round_trips_i880():
@@ -89,6 +94,47 @@ def test_validation_names_constraint():
     bad_step = I880_TEXT.replace("tau_step = 0.5", "tau_step = 0.0")
     with pytest.raises(ValidationError, match="tau_step"):
         parse_config_text(bad_step)
+
+
+@pytest.mark.parametrize(
+    "key, field",
+    [
+        ("tau_max", "tau_max"),
+        ("tau_step", "tau_step"),
+        ("occupancy", "occupancy"),
+        ("population.demand", "demand"),
+        ("population.gamma_max", "gamma_max"),
+        ("bpr.t_free", "t_free"),
+        ("bpr.v_cap", "v_cap"),
+    ],
+)
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_config_values_rejected(key, field, value, capsys, tmp_path):
+    """A non-finite value is a ValidationError naming its field, never a traceback or ERROR rows."""
+    lines = [line for line in I880_TEXT.splitlines() if not line.startswith(f"{key} =")]
+    text = "\n".join(lines + [f"{key} = {value}"]) + "\n"
+    with pytest.raises(ValidationError, match=field):
+        parse_config_text(text)
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    out = tmp_path / "sweep.csv"
+    assert main(["--config", str(path), "sweep", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ValidationError: ") and field in err
+    assert not out.exists()
+
+
+def test_non_finite_parameters_rejected():
+    for make in (
+        lambda x: PopulationParams(demand=x, beta_max=1.5, gamma_max=8.0),
+        lambda x: PopulationParams(demand=115.0, beta_max=x, gamma_max=8.0),
+        lambda x: BprParams(a=0.15, b=4.0, t_free=x, v_cap=140.0),
+        lambda x: BprParams(a=0.15, b=x, t_free=22.0, v_cap=140.0),
+        lambda x: DesignParams(rho=0.5, tau=x, occupancy=2.5),
+        lambda x: DesignParams(rho=0.5, tau=1.0, occupancy=x),
+    ):
+        with pytest.raises(ValidationError, match="must be finite, got inf"):
+            make(float("inf"))
 
 
 def test_load_config_missing_file(tmp_path):
@@ -183,9 +229,12 @@ def test_cmd_sweep_error_rows(tmp_path, monkeypatch):
     bad = DesignParams(0.25, 0.5, 2.5)
     original = design_mod.solve_batch
 
-    def failing_solve_batch(designs, pop, bpr):
-        outcomes = original(designs, pop, bpr)
-        return [HotLaneError("synthetic failure") if d == bad else o for d, o in zip(designs, outcomes)]
+    def failing_solve_batch(tau, rho, occupancy, pop, bpr):
+        """The real columnar result, with the bad point's error added."""
+        batch = original(tau, rho, occupancy, pop, bpr)
+        failed = np.flatnonzero((batch.tau == bad.tau) & (batch.rho == bad.rho)).tolist()
+        errors = {**batch.errors, **{i: HotLaneError("synthetic failure") for i in failed}}
+        return dataclasses.replace(batch, errors=errors)
 
     monkeypatch.setattr(design_mod, "solve_batch", failing_solve_batch)
     out = tmp_path / "sweep.csv"
@@ -222,9 +271,9 @@ def test_equilibrium_json_matches_sweep_row(make_config, stride, tmp_path, capsy
     out = tmp_path / "sweep.csv"
     assert cmd_sweep(config, out) == 0
     rows = out.read_text().splitlines()[1:]
+    tau, rho, _ = config.design_grid()
     for index in range(0, len(rows), stride):
-        design = config.design_grid()[index]
-        assert cmd_equilibrium(config, design.tau, design.rho, json_output=True) == 0
+        assert cmd_equilibrium(config, tau[index], rho[index], json_output=True) == 0
         report = json.loads(capsys.readouterr().out)
         cells = [report[c] if c == "regime" else format(report[c], ".12g") for c in SWEEP_COLUMNS]
         assert ",".join(cells) == rows[index]

@@ -1,5 +1,7 @@
 """Objectives, sweeps, Pareto extraction, and comparative statics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from hotlane import (
     DesignParams,
     DesignPointResult,
     EmptyInput,
-    FailedDesignPoint,
     HotLaneError,
     RegimeLabel,
     ValidationError,
@@ -26,6 +27,16 @@ def i880_grid():
         for rho in (0.25, 0.5, 0.75)
         for k in range(1, 21)
     ]
+
+
+def columns(designs):
+    """The (tau, rho, occupancy) columns that :func:`sweep` takes."""
+    return [d.tau for d in designs], [d.rho for d in designs], [d.occupancy for d in designs]
+
+
+def rows(table):
+    """Every point of a sweep as a DesignPointResult."""
+    return [table.result(i) for i in range(len(table))]
 
 
 def test_evaluate_design_regime_a_revenue(i880_pop, i880_bpr):
@@ -58,8 +69,9 @@ def test_evaluate_design_frozen_point(i880_pop, i880_bpr):
 
 def test_sweep_i880_grid(i880_pop, i880_bpr):
     grid = i880_grid()
-    results = sweep(grid, i880_pop, i880_bpr)
-    assert len(results) == 60
+    table = sweep(*columns(grid), i880_pop, i880_bpr)
+    assert len(table) == 60 and not table.errors
+    results = rows(table)
     assert all(isinstance(r, DesignPointResult) for r in results)
     assert [r.design for r in results] == grid  # input order preserved
     assert all(r.avg_time >= i880_bpr.t_free for r in results)
@@ -68,10 +80,10 @@ def test_sweep_i880_grid(i880_pop, i880_bpr):
 
 
 def test_sweep_empty_and_duplicates(i880_pop, i880_bpr):
-    assert sweep([], i880_pop, i880_bpr) == []
+    assert len(sweep([], [], [], i880_pop, i880_bpr)) == 0
     design = DesignParams(0.5, 2.0, 2.5)
-    twice = sweep([design, design], i880_pop, i880_bpr)
-    assert twice[0] == twice[1]
+    twice = sweep(*columns([design, design]), i880_pop, i880_bpr)
+    assert twice.result(0) == twice.result(1)
 
 
 def test_sweep_records_failures(i880_pop, i880_bpr, monkeypatch):
@@ -79,15 +91,23 @@ def test_sweep_records_failures(i880_pop, i880_bpr, monkeypatch):
     good = DesignParams(0.25, 1.0, 2.5)
     original = design_mod.solve_batch
 
-    def failing_solve_batch(designs, pop, bpr):
-        outcomes = original(designs, pop, bpr)
-        return [HotLaneError("synthetic failure") if d == bad else o for d, o in zip(designs, outcomes)]
+    def failing_solve_batch(tau, rho, occupancy, pop, bpr):
+        """The real columnar result, with the bad point's error added."""
+        batch = original(tau, rho, occupancy, pop, bpr)
+        failed = np.flatnonzero((batch.tau == bad.tau) & (batch.rho == bad.rho)).tolist()
+        errors = {**batch.errors, **{i: HotLaneError("synthetic failure") for i in failed}}
+        return dataclasses.replace(batch, errors=errors)
 
     monkeypatch.setattr(design_mod, "solve_batch", failing_solve_batch)
-    results = sweep([good, bad], i880_pop, i880_bpr)
-    assert isinstance(results[0], DesignPointResult)
-    assert isinstance(results[1], FailedDesignPoint)
-    assert "synthetic failure" in results[1].error
+    table = sweep(*columns([good, bad]), i880_pop, i880_bpr)
+    assert isinstance(table.result(0), DesignPointResult)
+    assert list(table.solved) == [True, False]
+    assert "synthetic failure" in str(table.errors[1])
+    with pytest.raises(HotLaneError, match="synthetic failure"):
+        table.result(1)
+    # Taking rows renumbers the errors, and a front skips the failed point.
+    assert list(table.take([1, 0]).errors) == [0] and not table.take(slice(0, 1)).errors
+    assert rows(pareto_front(table).points) == [table.result(0)]
 
 
 def _brute_force_front(results):
@@ -172,21 +192,42 @@ def test_pareto_front_matches_brute_force_random(b_template):
 
 
 def test_pareto_front_on_i880_sweep(i880_pop, i880_bpr):
-    results = sweep(i880_grid(), i880_pop, i880_bpr)
+    table = sweep(*columns(i880_grid()), i880_pop, i880_bpr)
+    results = rows(table)
     front = pareto_front(results)
     assert set(front.points) <= set(results)
     assert list(front.points) == _brute_force_front(results)
+    # The columnar path keeps the same points.
+    assert rows(pareto_front(table).points) == list(front.points)
     # Per-rho fronts are themselves valid non-dominated chains.
-    for rho in (0.25, 0.5, 0.75):
+    for k, rho in enumerate((0.25, 0.5, 0.75)):
         subset = [r for r in results if r.design.rho == rho]
         pareto_front(subset)  # construction validates the chain invariant
+        assert rows(pareto_front(table.take(slice(20 * k, 20 * k + 20))).points) == list(pareto_front(subset).points)
+
+
+def test_pareto_front_ties_in_a_slice(i880_pop, i880_bpr):
+    # Exact (avg_time, revenue) ties inside each rho's contiguous slice: the
+    # lexsort path keeps the first-seen point of each tie, as the list path does.
+    grid = [DesignParams(rho, 0.5 * k, 2.5) for rho in (0.5, 0.75) for k in range(1, 7)]
+    objectives = [(30.0, 5.0), (28.0, 7.0), (28.0, 7.0), (30.0, 5.0), (29.0, 9.0), (29.0, 9.0)] * 2
+    avg_time, revenue = (np.array(column) for column in zip(*objectives))
+    table = dataclasses.replace(sweep(*columns(grid), i880_pop, i880_bpr), avg_time=avg_time, revenue=revenue)
+    results = [_synthetic_result(table.result(i), *objectives[i]) for i in range(len(table))]
+    for start in (0, 6):
+        front = pareto_front(table.take(slice(start, start + 6))).points
+        assert front.tau.tolist() == [1.0, 2.5]  # the first of each tied pair
+        assert front.avg_time.tolist() == [28.0, 29.0] and front.revenue.tolist() == [7.0, 9.0]
+        listed = pareto_front(results[start : start + 6]).points
+        assert listed == (results[start + 1], results[start + 4])
+        assert listed == tuple(_brute_force_front(results[start : start + 6]))
 
 
 def test_statics_scan_i880(i880_pop, i880_bpr):
     table = comparative_statics_scan(3.0, [0.25, 0.5, 0.75], 2.5, i880_pop, i880_bpr)
     assert len(table.rows) == 3
-    assert all(isinstance(row, DesignPointResult) for row in table.rows)
-    assert [row.design.rho for row in table.rows] == [0.25, 0.5, 0.75]
+    assert all(isinstance(row, DesignPointResult) for row in rows(table.rows))
+    assert [row.design.rho for row in rows(table.rows)] == [0.25, 0.5, 0.75]
     assert set(table.flags) == {"sigma_toll", "sigma_pool", "sigma_o", "c_delta"}
     assert all(flag in {"non-decreasing", "non-increasing", "neither"} for flag in table.flags.values())
 
@@ -196,7 +237,7 @@ def test_statics_regime_transitions_once(i880_pop, i880_bpr):
     # never back: the probe gap grows with the HOT allocation.
     for k in range(1, 21):
         table = comparative_statics_scan(0.5 * k, [0.25, 0.5, 0.75], 2.5, i880_pop, i880_bpr)
-        labels = [row.outcome.regime.is_regime_a for row in table.rows]
+        labels = [row.outcome.regime.is_regime_a for row in rows(table.rows)]
         # Once False (Regime B), never True again.
         assert labels == sorted(labels, reverse=True)
 
@@ -213,5 +254,5 @@ def test_statics_scan_validation(i880_pop, i880_bpr):
 def test_statics_scan_deterministic(i880_pop, i880_bpr):
     first = comparative_statics_scan(2.0, [0.25, 0.5, 0.75], 2.5, i880_pop, i880_bpr)
     second = comparative_statics_scan(2.0, [0.25, 0.5, 0.75], 2.5, i880_pop, i880_bpr)
-    assert first.rows == second.rows
+    assert rows(first.rows) == rows(second.rows)  # every column of every point
     assert first.flags == second.flags

@@ -7,7 +7,6 @@ from hotlane import (
     BprParams,
     DesignParams,
     EquilibriumOutcome,
-    FailedDesignPoint,
     GapNonPositive,
     InfeasibleClosure,
     NoConvergence,
@@ -230,21 +229,33 @@ def test_gap_non_positive_guard(i880_pop):
     # papered over with a fake root.
     bpr = BprParams(a=1e-100, b=4.0, t_free=22.0, v_cap=140.0)
     design = DesignParams(0.25, 1.0, 2.5)
-    (out,) = solve_batch([design], i880_pop, bpr)
-    assert isinstance(out, GapNonPositive)
+    batch = solve_batch([design.tau], [design.rho], [design.occupancy], i880_pop, bpr)
+    assert isinstance(batch.errors[0], GapNonPositive)
     with pytest.raises(GapNonPositive):
         solve(design, i880_pop, bpr)
 
 
 def test_outcome_invariants_enforced():
-    good = StrategyShares(0.0, 0.2, 0.8)
-    with pytest.raises(ValidationError):
-        EquilibriumOutcome(StrategyShares(0.0, 0.0, 1.0), RegimeLabel.A1, 0.1, (1.0, 0.0), 0.0, 10, (22.1, 22.0))
-    with pytest.raises(ValidationError):
-        EquilibriumOutcome(good, RegimeLabel.B, 0.1, (1.0, 0.2), 0.0, 10, (22.1, 22.0))  # B needs toll > 0
-    with pytest.raises(ValidationError):
-        EquilibriumOutcome(good, RegimeLabel.A1, 0.1, (1.0, 0.2), 1e-3, 10, (22.1, 22.0))  # residual too big
-    EquilibriumOutcome(good, RegimeLabel.A1, 0.1, (1.0, 0.2), 1e-12, 10, (22.1, 22.0))
+    # The four cases as one batch for the vectorised check: (shares, regime, residual).
+    good = (0.0, 0.2, 0.8)
+    cases = [
+        ((0.0, 0.0, 1.0), RegimeLabel.A1, 0.0),  # the pool share must be > 0
+        (good, RegimeLabel.B, 0.0),  # B needs a toll share > 0
+        (good, RegimeLabel.A1, 1e-3),  # residual too big
+        (good, RegimeLabel.A1, 1e-12),
+    ]
+    shares = np.array([case[0] for case in cases]).T
+    regime = np.array([tuple(RegimeLabel).index(case[1]) for case in cases])
+    residual = np.array([case[2] for case in cases])
+    ones = np.ones(len(cases))
+    errors = eq._failures(ones, ones, shares, regime, residual)
+    assert sorted(errors) == [0, 1, 2]
+    assert str(errors[0]) == "equilibrium shares (0.0, 0.0, 1.0) are not valid in regime A1"
+    assert str(errors[1]) == "equilibrium shares (0.0, 0.2, 0.8) are not valid in regime B"
+    assert all(isinstance(errors[i], ValidationError) for i in (0, 1))
+    # The batch types a residual over the gate as NoConvergence, with the shares it reached.
+    assert isinstance(errors[2], NoConvergence) and errors[2].residual == 1e-3
+    assert errors[2].last_value == good
 
 
 def test_a2_unreachable_on_i880(i880_pop, i880_bpr):
@@ -311,12 +322,17 @@ def _bits(outcome: EquilibriumOutcome) -> tuple:
     return (outcome.regime, outcome.iterations, tuple(x.hex() for x in floats))
 
 
+def _columns(designs: list[DesignParams]) -> list[list[float]]:
+    return [[d.tau for d in designs], [d.rho for d in designs], [d.occupancy for d in designs]]
+
+
 @pytest.mark.parametrize("grid, stride", [(i880_grid, 1), (dense_grid, 50)])
 def test_solve_is_a_batch_of_one(grid, stride, i880_pop, i880_bpr):
     designs = grid()
-    batch = solve_batch(designs, i880_pop, i880_bpr)
+    batch = solve_batch(*_columns(designs), i880_pop, i880_bpr)
+    assert not batch.errors
     for index in range(0, len(designs), stride):
-        assert _bits(solve(designs[index], i880_pop, i880_bpr)) == _bits(batch[index])
+        assert _bits(solve(designs[index], i880_pop, i880_bpr)) == _bits(batch.outcome(index))
 
 
 def test_solve_does_not_use_the_regime_solvers(i880_pop, i880_bpr, a2_setup, monkeypatch):
@@ -347,11 +363,43 @@ def test_open_bracket_at_the_cap_is_an_error(i880_pop, i880_bpr, monkeypatch):
     # come back as NoConvergence, never as an answer.
     monkeypatch.setattr(eq, "MAX_BISECT", 3)
     designs = [DesignParams(0.25, 1.0, 2.5), DesignParams(0.75, 0.5, 2.5)]
-    assert all(isinstance(out, NoConvergence) for out in solve_batch(designs, i880_pop, i880_bpr))
+    errors = solve_batch(*_columns(designs), i880_pop, i880_bpr).errors
+    assert sorted(errors) == [0, 1]
+    assert all(isinstance(error, NoConvergence) for error in errors.values())
     with pytest.raises(NoConvergence):
         solve(designs[0], i880_pop, i880_bpr)
-    assert all(isinstance(entry, FailedDesignPoint) for entry in sweep(designs, i880_pop, i880_bpr))
+    table = sweep(*_columns(designs), i880_pop, i880_bpr)
+    assert sorted(table.errors) == [0, 1] and not table.solved.any()
 
 
 def test_solve_batch_empty(i880_pop, i880_bpr):
-    assert solve_batch([], i880_pop, i880_bpr) == []
+    batch = solve_batch([], [], [], i880_pop, i880_bpr)
+    assert len(batch) == 0
+    assert batch.shares.shape == (3, 0)
+    assert batch.errors == {}
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        ("rho", 1.0, r"design point 2: rho must lie in the open interval \(0, 1\), got 1.0"),
+        ("tau", np.inf, "design point 2: tau must be finite and > 0, got inf"),
+        ("tau", 0.0, "design point 2: tau must be finite and > 0, got 0.0"),
+        ("occupancy", np.inf, "design point 2: occupancy must be finite and >= 2, got inf"),
+        ("occupancy", np.nan, "design point 2: occupancy must be finite and >= 2, got nan"),
+    ],
+)
+def test_solve_batch_checks_the_design_domain(column, value, message, i880_pop, i880_bpr):
+    """Every point is checked at the boundary, since the batch runs no per-point constructor."""
+    points = dict(tau=[1.0, 2.0, 3.0, 4.0], rho=[0.25, 0.5, 0.75, 0.5], occupancy=2.5)
+    points[column] = np.array(np.broadcast_to(points[column], 4))
+    points[column][2:] = value
+    with pytest.raises(ValidationError, match=message):
+        solve_batch(points["tau"], points["rho"], points["occupancy"], i880_pop, i880_bpr)
+
+
+def test_solve_batch_columns_must_broadcast(i880_pop, i880_bpr):
+    with pytest.raises(ValidationError, match="broadcast to one length"):
+        solve_batch([1.0, 2.0], [0.25, 0.5, 0.75], 2.5, i880_pop, i880_bpr)
+    with pytest.raises(ValidationError, match="must be numbers"):
+        solve_batch(["cheap"], [0.5], 2.5, i880_pop, i880_bpr)

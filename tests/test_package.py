@@ -10,8 +10,8 @@ PUBLIC_NAMES = [
     "DesignParams",
     "DesignPointResult",
     "EmptyInput",
+    "EquilibriumBatch",
     "EquilibriumOutcome",
-    "FailedDesignPoint",
     "GapNonPositive",
     "HotLaneError",
     "InfeasibleClosure",
