@@ -18,11 +18,10 @@ def main() -> None:
         table = comparative_statics_scan(tau, RHO_GRID, 2.5, POP, BPR)
         print(f"tau = {tau}")
         print(f"{'rho':>6} {'regime':>6} {'toll':>10} {'pool':>10} {'ordinary':>10} {'gap (min)':>10}")
-        for row in map(table.rows.result, range(len(table.rows))):
-            out = row.outcome
+        for row in map(table.rows.outcome, range(len(table.rows))):
             print(
-                f"{row.design.rho:>6} {out.regime.value:>6} {out.shares.toll:>10.6f} "
-                f"{out.shares.pool:>10.6f} {out.shares.ordinary:>10.6f} {out.gap:>10.6f}"
+                f"{row.design.rho:>6} {row.regime.value:>6} {row.shares.toll:>10.6f} "
+                f"{row.shares.pool:>10.6f} {row.shares.ordinary:>10.6f} {row.gap:>10.6f}"
             )
         for column, flag in table.flags.items():
             print(f"  {column}: {flag}")

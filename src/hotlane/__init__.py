@@ -11,10 +11,11 @@ Main entry points:
 
 * :func:`hotlane.equilibrium.solve` / :func:`hotlane.equilibrium.solve_batch` -
   the equilibrium of one design point, or of a whole grid at once as numpy
-  columns, as the root of the latency-gap fixed point.
+  columns, as the root of the latency-gap fixed point, with its objectives.
 * :func:`hotlane.oracle.oracle_equilibrium` - independent brute-force check.
-* :func:`hotlane.design.sweep` / :func:`hotlane.design.pareto_front` -
-  design-grid evaluation as numpy columns, and Pareto extraction.
+* :func:`hotlane.design.pareto_front` /
+  :func:`hotlane.design.comparative_statics_scan` - Pareto extraction and
+  capacity statics.
 * ``hotlane`` console script - equilibrium / verify / sweep / pareto /
   statics commands over a config file or the built-in I-880 calibration.
 """
@@ -49,14 +50,7 @@ from .equilibrium import (
     solve_batch,
 )
 from .oracle import OracleConfig, empirical_shares, oracle_equilibrium
-from .design import (
-    DesignPointResult,
-    ParetoFront,
-    comparative_statics_scan,
-    evaluate_design,
-    pareto_front,
-    sweep,
-)
+from .design import ParetoFront, comparative_statics_scan, pareto_front
 from .cli import RunConfig, dump_config, i880_config, load_config
 
 __version__ = "0.1.0"
@@ -65,7 +59,6 @@ __all__ = [
     "ActionLabel",
     "BprParams",
     "DesignParams",
-    "DesignPointResult",
     "EmptyInput",
     "EquilibriumBatch",
     "EquilibriumOutcome",
@@ -86,7 +79,6 @@ __all__ = [
     "comparative_statics_scan",
     "dump_config",
     "empirical_shares",
-    "evaluate_design",
     "i880_config",
     "latency_gap",
     "load_config",
@@ -95,5 +87,4 @@ __all__ = [
     "region_measures_at_gap",
     "solve",
     "solve_batch",
-    "sweep",
 ]

@@ -21,11 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import DesignBatch, comparative_statics_scan, pareto_front, sweep
-from .equilibrium import RegimeLabel, solve
+from .design import comparative_statics_scan, pareto_front
+from .equilibrium import EquilibriumBatch, RegimeLabel, solve, solve_batch
 from .errors import HotLaneError, NoConvergence, ParseError, ValidationError, require_finite
 from .latency import BprParams, DesignParams
-from .oracle import OracleConfig, oracle_equilibrium
+from .oracle import OracleConfig, _solve_tolerance, oracle_equilibrium
 from .population import PopulationParams
 
 __all__ = [
@@ -98,14 +98,17 @@ class RunConfig:
             raise ValidationError(f"tau_step must be > 0, got {self.tau_step}")
         if not self.tau_min <= self.tau_max:
             raise ValidationError(f"tau_min must be <= tau_max, got {self.tau_min} > {self.tau_max}")
+        if not self._tau_steps() < np.iinfo(np.intp).max:
+            raise ValidationError(f"tau_step {self.tau_step} gives too many tolls from tau_min to tau_max")
 
-    def tau_values(self) -> list[float]:
-        count = int((self.tau_max - self.tau_min) / self.tau_step + 1e-9) + 1
-        return [self.tau_min + i * self.tau_step for i in range(count)]
+    def _tau_steps(self) -> float:
+        """Steps from tau_min to tau_max, padded so that a step landing on tau_max counts."""
+        return (self.tau_max - self.tau_min) / self.tau_step + 1e-9
 
     def design_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(tau, rho, occupancy) arrays of the grid, rho outer ascending, tau inner ascending."""
-        tau, rho = np.array(self.tau_values()), np.array(self.rho_values)
+        tau = self.tau_min + np.arange(int(self._tau_steps()) + 1, dtype=float) * self.tau_step
+        rho = np.array(self.rho_values)
         return np.tile(tau, rho.size), np.repeat(rho, tau.size), np.full(rho.size * tau.size, self.occupancy)
 
 
@@ -207,7 +210,7 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _columns(table: DesignBatch) -> list[list]:
+def _columns(table: EquilibriumBatch) -> list[list]:
     """The table's columns in ``SWEEP_COLUMNS`` order, as lists of Python values."""
     toll, pool, ordinary = table.shares.tolist()
     time_ordinary, time_hot = table.latencies.tolist()
@@ -218,7 +221,7 @@ def _columns(table: DesignBatch) -> list[list]:
     return [tau, rho, regime, toll, pool, ordinary, gap, time_hot, time_ordinary, avg_time, revenue, residual]
 
 
-def _lines(table: DesignBatch) -> list[str]:
+def _lines(table: EquilibriumBatch) -> list[str]:
     """One sweep CSV line per point: floats to 12 significant digits, a failed point as
     tau, rho, ``ERROR`` and blank cells. No cell holds a comma, so ``split(",")`` gives the cells back."""
     lines = list(map(_ROW_FORMAT, *_columns(table)))
@@ -229,8 +232,8 @@ def _lines(table: DesignBatch) -> list[str]:
 
 def cmd_equilibrium(config: RunConfig, tau: float, rho: float, json_output: bool = False) -> int:
     """Solve one design point and print its equilibrium report."""
-    table = sweep([tau], [rho], [config.occupancy], config.population, config.bpr)
-    iterations = table.result(0).outcome.iterations  # raises the point's typed error
+    table = solve_batch([tau], [rho], [config.occupancy], config.population, config.bpr)
+    iterations = table.outcome(0).iterations  # raises the point's typed error
     if json_output:
         report = dict(zip(SWEEP_COLUMNS, (column[0] for column in _columns(table))), iterations=iterations)
         print(json.dumps(report, sort_keys=True))
@@ -254,7 +257,7 @@ def cmd_verify(config: RunConfig, tau: float, rho: float, grid_n: int | None = N
         return 2
     solver, oracle = solve_shares.as_tuple(), oracle_shares.as_tuple()
     distance = max(abs(a - b) for a, b in zip(solver, oracle))
-    tolerance = max(5e-3, 4.0 / oracle_cfg.grid_n)
+    tolerance = _solve_tolerance(oracle_cfg.grid_n)
     print(f"solver: ({', '.join(map(_fmt, solver))})")
     print(f"oracle: ({', '.join(map(_fmt, oracle))})  [grid_n={oracle_cfg.grid_n}, iterations={iterations}]")
     print(f"max-norm distance: {_fmt(distance)} (tolerance {_fmt(tolerance)})")
@@ -266,14 +269,14 @@ def cmd_verify(config: RunConfig, tau: float, rho: float, grid_n: int | None = N
 
 def cmd_sweep(config: RunConfig, out_path: str | Path) -> int:
     """Evaluate the whole design grid and write one CSV row per point."""
-    table = sweep(*config.design_grid(), config.population, config.bpr)
+    table = solve_batch(*config.design_grid(), config.population, config.bpr)
     Path(out_path).write_text("\n".join([",".join(SWEEP_COLUMNS), *_lines(table)]) + "\n")
     return int(bool(table.errors))
 
 
 def cmd_pareto(config: RunConfig, out_path: str | Path, per_rho: bool = False) -> int:
     """Write the Pareto front of the sweep; optionally one front per rho."""
-    table = sweep(*config.design_grid(), config.population, config.bpr)
+    table = solve_batch(*config.design_grid(), config.population, config.bpr)
     lines = [",".join(SWEEP_COLUMNS) + ",front_id"]
     lines += [f"{line},global" for line in _lines(pareto_front(table).points)]
     if per_rho:

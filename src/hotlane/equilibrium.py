@@ -17,8 +17,12 @@ point stops when its bracket reaches float resolution. The batch is numpy
 columns end to end: the points come in as ``tau``, ``rho`` and
 ``occupancy`` arrays, checked against the parameter domain once, and go out
 as one :class:`EquilibriumBatch` whose invariants are checked once,
-vectorised; a failed point keeps its typed error by index. :func:`solve` is
-row 0 of a batch of one. There is no other solver.
+vectorised; a failed point keeps its typed error by index. The batch also
+carries the authority's two objectives as columns: the demand-weighted
+average travel time ``avg_time = (toll + pool) * hot_latency + ordinary *
+ordinary_latency`` (minutes, to minimize) and the toll revenue ``revenue =
+demand * toll * tau`` ($/min, to maximize). :func:`solve` is row 0 of a
+batch of one. There is no other solver.
 
 The regime is read off the solution: B if a positive mass pays the toll,
 A2 if ``beta_max * g > gamma_max`` (which forces ``tau > gamma_max``),
@@ -90,16 +94,18 @@ _LABELS = tuple(RegimeLabel)  # the batch's regime codes index this
 
 @dataclass(frozen=True)
 class EquilibriumOutcome:
-    """Solved equilibrium of one design point: shares plus diagnostics.
+    """Solved equilibrium of one design point: shares, diagnostics and objectives.
 
     ``gap`` is the ordinary-minus-HOT latency difference at the solved
     shares (minutes), ``flows`` the (ordinary, HOT) vehicle flows,
     ``residual`` the absolute fixed-point residual of the solved equation in
-    its printed units, ``iterations`` the root-finding step count, and
+    its printed units, ``iterations`` the root-finding step count,
     ``latencies`` the (ordinary, HOT) lane travel times in minutes at the
-    solved flows. It is one row of an :class:`EquilibriumBatch` (see :func:`_failures`).
+    solved flows, and ``avg_time`` (minutes) and ``revenue`` ($/min) the two
+    objectives. It is one row of an :class:`EquilibriumBatch` (see :func:`_failures`).
     """
 
+    design: DesignParams
     shares: StrategyShares
     regime: RegimeLabel
     gap: float
@@ -107,6 +113,8 @@ class EquilibriumOutcome:
     residual: float
     iterations: int
     latencies: tuple[float, float]
+    avg_time: float
+    revenue: float
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +234,9 @@ class EquilibriumBatch:
     ``tau``, ``rho`` and ``occupancy`` hold the design points. The other
     columns mirror :class:`EquilibriumOutcome`: ``shares`` is the ``(3, n)``
     array of (toll, pool, ordinary) shares, ``flows`` and ``latencies`` are
-    the ``(2, n)`` arrays of (ordinary, HOT) flows and lane times, and
-    ``regime`` holds codes into ``tuple(RegimeLabel)`` (0 A1, 1 A2, 2 B).
+    the ``(2, n)`` arrays of (ordinary, HOT) flows and lane times,
+    ``regime`` holds codes into ``tuple(RegimeLabel)`` (0 A1, 1 A2, 2 B), and
+    ``avg_time`` and ``revenue`` are the objectives.
     ``errors`` maps the index of every point without a valid equilibrium to
     its typed error; the columns hold no meaningful value at those indices.
     """
@@ -242,6 +251,8 @@ class EquilibriumBatch:
     residual: np.ndarray
     iterations: np.ndarray
     latencies: np.ndarray
+    avg_time: np.ndarray
+    revenue: np.ndarray
     errors: dict[int, HotLaneError]
 
     def __len__(self) -> int:
@@ -266,8 +277,12 @@ class EquilibriumBatch:
         if i in self.errors:
             raise self.errors[i]
         shares, flows, times = (tuple(a[:, i].tolist()) for a in (self.shares, self.flows, self.latencies))
-        regime, gap, residual, steps = (a[i].item() for a in (self.regime, self.gap, self.residual, self.iterations))
-        return EquilibriumOutcome(StrategyShares(*shares), _LABELS[regime], gap, flows, residual, steps, times)
+        scalars = (self.regime, self.gap, self.residual, self.iterations, self.avg_time, self.revenue)
+        regime, gap, residual, steps, avg_time, revenue = (a[i].item() for a in scalars)
+        design = DesignParams(*(a[i].item() for a in (self.rho, self.tau, self.occupancy)))
+        return EquilibriumOutcome(
+            design, StrategyShares(*shares), _LABELS[regime], gap, flows, residual, steps, times, avg_time, revenue
+        )
 
 
 def _check_designs(tau, rho, occupancy) -> list[np.ndarray]:
@@ -399,7 +414,8 @@ def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> E
     shares = np.array(region_fractions(np.where(root > 0.0, root, 1.0), tau, pop))
     flows, latencies = (np.array(pair) for pair in lane_times(shares, pop.demand, occupancy, rho, bpr))
     toll, pool, ordinary = shares
-    gap = latencies[0] - latencies[1]
+    time_ordinary, time_hot = latencies
+    gap = time_ordinary - time_hot
     regime = np.where(toll > 0.0, 2, np.where(pop.beta_max * root > pop.gamma_max, 1, 0))
     with np.errstate(divide="ignore", invalid="ignore"):
         printed = np.choose(
@@ -412,7 +428,11 @@ def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> E
         )
     residual = np.abs(printed)
     errors = _failures(top, root, shares, regime, residual)
-    return EquilibriumBatch(tau, rho, occupancy, shares, regime, gap, flows, residual, iterations, latencies, errors)
+    avg_time = (toll + pool) * time_hot + ordinary * time_ordinary
+    revenue = pop.demand * toll * tau
+    return EquilibriumBatch(
+        tau, rho, occupancy, shares, regime, gap, flows, residual, iterations, latencies, avg_time, revenue, errors
+    )
 
 
 def solve(design: DesignParams, pop: PopulationParams, bpr: BprParams) -> EquilibriumOutcome:

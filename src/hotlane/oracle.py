@@ -64,6 +64,11 @@ class OracleConfig:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
+def _solve_tolerance(grid_n: int) -> float:
+    """Largest max-norm share distance at which the oracle at ``grid_n`` agrees with ``solve``."""
+    return max(5e-3, 4.0 / grid_n)
+
+
 def _midpoints(upper: float, n: int) -> np.ndarray:
     return (np.arange(n) + 0.5) * (upper / n)
 

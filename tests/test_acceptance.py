@@ -6,13 +6,15 @@ run on the I-880 calibration grid: rho in {0.25, 0.5, 0.75}, tau from 0.5
 to 10 in steps of 0.5.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hotlane import (
     BprParams,
     DesignParams,
-    DesignPointResult,
+    EquilibriumOutcome,
     OracleConfig,
     PopulationParams,
     RegimeLabel,
@@ -21,7 +23,7 @@ from hotlane import (
     pareto_front,
     region_measures_at_gap,
     solve,
-    sweep,
+    solve_batch,
 )
 from hotlane.equilibrium import (
     MAX_BISECT,
@@ -202,14 +204,14 @@ def _brute_force_front(results):
 
 def test_pareto_against_brute_force(grid, pop, bpr):
     """Fast front extraction equals the quadratic dominance scan exactly."""
-    table = sweep([d.tau for d in grid], [d.rho for d in grid], [d.occupancy for d in grid], pop, bpr)
+    table = solve_batch([d.tau for d in grid], [d.rho for d in grid], [d.occupancy for d in grid], pop, bpr)
     assert not table.errors
-    results = [table.result(i) for i in range(len(table))]
-    assert all(isinstance(r, DesignPointResult) for r in results)
+    results = [table.outcome(i) for i in range(len(table))]
+    assert all(isinstance(r, EquilibriumOutcome) for r in results)
     ok = list(pareto_front(results).points) == _brute_force_front(results)
 
-    # Synthetic revenues need a Regime-B carrier to satisfy result invariants.
-    template = next(r for r in results if r.outcome.regime is RegimeLabel.B)
+    # A Regime-B carrier, so that a positive synthetic revenue agrees with its regime.
+    template = next(r for r in results if r.regime is RegimeLabel.B)
     rng = np.random.default_rng(99)
     random_sets = 0
     for _ in range(1000):
@@ -217,7 +219,7 @@ def test_pareto_against_brute_force(grid, pop, bpr):
         times = np.round(rng.uniform(20.0, 40.0, size=size), 2)
         revenues = np.round(rng.uniform(0.0, 50.0, size=size), 2)
         synthetic = [
-            DesignPointResult(template.design, template.outcome, float(t), float(r))
+            dataclasses.replace(template, avg_time=float(t), revenue=float(r))
             for t, r in zip(times, revenues)
         ]
         if list(pareto_front(synthetic).points) != _brute_force_front(synthetic):

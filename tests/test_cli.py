@@ -7,7 +7,16 @@ import json
 import numpy as np
 import pytest
 
-from hotlane import BprParams, DesignParams, HotLaneError, ParseError, PopulationParams, ValidationError
+from hotlane import (
+    BprParams,
+    DesignParams,
+    HotLaneError,
+    ParseError,
+    PopulationParams,
+    RegimeLabel,
+    ValidationError,
+    solve_batch,
+)
 from hotlane.cli import (
     STATICS_COLUMNS,
     SWEEP_COLUMNS,
@@ -22,7 +31,7 @@ from hotlane.cli import (
     main,
     parse_config_text,
 )
-from hotlane import design as design_mod
+from hotlane import cli as cli_mod
 
 I880_TEXT = """
 # I-880 calibration
@@ -52,11 +61,11 @@ def test_i880_defaults_match_calibration():
     assert config.bpr.v_cap == 140.0
     assert config.occupancy == 2.5
     assert config.rho_values == (0.25, 0.5, 0.75)
-    assert config.tau_values() == [0.5 * k for k in range(1, 21)]
     tau, rho, occupancy = config.design_grid()
+    assert tau[:20].tolist() == [0.5 * k for k in range(1, 21)]
     assert len(tau) == len(rho) == len(occupancy) == 60
     # rho outer, tau inner.
-    assert tau.tolist() == config.tau_values() * 3
+    assert tau.tolist() == [0.5 * k for k in range(1, 21)] * 3
     assert rho.tolist() == [r for r in config.rho_values for _ in range(20)]
     assert set(occupancy.tolist()) == {2.5}
 
@@ -122,6 +131,34 @@ def test_non_finite_config_values_rejected(key, field, value, capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("ValidationError: ") and field in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("settings", [{"tau_step": "1e-300"}, {"tau_max": "1e300", "tau_step": "1e-300"}])
+def test_unbounded_tau_grid_rejected(settings, capsys, tmp_path):
+    """A tau grid of more points than an array can index (or of infinitely many) is a
+    ValidationError naming tau_step, not an attempt to build it or a traceback."""
+    lines = [line for line in I880_TEXT.splitlines() if line.split(" =")[0] not in settings]
+    text = "\n".join(lines + [f"{key} = {value}" for key, value in settings.items()]) + "\n"
+    with pytest.raises(ValidationError, match="tau_step"):
+        parse_config_text(text)
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    out = tmp_path / "sweep.csv"
+    assert main(["--config", str(path), "sweep", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ValidationError: ") and "tau_step" in err
+    assert not out.exists()
+
+
+def test_tau_grid_matches_python_arithmetic():
+    """The tau column is ``tau_min + i * tau_step`` to the bit, as a Python loop computes it."""
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        tau_min, tau_step = rng.uniform(0.01, 5.0), rng.uniform(1e-3, 2.0)
+        tau_max = tau_min + tau_step * rng.integers(0, 300) + rng.uniform(0.0, tau_step)
+        config = dataclasses.replace(i880_config(), tau_min=tau_min, tau_max=tau_max, tau_step=tau_step)
+        count = int((tau_max - tau_min) / tau_step + 1e-9) + 1
+        assert config.design_grid()[0].tolist() == [tau_min + i * tau_step for i in range(count)] * 3
 
 
 def test_non_finite_parameters_rejected():
@@ -227,7 +264,7 @@ def test_cmd_sweep_single_point(tmp_path):
 
 def test_cmd_sweep_error_rows(tmp_path, monkeypatch):
     bad = DesignParams(0.25, 0.5, 2.5)
-    original = design_mod.solve_batch
+    original = cli_mod.solve_batch
 
     def failing_solve_batch(tau, rho, occupancy, pop, bpr):
         """The real columnar result, with the bad point's error added."""
@@ -236,7 +273,7 @@ def test_cmd_sweep_error_rows(tmp_path, monkeypatch):
         errors = {**batch.errors, **{i: HotLaneError("synthetic failure") for i in failed}}
         return dataclasses.replace(batch, errors=errors)
 
-    monkeypatch.setattr(design_mod, "solve_batch", failing_solve_batch)
+    monkeypatch.setattr(cli_mod, "solve_batch", failing_solve_batch)
     out = tmp_path / "sweep.csv"
     assert cmd_sweep(i880_config(), out) == 1
     lines = out.read_text().splitlines()
@@ -263,6 +300,18 @@ def _congested_config():
         population=dataclasses.replace(config.population, demand=250.0),
         bpr=dataclasses.replace(config.bpr, a=0.6),
     )
+
+
+@pytest.mark.parametrize("make_config", [i880_config, _dense_config, _congested_config])
+def test_revenue_is_zero_exactly_in_regime_a(make_config):
+    """Revenue is exactly 0 at every solved Regime-A point and positive at every Regime-B point."""
+    config = make_config()
+    table = solve_batch(*config.design_grid(), config.population, config.bpr)
+    regime, revenue = table.regime[table.solved], table.revenue[table.solved]
+    regime_b = regime == list(RegimeLabel).index(RegimeLabel.B)
+    assert regime_b.any() and not regime_b.all()
+    assert (revenue[~regime_b] == 0.0).all()
+    assert (revenue[regime_b] > 0.0).all()
 
 
 @pytest.mark.parametrize("make_config, stride", [(i880_config, 1), (_dense_config, 50)])

@@ -1,4 +1,4 @@
-"""Objectives, sweeps, Pareto extraction, and comparative statics."""
+"""Objective columns, Pareto extraction, and comparative statics."""
 
 import dataclasses
 
@@ -7,17 +7,16 @@ import pytest
 
 from hotlane import (
     DesignParams,
-    DesignPointResult,
     EmptyInput,
+    EquilibriumOutcome,
     HotLaneError,
     RegimeLabel,
     ValidationError,
     comparative_statics_scan,
-    evaluate_design,
     pareto_front,
-    sweep,
+    solve_batch,
 )
-from hotlane import design as design_mod
+from hotlane.design import evaluate_design
 from hotlane.latency import bpr_time
 
 
@@ -30,25 +29,25 @@ def i880_grid():
 
 
 def columns(designs):
-    """The (tau, rho, occupancy) columns that :func:`sweep` takes."""
+    """The (tau, rho, occupancy) columns that :func:`solve_batch` takes."""
     return [d.tau for d in designs], [d.rho for d in designs], [d.occupancy for d in designs]
 
 
 def rows(table):
-    """Every point of a sweep as a DesignPointResult."""
-    return [table.result(i) for i in range(len(table))]
+    """Every point of a batch as an EquilibriumOutcome."""
+    return [table.outcome(i) for i in range(len(table))]
 
 
 def test_evaluate_design_regime_a_revenue(i880_pop, i880_bpr):
     result = evaluate_design(DesignParams(0.25, 4.0, 2.5), i880_pop, i880_bpr)
-    assert result.outcome.regime is RegimeLabel.A1
+    assert result.regime is RegimeLabel.A1
     assert result.revenue == 0.0
 
 
 def test_evaluate_design_objectives(i880_pop, i880_bpr):
     design = DesignParams(0.75, 1.0, 2.5)
     result = evaluate_design(design, i880_pop, i880_bpr)
-    flow_ordinary, flow_hot = result.outcome.flows
+    flow_ordinary, flow_hot = result.flows
     hot_time = bpr_time(flow_hot, i880_bpr.v_cap * design.rho, i880_bpr)
     ordinary_time = bpr_time(flow_ordinary, i880_bpr.v_cap * (1 - design.rho), i880_bpr)
     # The average is a convex combination of the two lane latencies.
@@ -56,7 +55,7 @@ def test_evaluate_design_objectives(i880_pop, i880_bpr):
     assert result.avg_time >= i880_bpr.t_free
     # Revenue recovers the toll share to machine precision.
     assert result.revenue / design.tau / i880_pop.demand == pytest.approx(
-        result.outcome.shares.toll, rel=1e-14
+        result.shares.toll, rel=1e-14
     )
 
 
@@ -69,45 +68,43 @@ def test_evaluate_design_frozen_point(i880_pop, i880_bpr):
 
 def test_sweep_i880_grid(i880_pop, i880_bpr):
     grid = i880_grid()
-    table = sweep(*columns(grid), i880_pop, i880_bpr)
+    table = solve_batch(*columns(grid), i880_pop, i880_bpr)
     assert len(table) == 60 and not table.errors
     results = rows(table)
-    assert all(isinstance(r, DesignPointResult) for r in results)
+    assert all(isinstance(r, EquilibriumOutcome) for r in results)
     assert [r.design for r in results] == grid  # input order preserved
     assert all(r.avg_time >= i880_bpr.t_free for r in results)
     # Interior HOT usage keeps the solved gap positive everywhere.
-    assert all(r.outcome.gap > 0 for r in results)
+    assert all(r.gap > 0 for r in results)
 
 
 def test_sweep_empty_and_duplicates(i880_pop, i880_bpr):
-    assert len(sweep([], [], [], i880_pop, i880_bpr)) == 0
+    assert len(solve_batch([], [], [], i880_pop, i880_bpr)) == 0
     design = DesignParams(0.5, 2.0, 2.5)
-    twice = sweep(*columns([design, design]), i880_pop, i880_bpr)
-    assert twice.result(0) == twice.result(1)
+    twice = solve_batch(*columns([design, design]), i880_pop, i880_bpr)
+    assert twice.outcome(0) == twice.outcome(1)
 
 
-def test_sweep_records_failures(i880_pop, i880_bpr, monkeypatch):
+def test_sweep_records_failures(i880_pop, i880_bpr):
     bad = DesignParams(0.5, 2.0, 2.5)
     good = DesignParams(0.25, 1.0, 2.5)
-    original = design_mod.solve_batch
 
     def failing_solve_batch(tau, rho, occupancy, pop, bpr):
         """The real columnar result, with the bad point's error added."""
-        batch = original(tau, rho, occupancy, pop, bpr)
+        batch = solve_batch(tau, rho, occupancy, pop, bpr)
         failed = np.flatnonzero((batch.tau == bad.tau) & (batch.rho == bad.rho)).tolist()
         errors = {**batch.errors, **{i: HotLaneError("synthetic failure") for i in failed}}
         return dataclasses.replace(batch, errors=errors)
 
-    monkeypatch.setattr(design_mod, "solve_batch", failing_solve_batch)
-    table = sweep(*columns([good, bad]), i880_pop, i880_bpr)
-    assert isinstance(table.result(0), DesignPointResult)
+    table = failing_solve_batch(*columns([good, bad]), i880_pop, i880_bpr)
+    assert isinstance(table.outcome(0), EquilibriumOutcome)
     assert list(table.solved) == [True, False]
     assert "synthetic failure" in str(table.errors[1])
     with pytest.raises(HotLaneError, match="synthetic failure"):
-        table.result(1)
+        table.outcome(1)
     # Taking rows renumbers the errors, and a front skips the failed point.
     assert list(table.take([1, 0]).errors) == [0] and not table.take(slice(0, 1)).errors
-    assert rows(pareto_front(table).points) == [table.result(0)]
+    assert rows(pareto_front(table).points) == [table.outcome(0)]
 
 
 def _brute_force_front(results):
@@ -136,7 +133,7 @@ def _brute_force_front(results):
 
 
 def _synthetic_result(template, avg_time, revenue):
-    return DesignPointResult(template.design, template.outcome, avg_time, revenue)
+    return dataclasses.replace(template, avg_time=avg_time, revenue=revenue)
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +189,7 @@ def test_pareto_front_matches_brute_force_random(b_template):
 
 
 def test_pareto_front_on_i880_sweep(i880_pop, i880_bpr):
-    table = sweep(*columns(i880_grid()), i880_pop, i880_bpr)
+    table = solve_batch(*columns(i880_grid()), i880_pop, i880_bpr)
     results = rows(table)
     front = pareto_front(results)
     assert set(front.points) <= set(results)
@@ -212,8 +209,8 @@ def test_pareto_front_ties_in_a_slice(i880_pop, i880_bpr):
     grid = [DesignParams(rho, 0.5 * k, 2.5) for rho in (0.5, 0.75) for k in range(1, 7)]
     objectives = [(30.0, 5.0), (28.0, 7.0), (28.0, 7.0), (30.0, 5.0), (29.0, 9.0), (29.0, 9.0)] * 2
     avg_time, revenue = (np.array(column) for column in zip(*objectives))
-    table = dataclasses.replace(sweep(*columns(grid), i880_pop, i880_bpr), avg_time=avg_time, revenue=revenue)
-    results = [_synthetic_result(table.result(i), *objectives[i]) for i in range(len(table))]
+    table = dataclasses.replace(solve_batch(*columns(grid), i880_pop, i880_bpr), avg_time=avg_time, revenue=revenue)
+    results = [_synthetic_result(table.outcome(i), *objectives[i]) for i in range(len(table))]
     for start in (0, 6):
         front = pareto_front(table.take(slice(start, start + 6))).points
         assert front.tau.tolist() == [1.0, 2.5]  # the first of each tied pair
@@ -226,7 +223,7 @@ def test_pareto_front_ties_in_a_slice(i880_pop, i880_bpr):
 def test_statics_scan_i880(i880_pop, i880_bpr):
     table = comparative_statics_scan(3.0, [0.25, 0.5, 0.75], 2.5, i880_pop, i880_bpr)
     assert len(table.rows) == 3
-    assert all(isinstance(row, DesignPointResult) for row in rows(table.rows))
+    assert all(isinstance(row, EquilibriumOutcome) for row in rows(table.rows))
     assert [row.design.rho for row in rows(table.rows)] == [0.25, 0.5, 0.75]
     assert set(table.flags) == {"sigma_toll", "sigma_pool", "sigma_o", "c_delta"}
     assert all(flag in {"non-decreasing", "non-increasing", "neither"} for flag in table.flags.values())
@@ -237,7 +234,7 @@ def test_statics_regime_transitions_once(i880_pop, i880_bpr):
     # never back: the probe gap grows with the HOT allocation.
     for k in range(1, 21):
         table = comparative_statics_scan(0.5 * k, [0.25, 0.5, 0.75], 2.5, i880_pop, i880_bpr)
-        labels = [row.outcome.regime.is_regime_a for row in rows(table.rows)]
+        labels = [row.regime.is_regime_a for row in rows(table.rows)]
         # Once False (Regime B), never True again.
         assert labels == sorted(labels, reverse=True)
 

@@ -20,7 +20,6 @@ from hotlane import (
     region_measures_at_gap,
     solve,
     solve_batch,
-    sweep,
 )
 from hotlane import equilibrium as eq
 from hotlane.equilibrium import (
@@ -368,7 +367,7 @@ def test_open_bracket_at_the_cap_is_an_error(i880_pop, i880_bpr, monkeypatch):
     assert all(isinstance(error, NoConvergence) for error in errors.values())
     with pytest.raises(NoConvergence):
         solve(designs[0], i880_pop, i880_bpr)
-    table = sweep(*_columns(designs), i880_pop, i880_bpr)
+    table = solve_batch(*_columns(designs), i880_pop, i880_bpr)
     assert sorted(table.errors) == [0, 1] and not table.solved.any()
 
 

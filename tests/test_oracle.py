@@ -176,7 +176,7 @@ def test_oracle_converges_on_congested_points(rho, tau):
     cfg = OracleConfig(grid_n=500)
     shares, _ = oracle_equilibrium(design, CONGESTED_POP, CONGESTED_BPR, cfg)
     out = solve(design, CONGESTED_POP, CONGESTED_BPR)
-    tolerance = max(5e-3, 4.0 / cfg.grid_n)
+    tolerance = oracle._solve_tolerance(cfg.grid_n)
     assert max(abs(a - b) for a, b in zip(shares.as_tuple(), out.shares.as_tuple())) <= tolerance
 
 
@@ -202,7 +202,7 @@ def test_solve_matches_oracle_over_a_wide_box(demand, a, b, beta_max, gamma_max,
     design = DesignParams(rho, tau, occupancy)
     cfg = OracleConfig(grid_n=500)
     out = solve(design, pop, bpr)
-    tolerance = max(5e-3, 4.0 / cfg.grid_n)
+    tolerance = oracle._solve_tolerance(cfg.grid_n)
     try:
         shares, _ = oracle_equilibrium(design, pop, bpr, cfg)
     except NoConvergence as exc:

@@ -8,7 +8,6 @@ PUBLIC_NAMES = [
     "ActionLabel",
     "BprParams",
     "DesignParams",
-    "DesignPointResult",
     "EmptyInput",
     "EquilibriumBatch",
     "EquilibriumOutcome",
@@ -29,7 +28,6 @@ PUBLIC_NAMES = [
     "comparative_statics_scan",
     "dump_config",
     "empirical_shares",
-    "evaluate_design",
     "i880_config",
     "latency_gap",
     "load_config",
@@ -38,7 +36,6 @@ PUBLIC_NAMES = [
     "region_measures_at_gap",
     "solve",
     "solve_batch",
-    "sweep",
 ]
 MODULES = ("errors", "latency", "population", "equilibrium", "oracle", "design", "cli")
 
