@@ -15,15 +15,15 @@ RHO_GRID = [0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85]
 
 def main() -> None:
     for tau in (0.5, 3.0):
-        table = comparative_statics_scan(tau, RHO_GRID, 2.5, POP, BPR)
+        rows, flags = comparative_statics_scan(tau, RHO_GRID, 2.5, POP, BPR)
         print(f"tau = {tau}")
         print(f"{'rho':>6} {'regime':>6} {'toll':>10} {'pool':>10} {'ordinary':>10} {'gap (min)':>10}")
-        for row in map(table.rows.outcome, range(len(table.rows))):
+        for row in map(rows.outcome, range(len(rows))):
             print(
                 f"{row.design.rho:>6} {row.regime.value:>6} {row.shares.toll:>10.6f} "
                 f"{row.shares.pool:>10.6f} {row.shares.ordinary:>10.6f} {row.gap:>10.6f}"
             )
-        for column, flag in table.flags.items():
+        for column, flag in flags.items():
             print(f"  {column}: {flag}")
         print()
 

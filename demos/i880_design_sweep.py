@@ -7,7 +7,8 @@ improving one objective must worsen the other.
 
 The sweep is one batch of numpy columns (``table.avg_time``,
 ``table.revenue``, ...); ``table.outcome(i)`` gives point ``i`` as an
-``EquilibriumOutcome``.
+``EquilibriumOutcome``. The front is the positions of its points in the
+batch, and ``table.take(front)`` is the batch of those points.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ def main() -> None:
     table = solve_batch(*config.design_grid(), config.population, config.bpr)
     print(f"swept {len(table)} design points")
 
-    front = pareto_front(table).points
+    front = table.take(pareto_front(table))
     print(f"Pareto front has {len(front)} points (min T first):\n")
     print(f"{'tau':>5} {'rho':>5} {'regime':>6} {'toll share':>11} {'T (min)':>10} {'R ($/min)':>10}")
     for point in map(front.outcome, range(len(front))):

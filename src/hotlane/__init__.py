@@ -21,10 +21,8 @@ Main entry points:
 """
 
 from .errors import (
-    EmptyInput,
     GapNonPositive,
     HotLaneError,
-    InfeasibleClosure,
     NoConvergence,
     ParseError,
     ValidationError,
@@ -50,7 +48,7 @@ from .equilibrium import (
     solve_batch,
 )
 from .oracle import OracleConfig, empirical_shares, oracle_equilibrium
-from .design import ParetoFront, comparative_statics_scan, pareto_front
+from .design import comparative_statics_scan, pareto_front
 from .cli import RunConfig, dump_config, i880_config, load_config
 
 __version__ = "0.1.0"
@@ -59,15 +57,12 @@ __all__ = [
     "ActionLabel",
     "BprParams",
     "DesignParams",
-    "EmptyInput",
     "EquilibriumBatch",
     "EquilibriumOutcome",
     "GapNonPositive",
     "HotLaneError",
-    "InfeasibleClosure",
     "NoConvergence",
     "OracleConfig",
-    "ParetoFront",
     "ParseError",
     "PopulationParams",
     "RegimeLabel",

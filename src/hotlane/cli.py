@@ -24,7 +24,7 @@ import numpy as np
 from .design import comparative_statics_scan, pareto_front
 from .equilibrium import EquilibriumBatch, RegimeLabel, solve, solve_batch
 from .errors import HotLaneError, NoConvergence, ParseError, ValidationError, require_finite
-from .latency import BprParams, DesignParams
+from .latency import BprParams, DesignParams, check_design, check_rho_grid
 from .oracle import OracleConfig, _solve_tolerance, oracle_equilibrium
 from .population import PopulationParams
 
@@ -83,15 +83,8 @@ class RunConfig:
 
     def __post_init__(self):
         require_finite(self)
-        if not self.occupancy >= 2:
-            raise ValidationError(f"occupancy must be >= 2, got {self.occupancy}")
-        if not self.rho_values:
-            raise ValidationError("rho_values must be non-empty")
-        for rho in self.rho_values:
-            if not 0 < rho < 1:
-                raise ValidationError(f"every rho must lie in the open interval (0, 1), got {rho}")
-        if any(b <= a for a, b in zip(self.rho_values, self.rho_values[1:])):
-            raise ValidationError(f"rho_values must be strictly increasing, got {self.rho_values}")
+        check_design(occupancy=self.occupancy)
+        check_rho_grid(self.rho_values)
         if not self.tau_min > 0:
             raise ValidationError(f"tau_min must be > 0, got {self.tau_min}")
         if not self.tau_step > 0:
@@ -278,26 +271,29 @@ def cmd_pareto(config: RunConfig, out_path: str | Path, per_rho: bool = False) -
     """Write the Pareto front of the sweep; optionally one front per rho."""
     table = solve_batch(*config.design_grid(), config.population, config.bpr)
     lines = [",".join(SWEEP_COLUMNS) + ",front_id"]
-    lines += [f"{line},global" for line in _lines(pareto_front(table).points)]
+    lines += [f"{line},global" for line in _lines(table.take(pareto_front(table)))]
     if per_rho:
         # The rows are rho-major, so each rho's points are one contiguous slice.
         n_tau = len(table) // len(config.rho_values)
         for k, rho in enumerate(config.rho_values):
             subset = table.take(slice(k * n_tau, (k + 1) * n_tau))
             if subset.solved.any():  # a rho whose every point failed has no front
-                lines += [f"{line},rho={_fmt(rho)}" for line in _lines(pareto_front(subset).points)]
+                front = subset.take(pareto_front(subset))
+                lines += [f"{line},rho={_fmt(rho)}" for line in _lines(front)]
     Path(out_path).write_text("\n".join(lines) + "\n")
     return int(bool(table.errors))
 
 
 def cmd_statics(config: RunConfig, tau: float, out_path: str | Path) -> int:
     """Scan the config's rho grid at a fixed toll and report directions."""
-    table = comparative_statics_scan(tau, list(config.rho_values), config.occupancy, config.population, config.bpr)
+    rows, flags = comparative_statics_scan(
+        tau, list(config.rho_values), config.occupancy, config.population, config.bpr
+    )
     lines = [",".join(STATICS_COLUMNS)]
-    lines += [",".join(line.split(",")[_STATICS_CELLS]) for line in _lines(table.rows)]
-    lines += [f"# monotonicity,{column},{flag}" for column, flag in table.flags.items()]
+    lines += [",".join(line.split(",")[_STATICS_CELLS]) for line in _lines(rows)]
+    lines += [f"# monotonicity,{column},{flag}" for column, flag in flags.items()]
     Path(out_path).write_text("\n".join(lines) + "\n")
-    return int(bool(table.rows.errors))
+    return int(bool(rows.errors))
 
 
 @functools.cache
@@ -367,6 +363,9 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_statics(config, args.tau, args.out)
     except HotLaneError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy raises a subclass for an array too large to allocate
+        print(f"MemoryError: {exc}", file=sys.stderr)
         return 1
 
 

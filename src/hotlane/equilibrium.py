@@ -38,7 +38,7 @@ The rest of the module holds the paper's checks on those equations, which
 the tests run at the solved points. :func:`regime_bracket` is the range of
 the regime's share variable, split at the probe share ``tau/(2*gamma_max)``
 (clamped to 1 once ``tau >= 2*gamma_max``), and :func:`positive_gap_bracket`
-cuts it to where the latency gap stays positive. There each regime's
+cuts it at the zero of the latency gap, in closed form. There each regime's
 auxiliary function is strictly monotone, so its printed equation has exactly
 one root: share/gap for A1 (:func:`a1_auxiliary`), gap*(1-share) for A2
 (:func:`a2_auxiliary`), and for B the linearly damped gap
@@ -53,8 +53,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GapNonPositive, HotLaneError, InfeasibleClosure, NoConvergence, ValidationError
-from .latency import SIMPLEX_TOL, BprParams, DesignParams, StrategyShares, lane_times, latency_gap
+from .errors import GapNonPositive, HotLaneError, NoConvergence, ValidationError
+from .latency import (
+    SIMPLEX_TOL, BprParams, DesignParams, StrategyShares, check_design, lane_flows, lane_times, latency_gap
+)
 from .population import PopulationParams, region_fractions
 
 __all__ = [
@@ -69,12 +71,10 @@ __all__ = [
     "b_companion_shares",
     "regime_bracket",
     "positive_gap_bracket",
-    "SHARE_TOL",
     "RESIDUAL_TOL",
     "MAX_BISECT",
 ]
 
-SHARE_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 MAX_BISECT = 200
 
@@ -153,17 +153,12 @@ def b_companion_shares(toll_share: float, design: DesignParams, pop: PopulationP
     """Full share vector implied by a candidate toll share in Regime B."""
     tau, gamma_max = design.tau, pop.gamma_max
     if not tau < gamma_max:
-        raise InfeasibleClosure(f"Regime B requires tau < gamma_max, got tau={tau}, gamma_max={gamma_max}")
+        raise ValidationError(f"Regime B requires tau < gamma_max, got tau={tau}, gamma_max={gamma_max}")
     pool = 0.5 * tau * (toll_share / (gamma_max - tau) + 1.0 / gamma_max)
     ordinary = 1.0 - toll_share - pool
     if -1e-12 <= ordinary < 0.0:
         ordinary = 0.0
-    if not (0.0 <= toll_share <= 1.0 and 0.0 <= pool <= 1.0 and 0.0 <= ordinary <= 1.0):
-        raise InfeasibleClosure(
-            f"companion shares ({toll_share}, {pool}, {ordinary}) leave the simplex; "
-            "the design point is outside Regime B"
-        )
-    return StrategyShares(toll_share, pool, ordinary)
+    return StrategyShares(toll_share, pool, ordinary)  # a ValidationError off the simplex: outside Regime B
 
 
 def b_auxiliary(toll_share: float, design: DesignParams, pop: PopulationParams, bpr: BprParams) -> float:
@@ -190,36 +185,30 @@ def regime_bracket(regime: RegimeLabel, design: DesignParams, pop: PopulationPar
 def positive_gap_bracket(
     regime: RegimeLabel, design: DesignParams, pop: PopulationParams, bpr: BprParams
 ) -> tuple[float, float]:
-    """Portion of the regime bracket where the latency gap stays positive.
+    """Portion of the regime bracket where the latency gap is positive, closed at its zero.
 
     The auxiliary functions are strictly monotone exactly here; past the
     zero-gap point they sit strictly on the far side of their targets, so
-    nothing relies on their shape there.
+    nothing relies on their shape there. Both lanes share one volume-delay
+    curve, so the gap is zero exactly where their flow/capacity ratios are
+    equal. Along either parametrization the difference of those ratios is
+    affine in the share, so one secant step through the bracket ends is its
+    exact zero.
     """
     lo, hi = regime_bracket(regime, design, pop)
 
-    if regime is RegimeLabel.B:
-        def gap_at(x: float) -> float:
-            return latency_gap(b_companion_shares(x, design, pop), design, pop.demand, bpr)
-    else:
-        def gap_at(x: float) -> float:
-            return _gap_no_toll(x, design, pop, bpr)
+    def ratio_gap(x: float) -> float:
+        """Ordinary minus HOT flow/capacity ratio: the sign of the latency gap."""
+        shares = b_companion_shares(x, design, pop) if regime is RegimeLabel.B else StrategyShares(0.0, x, 1.0 - x)
+        flow_ordinary, flow_hot = lane_flows(*shares.as_tuple(), pop.demand, design.occupancy)
+        return flow_ordinary / (1.0 - design.rho) - flow_hot / design.rho
 
-    if gap_at(hi) > 0.0:
+    at_lo, at_hi = ratio_gap(lo), ratio_gap(hi)
+    if at_hi > 0.0:
         return lo, hi
-    if gap_at(lo) <= 0.0:
+    if at_lo <= 0.0:
         raise GapNonPositive(f"the latency gap is non-positive on the whole bracket ({lo}, {hi})")
-    # The gap decreases along each parametrization; bisect its zero crossing.
-    a, b = lo, hi
-    for _ in range(MAX_BISECT):
-        if b - a <= SHARE_TOL:
-            break
-        mid = 0.5 * (a + b)
-        if gap_at(mid) > 0.0:
-            a = mid
-        else:
-            b = mid
-    return lo, a
+    return lo, lo + (hi - lo) * at_lo / (at_lo - at_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +283,7 @@ def _check_designs(tau, rho, occupancy) -> list[np.ndarray]:
     except ValueError as exc:
         raise ValidationError(f"tau, rho and occupancy must be numbers that broadcast to one length: {exc}") from None
     tau, rho, occupancy = (x if x.shape == shape else np.full(shape, x) for x in columns)
-    for name, values, ok, rule in (
-        ("rho", rho, (0.0 < rho) & (rho < 1.0), "lie in the open interval (0, 1)"),
-        ("tau", tau, (0.0 < tau) & (tau < np.inf), "be finite and > 0"),
-        ("occupancy", occupancy, (2.0 <= occupancy) & (occupancy < np.inf), "be finite and >= 2"),
-    ):
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise ValidationError(f"design point {i}: {name} must {rule}, got {values[i]}")
+    check_design(rho=rho, tau=tau, occupancy=occupancy)
     return [tau, rho, occupancy]
 
 

@@ -44,16 +44,8 @@ class NoConvergence(HotLaneError):
         self.residual = residual
 
 
-class InfeasibleClosure(HotLaneError):
-    """Regime-B companion shares left the probability simplex."""
-
-
 class GapNonPositive(HotLaneError):
     """No strategy profile yields a faster HOT lane; bad latency parameters."""
-
-
-class EmptyInput(HotLaneError, ValueError):
-    """An operation requiring a non-empty collection received an empty one."""
 
 
 def require_finite(params) -> None:

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError, require_finite
 
 __all__ = [
@@ -32,6 +34,13 @@ __all__ = [
 ]
 
 SIMPLEX_TOL = 1e-12
+
+# The design domain: one rule per DesignParams field, elementwise over floats or numpy arrays.
+_DESIGN_DOMAIN = {
+    "rho": (lambda x: (0.0 < x) & (x < 1.0), "lie in the open interval (0, 1)"),
+    "tau": (lambda x: (0.0 < x) & (x < np.inf), "be finite and > 0"),
+    "occupancy": (lambda x: (2.0 <= x) & (x < np.inf), "be finite and >= 2"),
+}
 
 
 @dataclass(frozen=True)
@@ -73,11 +82,11 @@ class BprParams:
 class DesignParams:
     """The authority's levers: capacity split, toll price, occupancy rule.
 
-    ``rho`` is the HOT capacity fraction and must lie strictly inside (0, 1);
-    either extreme would leave one lane group with zero capacity. ``tau`` is
-    the toll in dollars, finite and > 0. ``occupancy`` is the carpool size
-    required for free HOT access, finite and >= 2 (fractional values such as
-    2.5 model mixed requirements along the segment).
+    ``rho`` is the HOT capacity fraction; either end of [0, 1] would leave
+    one lane group with zero capacity. ``tau`` is the toll in dollars.
+    ``occupancy`` is the carpool size required for free HOT access
+    (fractional values such as 2.5 model mixed requirements along the
+    segment). :func:`check_design` states the domain of all three.
     """
 
     rho: float
@@ -86,14 +95,37 @@ class DesignParams:
 
     def __post_init__(self):
         require_finite(self)
-        if not 0 < self.rho < 1:
-            raise ValidationError(
-                f"capacity fraction rho must lie in the open interval (0, 1), got {self.rho}"
-            )
-        if not self.tau > 0:
-            raise ValidationError(f"toll tau must be > 0, got {self.tau}")
-        if not self.occupancy >= 2:
-            raise ValidationError(f"occupancy must be >= 2, got {self.occupancy}")
+        check_design(rho=self.rho, tau=self.tau, occupancy=self.occupancy)
+
+
+def check_design(**values) -> None:
+    """Raise ``ValidationError`` at the first value outside the :class:`DesignParams` domain.
+
+    ``values`` maps any of the fields ``rho``, ``tau`` and ``occupancy`` to a
+    float or a 1-d numpy array; they are checked in the order given, and in an
+    array the message names the first bad index as a design point.
+    """
+    for name, value in values.items():
+        holds, rule = _DESIGN_DOMAIN[name]
+        ok = holds(value)
+        if isinstance(ok, np.ndarray):
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise ValidationError(f"design point {i}: {name} must {rule}, got {value[i]}")
+        elif not ok:
+            raise ValidationError(f"{name} must {rule}, got {value}")
+
+
+def check_rho_grid(rho_values) -> None:
+    """Raise ``ValidationError`` unless the capacity fractions are non-empty, in the
+    design domain and strictly increasing."""
+    rho_values = tuple(rho_values)
+    if not rho_values:
+        raise ValidationError("rho_values must be non-empty")
+    for rho in rho_values:
+        check_design(rho=rho)
+    if any(b <= a for a, b in zip(rho_values, rho_values[1:])):
+        raise ValidationError(f"rho_values must be strictly increasing, got {rho_values}")
 
 
 @dataclass(frozen=True)

@@ -208,7 +208,7 @@ def test_pareto_against_brute_force(grid, pop, bpr):
     assert not table.errors
     results = [table.outcome(i) for i in range(len(table))]
     assert all(isinstance(r, EquilibriumOutcome) for r in results)
-    ok = list(pareto_front(results).points) == _brute_force_front(results)
+    ok = [results[i] for i in pareto_front(results)] == _brute_force_front(results)
 
     # A Regime-B carrier, so that a positive synthetic revenue agrees with its regime.
     template = next(r for r in results if r.regime is RegimeLabel.B)
@@ -222,7 +222,7 @@ def test_pareto_against_brute_force(grid, pop, bpr):
             dataclasses.replace(template, avg_time=float(t), revenue=float(r))
             for t, r in zip(times, revenues)
         ]
-        if list(pareto_front(synthetic).points) != _brute_force_front(synthetic):
+        if [synthetic[i] for i in pareto_front(synthetic)] != _brute_force_front(synthetic):
             ok = False
             break
         random_sets += 1

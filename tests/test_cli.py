@@ -15,6 +15,7 @@ from hotlane import (
     PopulationParams,
     RegimeLabel,
     ValidationError,
+    pareto_front,
     solve_batch,
 )
 from hotlane.cli import (
@@ -314,6 +315,27 @@ def test_revenue_is_zero_exactly_in_regime_a(make_config):
     assert (revenue[regime_b] > 0.0).all()
 
 
+@pytest.mark.parametrize("make_config", [i880_config, _dense_config, _congested_config])
+def test_pareto_front_is_a_strict_chain(make_config):
+    """Both objectives strictly increase along the global front of each grid and, on the
+    I-880 grid, along each rho's front, where the list path gives the same positions."""
+    config = make_config()
+    table = solve_batch(*config.design_grid(), config.population, config.bpr)
+    fronts = [pareto_front(table)]
+    if make_config is i880_config:
+        results = [table.outcome(i) for i in range(len(table))]
+        assert pareto_front(results).tolist() == fronts[0].tolist()
+        n_tau = len(table) // len(config.rho_values)
+        for start in range(0, len(table), n_tau):
+            front = pareto_front(table.take(slice(start, start + n_tau)))
+            assert pareto_front(results[start : start + n_tau]).tolist() == front.tolist()
+            fronts.append(start + front)
+    assert fronts[0].size > 1
+    for front in fronts:
+        assert (np.diff(table.avg_time[front]) > 0.0).all()
+        assert (np.diff(table.revenue[front]) > 0.0).all()
+
+
 @pytest.mark.parametrize("make_config, stride", [(i880_config, 1), (_dense_config, 50)])
 def test_equilibrium_json_matches_sweep_row(make_config, stride, tmp_path, capsys):
     config = make_config()
@@ -435,6 +457,25 @@ def test_main_runs_verify(capsys, tmp_path):
     code = main(["--config", str(path), "verify", "--tau", "4.0", "--rho", "0.25"])
     assert code == 0
     assert "max-norm distance" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["sweep", "pareto"])
+def test_out_of_memory_grid_reported(command, monkeypatch, capsys, tmp_path):
+    """A grid too large to allocate is reported like a HotLaneError: one stderr line, exit 1, no output file."""
+
+    class _ArrayMemoryError(MemoryError):
+        """Stands in for the MemoryError subclass that numpy raises."""
+
+    message = "Unable to allocate 6.91 TiB for an array with shape (950000000001,) and data type float64"
+
+    def unallocatable_grid(self):
+        raise _ArrayMemoryError(message)
+
+    monkeypatch.setattr(cli_mod.RunConfig, "design_grid", unallocatable_grid)
+    out = tmp_path / f"{command}.csv"
+    assert main(["--i880-defaults", command, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"MemoryError: {message}\n"
+    assert not out.exists()
 
 
 # sha256 of the CLI outputs, taken before the row formatter and the lane

@@ -7,7 +7,6 @@ import pytest
 
 from hotlane import (
     DesignParams,
-    EmptyInput,
     EquilibriumOutcome,
     HotLaneError,
     RegimeLabel,
@@ -104,7 +103,19 @@ def test_sweep_records_failures(i880_pop, i880_bpr):
         table.outcome(1)
     # Taking rows renumbers the errors, and a front skips the failed point.
     assert list(table.take([1, 0]).errors) == [0] and not table.take(slice(0, 1)).errors
-    assert rows(pareto_front(table).points) == [table.outcome(0)]
+    assert rows(table.take(pareto_front(table))) == [table.outcome(0)]
+
+
+def test_pareto_front_positions_skip_a_failed_point(i880_pop, i880_bpr):
+    """With a front point failed, the positions still index the original batch, skip
+    the failed index and match the list path over the solved points."""
+    table = solve_batch(*columns(i880_grid()), i880_pop, i880_bpr)
+    failed = int(pareto_front(table).min())  # a front point, before the other front points
+    broken = dataclasses.replace(table, errors={failed: HotLaneError("synthetic failure")})
+    positions = pareto_front(broken).tolist()
+    assert failed not in positions and max(positions) > failed
+    kept = [i for i in range(len(table)) if i != failed]
+    assert positions == [kept[i] for i in pareto_front([table.outcome(i) for i in kept])]
 
 
 def _brute_force_front(results):
@@ -149,7 +160,7 @@ def test_pareto_front_trivial_cases(b_template):
         _synthetic_result(b_template, 29.0, 6.0),
     ]
     front = pareto_front(single_dominator)
-    assert [(p.avg_time, p.revenue) for p in front.points] == [(28.0, 7.0)]
+    assert [(single_dominator[i].avg_time, single_dominator[i].revenue) for i in front] == [(28.0, 7.0)]
 
     chain = [
         _synthetic_result(b_template, 28.0, 5.0),
@@ -157,21 +168,22 @@ def test_pareto_front_trivial_cases(b_template):
         _synthetic_result(b_template, 30.0, 7.0),
     ]
     front = pareto_front(chain)
-    assert [(p.avg_time, p.revenue) for p in front.points] == [(28.0, 5.0), (29.0, 6.0), (30.0, 7.0)]
+    assert [(chain[i].avg_time, chain[i].revenue) for i in front] == [(28.0, 5.0), (29.0, 6.0), (30.0, 7.0)]
 
     lone = [_synthetic_result(b_template, 25.0, 1.0)]
-    assert pareto_front(lone).points == tuple(lone)
+    assert [lone[i] for i in pareto_front(lone)] == lone
 
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValidationError):
         pareto_front([])
 
 
 def test_pareto_front_keeps_first_seen_duplicate(b_template):
     first = _synthetic_result(b_template, 28.0, 5.0)
     second = _synthetic_result(b_template, 28.0, 5.0)
-    front = pareto_front([first, second])
-    assert len(front.points) == 1
-    assert front.points[0] is first
+    pair = [first, second]
+    front = pareto_front(pair)
+    assert len(front) == 1
+    assert pair[front[0]] is first
 
 
 def test_pareto_front_matches_brute_force_random(b_template):
@@ -183,7 +195,7 @@ def test_pareto_front_matches_brute_force_random(b_template):
         results = [
             _synthetic_result(b_template, float(t), float(r)) for t, r in zip(times, revenues)
         ]
-        fast = list(pareto_front(results).points)
+        fast = [results[i] for i in pareto_front(results)]
         slow = _brute_force_front(results)
         assert fast == slow
 
@@ -191,16 +203,16 @@ def test_pareto_front_matches_brute_force_random(b_template):
 def test_pareto_front_on_i880_sweep(i880_pop, i880_bpr):
     table = solve_batch(*columns(i880_grid()), i880_pop, i880_bpr)
     results = rows(table)
-    front = pareto_front(results)
-    assert set(front.points) <= set(results)
-    assert list(front.points) == _brute_force_front(results)
+    front = [results[i] for i in pareto_front(results)]
+    assert set(front) <= set(results)
+    assert front == _brute_force_front(results)
     # The columnar path keeps the same points.
-    assert rows(pareto_front(table).points) == list(front.points)
-    # Per-rho fronts are themselves valid non-dominated chains.
+    assert rows(table.take(pareto_front(table))) == front
+    # Per-rho fronts: the batch slice and the list give the same points.
     for k, rho in enumerate((0.25, 0.5, 0.75)):
         subset = [r for r in results if r.design.rho == rho]
-        pareto_front(subset)  # construction validates the chain invariant
-        assert rows(pareto_front(table.take(slice(20 * k, 20 * k + 20))).points) == list(pareto_front(subset).points)
+        batch = table.take(slice(20 * k, 20 * k + 20))
+        assert rows(batch.take(pareto_front(batch))) == [subset[i] for i in pareto_front(subset)]
 
 
 def test_pareto_front_ties_in_a_slice(i880_pop, i880_bpr):
@@ -212,35 +224,36 @@ def test_pareto_front_ties_in_a_slice(i880_pop, i880_bpr):
     table = dataclasses.replace(solve_batch(*columns(grid), i880_pop, i880_bpr), avg_time=avg_time, revenue=revenue)
     results = [_synthetic_result(table.outcome(i), *objectives[i]) for i in range(len(table))]
     for start in (0, 6):
-        front = pareto_front(table.take(slice(start, start + 6))).points
+        batch = table.take(slice(start, start + 6))
+        front = batch.take(pareto_front(batch))
         assert front.tau.tolist() == [1.0, 2.5]  # the first of each tied pair
         assert front.avg_time.tolist() == [28.0, 29.0] and front.revenue.tolist() == [7.0, 9.0]
-        listed = pareto_front(results[start : start + 6]).points
+        listed = tuple(results[start + i] for i in pareto_front(results[start : start + 6]))
         assert listed == (results[start + 1], results[start + 4])
         assert listed == tuple(_brute_force_front(results[start : start + 6]))
 
 
 def test_statics_scan_i880(i880_pop, i880_bpr):
-    table = comparative_statics_scan(3.0, [0.25, 0.5, 0.75], 2.5, i880_pop, i880_bpr)
-    assert len(table.rows) == 3
-    assert all(isinstance(row, EquilibriumOutcome) for row in rows(table.rows))
-    assert [row.design.rho for row in rows(table.rows)] == [0.25, 0.5, 0.75]
-    assert set(table.flags) == {"sigma_toll", "sigma_pool", "sigma_o", "c_delta"}
-    assert all(flag in {"non-decreasing", "non-increasing", "neither"} for flag in table.flags.values())
+    batch, flags = comparative_statics_scan(3.0, [0.25, 0.5, 0.75], 2.5, i880_pop, i880_bpr)
+    assert len(batch) == 3
+    assert all(isinstance(row, EquilibriumOutcome) for row in rows(batch))
+    assert [row.design.rho for row in rows(batch)] == [0.25, 0.5, 0.75]
+    assert set(flags) == {"sigma_toll", "sigma_pool", "sigma_o", "c_delta"}
+    assert all(flag in {"non-decreasing", "non-increasing", "neither"} for flag in flags.values())
 
 
 def test_statics_regime_transitions_once(i880_pop, i880_bpr):
     # Along ascending rho the regime may switch A -> B at most once and
     # never back: the probe gap grows with the HOT allocation.
     for k in range(1, 21):
-        table = comparative_statics_scan(0.5 * k, [0.25, 0.5, 0.75], 2.5, i880_pop, i880_bpr)
-        labels = [row.regime.is_regime_a for row in rows(table.rows)]
+        batch, _ = comparative_statics_scan(0.5 * k, [0.25, 0.5, 0.75], 2.5, i880_pop, i880_bpr)
+        labels = [row.regime.is_regime_a for row in rows(batch)]
         # Once False (Regime B), never True again.
         assert labels == sorted(labels, reverse=True)
 
 
 def test_statics_scan_validation(i880_pop, i880_bpr):
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValidationError):
         comparative_statics_scan(1.0, [], 2.5, i880_pop, i880_bpr)
     with pytest.raises(ValidationError):
         comparative_statics_scan(1.0, [0.5, 0.5], 2.5, i880_pop, i880_bpr)
@@ -249,7 +262,7 @@ def test_statics_scan_validation(i880_pop, i880_bpr):
 
 
 def test_statics_scan_deterministic(i880_pop, i880_bpr):
-    first = comparative_statics_scan(2.0, [0.25, 0.5, 0.75], 2.5, i880_pop, i880_bpr)
-    second = comparative_statics_scan(2.0, [0.25, 0.5, 0.75], 2.5, i880_pop, i880_bpr)
-    assert rows(first.rows) == rows(second.rows)  # every column of every point
-    assert first.flags == second.flags
+    first, first_flags = comparative_statics_scan(2.0, [0.25, 0.5, 0.75], 2.5, i880_pop, i880_bpr)
+    second, second_flags = comparative_statics_scan(2.0, [0.25, 0.5, 0.75], 2.5, i880_pop, i880_bpr)
+    assert rows(first) == rows(second)  # every column of every point
+    assert first_flags == second_flags

@@ -8,7 +8,6 @@ from hotlane import (
     DesignParams,
     EquilibriumOutcome,
     GapNonPositive,
-    InfeasibleClosure,
     NoConvergence,
     OracleConfig,
     PopulationParams,
@@ -149,9 +148,9 @@ def test_b_companion_shares(i880_pop):
     design = DesignParams(rho=0.75, tau=1.0, occupancy=2.5)
     shares = b_companion_shares(0.1, design, i880_pop)
     assert shares.pool == pytest.approx(0.5 * (0.1 / 7.0 + 1.0 / 8.0), rel=1e-15)
-    with pytest.raises(InfeasibleClosure):
+    with pytest.raises(ValidationError):
         b_companion_shares(0.99, design, i880_pop)  # ordinary share would go negative
-    with pytest.raises(InfeasibleClosure):
+    with pytest.raises(ValidationError):
         b_companion_shares(0.1, DesignParams(0.75, 9.0, 2.5), i880_pop)  # tau >= gamma_max
 
 
@@ -212,6 +211,16 @@ def test_auxiliary_monotonicity_sampled(i880_pop, i880_bpr, a2_setup):
     lo, hi = positive_gap_bracket(RegimeLabel.A2, design_a2, pop2, bpr2)
     values = [a2_auxiliary(s, design_a2, pop2, bpr2) for s in np.linspace(lo, hi, 100)]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+
+def test_positive_gap_bracket_end_is_the_zero_gap_share(i880_bpr):
+    """The upper end is the exact zero of the gap. With tau >= 2*gamma_max the A1
+    bracket is [0, 1], and at rho = 0.5 the flow/capacity ratios meet where
+    1 - p = p / 2.5, at p = 2.5/3.5."""
+    pop = PopulationParams(demand=115.0, beta_max=1.5, gamma_max=0.1)
+    lo, hi = positive_gap_bracket(RegimeLabel.A1, DesignParams(0.5, 10.0, 2.5), pop, i880_bpr)
+    assert lo == 0.0
+    assert hi == pytest.approx(2.5 / 3.5, rel=1e-15)
 
 
 def test_a1_auxiliary_inf_past_zero_gap(i880_pop, i880_bpr):

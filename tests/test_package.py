@@ -8,15 +8,12 @@ PUBLIC_NAMES = [
     "ActionLabel",
     "BprParams",
     "DesignParams",
-    "EmptyInput",
     "EquilibriumBatch",
     "EquilibriumOutcome",
     "GapNonPositive",
     "HotLaneError",
-    "InfeasibleClosure",
     "NoConvergence",
     "OracleConfig",
-    "ParetoFront",
     "ParseError",
     "PopulationParams",
     "RegimeLabel",
