@@ -16,8 +16,9 @@ Main entry points:
 * :func:`hotlane.design.pareto_front` /
   :func:`hotlane.design.comparative_statics_scan` - Pareto extraction and
   capacity statics.
-* ``hotlane`` console script - equilibrium / verify / sweep / pareto /
-  statics commands over a config file or the built-in I-880 calibration.
+* ``hotlane`` console script (or ``python -m hotlane``) - equilibrium /
+  verify / sweep / pareto / statics commands over a config file or the
+  built-in I-880 calibration.
 """
 
 from .errors import (
@@ -33,13 +34,7 @@ from .latency import (
     StrategyShares,
     latency_gap,
 )
-from .population import (
-    ActionLabel,
-    PopulationParams,
-    action_cost,
-    best_response_at_gap,
-    region_measures_at_gap,
-)
+from .population import PopulationParams, region_measures_at_gap
 from .equilibrium import (
     EquilibriumBatch,
     EquilibriumOutcome,
@@ -47,14 +42,13 @@ from .equilibrium import (
     solve,
     solve_batch,
 )
-from .oracle import OracleConfig, empirical_shares, oracle_equilibrium
+from .oracle import OracleConfig, oracle_equilibrium
 from .design import comparative_statics_scan, pareto_front
 from .cli import RunConfig, dump_config, i880_config, load_config
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionLabel",
     "BprParams",
     "DesignParams",
     "EquilibriumBatch",
@@ -69,11 +63,8 @@ __all__ = [
     "RunConfig",
     "StrategyShares",
     "ValidationError",
-    "action_cost",
-    "best_response_at_gap",
     "comparative_statics_scan",
     "dump_config",
-    "empirical_shares",
     "i880_config",
     "latency_gap",
     "load_config",

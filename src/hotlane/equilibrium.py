@@ -34,29 +34,20 @@ the solved shares, in share units:
 * A2: ``(gamma_max/(2*beta_max)) / gap = ordinary``;
 * B: ``(1 - tau/(beta_max*gap)) * (gamma_max-tau)/gamma_max = toll``.
 
-The rest of the module holds the paper's checks on those equations, which
-the tests run at the solved points. :func:`regime_bracket` is the range of
-the regime's share variable, split at the probe share ``tau/(2*gamma_max)``
-(clamped to 1 once ``tau >= 2*gamma_max``), and :func:`positive_gap_bracket`
-cuts it at the zero of the latency gap, in closed form. There each regime's
-auxiliary function is strictly monotone, so its printed equation has exactly
-one root: share/gap for A1 (:func:`a1_auxiliary`), gap*(1-share) for A2
-(:func:`a2_auxiliary`), and for B the linearly damped gap
-(:func:`b_auxiliary`) along the closure :func:`b_companion_shares`.
+The paper's per-regime brackets and auxiliary functions are not a second
+solver here: the tests keep them as references (``tests/paper_reference.py``)
+and check them at the solved points.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GapNonPositive, HotLaneError, NoConvergence, ValidationError
-from .latency import (
-    SIMPLEX_TOL, BprParams, DesignParams, StrategyShares, check_design, lane_flows, lane_times, latency_gap
-)
+from .latency import BprParams, DesignParams, StrategyShares, check_design, lane_times, on_simplex
 from .population import PopulationParams, region_fractions
 
 __all__ = [
@@ -65,12 +56,6 @@ __all__ = [
     "EquilibriumBatch",
     "solve",
     "solve_batch",
-    "a1_auxiliary",
-    "a2_auxiliary",
-    "b_auxiliary",
-    "b_companion_shares",
-    "regime_bracket",
-    "positive_gap_bracket",
     "RESIDUAL_TOL",
     "MAX_BISECT",
 ]
@@ -83,10 +68,6 @@ class RegimeLabel(enum.Enum):
     A1 = "A1"
     A2 = "A2"
     B = "B"
-
-    @property
-    def is_regime_a(self) -> bool:
-        return self in (RegimeLabel.A1, RegimeLabel.A2)
 
 
 _LABELS = tuple(RegimeLabel)  # the batch's regime codes index this
@@ -115,100 +96,6 @@ class EquilibriumOutcome:
     latencies: tuple[float, float]
     avg_time: float
     revenue: float
-
-
-# ---------------------------------------------------------------------------
-# The paper's checks: auxiliary functions and brackets
-# ---------------------------------------------------------------------------
-
-
-def _probe_share(design: DesignParams, pop: PopulationParams) -> float:
-    return min(design.tau / (2.0 * pop.gamma_max), 1.0)
-
-
-def _gap_no_toll(pool_share: float, design: DesignParams, pop: PopulationParams, bpr: BprParams) -> float:
-    sigma = StrategyShares(0.0, pool_share, 1.0 - pool_share)
-    return latency_gap(sigma, design, pop.demand, bpr)
-
-
-def a1_auxiliary(pool_share: float, design: DesignParams, pop: PopulationParams, bpr: BprParams) -> float:
-    """Pool share divided by the no-toll latency gap.
-
-    Strictly increasing wherever the gap is positive; returns +inf at and
-    beyond the zero-gap share, matching its one-sided limit.
-    """
-    gap = _gap_no_toll(pool_share, design, pop, bpr)
-    if gap <= 0.0:
-        return math.inf
-    return pool_share / gap
-
-
-def a2_auxiliary(pool_share: float, design: DesignParams, pop: PopulationParams, bpr: BprParams) -> float:
-    """No-toll latency gap times the ordinary share; strictly decreasing
-    wherever the gap is positive."""
-    return _gap_no_toll(pool_share, design, pop, bpr) * (1.0 - pool_share)
-
-
-def b_companion_shares(toll_share: float, design: DesignParams, pop: PopulationParams) -> StrategyShares:
-    """Full share vector implied by a candidate toll share in Regime B."""
-    tau, gamma_max = design.tau, pop.gamma_max
-    if not tau < gamma_max:
-        raise ValidationError(f"Regime B requires tau < gamma_max, got tau={tau}, gamma_max={gamma_max}")
-    pool = 0.5 * tau * (toll_share / (gamma_max - tau) + 1.0 / gamma_max)
-    ordinary = 1.0 - toll_share - pool
-    if -1e-12 <= ordinary < 0.0:
-        ordinary = 0.0
-    return StrategyShares(toll_share, pool, ordinary)  # a ValidationError off the simplex: outside Regime B
-
-
-def b_auxiliary(toll_share: float, design: DesignParams, pop: PopulationParams, bpr: BprParams) -> float:
-    """Linearly damped latency gap along the Regime-B closure.
-
-    Strictly decreasing wherever the gap is positive; its root against
-    ``tau/beta_max`` is the equilibrium toll share.
-    """
-    sigma = b_companion_shares(toll_share, design, pop)
-    linear = 1.0 - (pop.gamma_max / (pop.gamma_max - design.tau)) * toll_share
-    return linear * latency_gap(sigma, design, pop.demand, bpr)
-
-
-def regime_bracket(regime: RegimeLabel, design: DesignParams, pop: PopulationParams) -> tuple[float, float]:
-    """Search interval for the regime's share variable."""
-    probe = _probe_share(design, pop)
-    if regime is RegimeLabel.A1:
-        return 0.0, probe
-    if regime is RegimeLabel.A2:
-        return probe, 1.0
-    return 0.0, (pop.gamma_max - design.tau) / pop.gamma_max
-
-
-def positive_gap_bracket(
-    regime: RegimeLabel, design: DesignParams, pop: PopulationParams, bpr: BprParams
-) -> tuple[float, float]:
-    """Portion of the regime bracket where the latency gap is positive, closed at its zero.
-
-    The auxiliary functions are strictly monotone exactly here; past the
-    zero-gap point they sit strictly on the far side of their targets, so
-    nothing relies on their shape there. Both lanes share one volume-delay
-    curve, so the gap is zero exactly where their flow/capacity ratios are
-    equal. Along either parametrization the difference of those ratios is
-    affine in the share, so one secant step through the bracket ends is its
-    exact zero.
-    """
-    lo, hi = regime_bracket(regime, design, pop)
-
-    def ratio_gap(x: float) -> float:
-        """Ordinary minus HOT flow/capacity ratio: the sign of the latency gap."""
-        shares = b_companion_shares(x, design, pop) if regime is RegimeLabel.B else StrategyShares(0.0, x, 1.0 - x)
-        flow_ordinary, flow_hot = lane_flows(*shares.as_tuple(), pop.demand, design.occupancy)
-        return flow_ordinary / (1.0 - design.rho) - flow_hot / design.rho
-
-    at_lo, at_hi = ratio_gap(lo), ratio_gap(hi)
-    if at_hi > 0.0:
-        return lo, hi
-    if at_lo <= 0.0:
-        raise GapNonPositive(f"the latency gap is non-positive on the whole bracket ({lo}, {hi})")
-    return lo, lo + (hi - lo) * at_lo / (at_lo - at_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +228,12 @@ def _failures(top, root, shares, regime, residual) -> dict[int, HotLaneError]:
     The one definition of the outcome invariants, checked at all points at
     once; a point gets the error of the first check it fails. A valid
     equilibrium has a root, a printed residual of at most ``RESIDUAL_TOL``,
-    shares on the simplex with positive pool and ordinary shares, and a toll
-    share that is positive exactly in Regime B.
+    shares on the simplex (:func:`on_simplex`) with positive pool and
+    ordinary shares, and a toll share that is positive exactly in Regime B.
     """
     toll, pool, ordinary = shares
     valid = (
-        ((0.0 <= shares) & (shares <= 1.0)).all(axis=0)
-        & (abs(toll + pool + ordinary - 1.0) <= SIMPLEX_TOL)
+        on_simplex(toll, pool, ordinary)
         & (pool > 0.0)
         & (ordinary > 0.0)
         & ((regime == _LABELS.index(RegimeLabel.B)) == (toll > 0.0))

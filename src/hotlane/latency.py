@@ -128,6 +128,18 @@ def check_rho_grid(rho_values) -> None:
         raise ValidationError(f"rho_values must be strictly increasing, got {rho_values}")
 
 
+def on_simplex(toll, pool, ordinary):
+    """Whether the shares lie on the simplex: each in [0, 1], summing to 1 within ``SIMPLEX_TOL``.
+
+    The one share rule, elementwise over floats or numpy arrays; plain
+    operators only, so a float check makes no numpy call.
+    """
+    return (
+        (0.0 <= toll) & (toll <= 1.0) & (0.0 <= pool) & (pool <= 1.0) & (0.0 <= ordinary) & (ordinary <= 1.0)
+        & (abs(toll + pool + ordinary - 1.0) <= SIMPLEX_TOL)
+    )
+
+
 @dataclass(frozen=True)
 class StrategyShares:
     """Population fractions choosing each action; a point on the 2-simplex."""
@@ -137,12 +149,8 @@ class StrategyShares:
     ordinary: float
 
     def __post_init__(self):
-        for name, value in (("toll", self.toll), ("pool", self.pool), ("ordinary", self.ordinary)):
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(f"share '{name}' must lie in [0, 1], got {value}")
-        total = self.toll + self.pool + self.ordinary
-        if abs(total - 1.0) > SIMPLEX_TOL:
-            raise ValidationError(f"shares must sum to 1 within {SIMPLEX_TOL}, got {total!r}")
+        if not on_simplex(self.toll, self.pool, self.ordinary):
+            raise ValidationError(f"shares {self.as_tuple()} must each lie in [0, 1] and sum to 1 within {SIMPLEX_TOL}")
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.toll, self.pool, self.ordinary)

@@ -1,8 +1,9 @@
 """Brute-force equilibrium oracle, independent of the closed-form solver.
 
 A dense grid of agent types (cell midpoints of the type rectangle) is
-labeled with the same best-response rule individual agents use, and the
-oracle looks for a grid labeling that reproduces itself. Nothing here
+labeled agent by agent with the best-response inequalities of
+:mod:`hotlane.population` and their pool > toll > ordinary tie-break, and
+the oracle looks for a grid labeling that reproduces itself. Nothing here
 touches the closed-form region areas or the regime equations, so agreement
 with :func:`hotlane.equilibrium.solve` is a genuine cross-check of both.
 
@@ -48,7 +49,7 @@ from .errors import NoConvergence, ValidationError
 from .latency import BprParams, DesignParams, StrategyShares, latency_gap
 from .population import PopulationParams
 
-__all__ = ["OracleConfig", "empirical_shares", "oracle_equilibrium"]
+__all__ = ["OracleConfig", "oracle_equilibrium"]
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -162,21 +163,6 @@ def _label_counts(
     if first_full:
         end = min(end, _first_reaching_any(beta_mid[:first_full], gamma_pool[counts[:first_full]]))
     return (above_tau * tolling, pool), start, end
-
-
-def empirical_shares(
-    sigma: StrategyShares,
-    design: DesignParams,
-    pop: PopulationParams,
-    bpr: BprParams,
-    cfg: OracleConfig,
-) -> StrategyShares:
-    """Best-response label fractions of the midpoint agent grid against ``sigma``."""
-    beta_mid, gamma_pool, above_tau = _grid(design.tau, pop, cfg.grid_n)
-    gap = latency_gap(sigma, design, pop.demand, bpr)
-    (toll, pool), _, _ = _label_counts(gap, design.tau, beta_mid, gamma_pool, above_tau)
-    total = cfg.grid_n * cfg.grid_n
-    return StrategyShares(toll / total, pool / total, (total - toll - pool) / total)
 
 
 def oracle_equilibrium(

@@ -1,4 +1,4 @@
-"""Traveler population: action costs and the best-response partition.
+"""Traveler population: the type rectangle and its best-response partition.
 
 Travelers are nonatomic agents with a value of time ``beta`` (dollars/minute)
 and a carpool disutility ``gamma`` (dollars), jointly uniform on the
@@ -16,28 +16,22 @@ through vehicle flows. Boundary ties have zero measure and are broken by the
 fixed priority pool > toll > ordinary so that agent-level labeling is
 deterministic and reproducible.
 
-An agent type is the float pair ``(beta, gamma)``. The shares that
-best-respond to a profile ``sigma`` are
-``region_measures_at_gap(latency_gap(sigma, ...), tau, pop)``.
+An agent of type ``(beta, gamma)`` pays ``beta`` times its lane time, plus
+``tau`` if it tolls or ``gamma`` if it carpools; the regions above are where
+each action is cheapest. The shares that best-respond to a profile ``sigma``
+are ``region_measures_at_gap(latency_gap(sigma, ...), tau, pop)``.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError, require_finite
-from .latency import BprParams, DesignParams, StrategyShares, lane_times
+from .latency import StrategyShares
 
-__all__ = [
-    "PopulationParams",
-    "ActionLabel",
-    "action_cost",
-    "best_response_at_gap",
-    "region_measures_at_gap",
-]
+__all__ = ["PopulationParams", "region_measures_at_gap"]
 
 
 @dataclass(frozen=True)
@@ -61,50 +55,6 @@ class PopulationParams:
             raise ValidationError(f"beta_max must be > 0, got {self.beta_max}")
         if not self.gamma_max > 0:
             raise ValidationError(f"gamma_max must be > 0, got {self.gamma_max}")
-
-
-class ActionLabel(enum.Enum):
-    TOLL = "toll"
-    POOL = "pool"
-    ORDINARY = "ordinary"
-
-
-def action_cost(
-    beta: float,
-    gamma: float,
-    action: ActionLabel,
-    sigma: StrategyShares,
-    design: DesignParams,
-    pop: PopulationParams,
-    bpr: BprParams,
-) -> float:
-    """Dollar cost an agent of type ``(beta, gamma)`` incurs by playing ``action`` against ``sigma``.
-
-    Time is priced at the agent's value of time; paying the toll adds
-    ``tau`` and carpooling adds the agent's ``gamma``. The payoff that
-    :func:`best_response_at_gap` minimizes.
-    """
-    _, (time_ordinary, time_hot) = lane_times(sigma.as_tuple(), pop.demand, design.occupancy, design.rho, bpr)
-    if action is ActionLabel.ORDINARY:
-        return beta * time_ordinary
-    if action is ActionLabel.TOLL:
-        return beta * time_hot + design.tau
-    return beta * time_hot + gamma
-
-
-def best_response_at_gap(beta: float, gamma: float, gap: float, tau: float) -> ActionLabel:
-    """Best-response label for an agent given the latency gap directly.
-
-    Encodes the region inequalities with the pool > toll > ordinary
-    tie-break. The same rule, applied pointwise, drives the brute-force
-    oracle.
-    """
-    weighted = beta * gap
-    if weighted >= gamma and gamma <= tau:
-        return ActionLabel.POOL
-    if weighted >= tau and gamma >= tau:
-        return ActionLabel.TOLL
-    return ActionLabel.ORDINARY
 
 
 def region_fractions(gap, tau, pop: PopulationParams):

@@ -25,15 +25,9 @@ from hotlane import (
     solve,
     solve_batch,
 )
-from hotlane.equilibrium import (
-    MAX_BISECT,
-    RESIDUAL_TOL,
-    a1_auxiliary,
-    a2_auxiliary,
-    b_auxiliary,
-    positive_gap_bracket,
-)
+from hotlane.equilibrium import MAX_BISECT, RESIDUAL_TOL
 from hotlane.latency import bpr_time
+from paper_reference import a1_auxiliary, a2_auxiliary, b_auxiliary, positive_gap_bracket
 
 ORACLE_TOL = 5e-3
 SELF_CONSISTENCY_TOL = 1e-8
@@ -109,7 +103,7 @@ def test_interior_usage_invariants(solved):
     ok = all(
         outcome.shares.pool > 0
         and outcome.shares.ordinary > 0
-        and (outcome.shares.toll == 0.0) == outcome.regime.is_regime_a
+        and (outcome.shares.toll == 0.0) == (outcome.regime is not RegimeLabel.B)
         for _, outcome in solved
     )
     regimes = {"A1": 0, "A2": 0, "B": 0}

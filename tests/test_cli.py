@@ -3,10 +3,15 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hotlane
 from hotlane import (
     BprParams,
     DesignParams,
@@ -431,6 +436,19 @@ def test_main_twice_in_one_process(capsys):
     assert parse_config_text(capsys.readouterr().out) == i880_config()
     assert main(argv) == 0
     assert capsys.readouterr().out == text
+
+
+def test_python_m_hotlane(capsys):
+    """``python -m hotlane`` runs the console script, and the module run leaks no warning."""
+    argv = ["--i880-defaults", "equilibrium", "--tau", "1", "--rho", "0.5"]
+    path = os.pathsep.join(filter(None, [str(Path(hotlane.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hotlane", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert run.returncode == 0, run.stderr
+    assert main(argv) == 0
+    assert run.stdout == capsys.readouterr().out
 
 
 def test_main_requires_config_source(capsys):

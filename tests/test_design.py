@@ -247,7 +247,7 @@ def test_statics_regime_transitions_once(i880_pop, i880_bpr):
     # never back: the probe gap grows with the HOT allocation.
     for k in range(1, 21):
         batch, _ = comparative_statics_scan(0.5 * k, [0.25, 0.5, 0.75], 2.5, i880_pop, i880_bpr)
-        labels = [row.regime.is_regime_a for row in rows(batch)]
+        labels = [row.regime is not RegimeLabel.B for row in rows(batch)]
         # Once False (Regime B), never True again.
         assert labels == sorted(labels, reverse=True)
 

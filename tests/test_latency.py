@@ -10,7 +10,7 @@ from hotlane import (
     ValidationError,
     latency_gap,
 )
-from hotlane.latency import bpr_time, lane_flows, lane_times
+from hotlane.latency import bpr_time, lane_flows, lane_times, on_simplex
 
 # Frozen from 40-digit evaluation of the latency formulas.
 L_ORD_115_HALF = 22.08113101669877
@@ -47,6 +47,9 @@ def test_strategy_shares_validation():
         StrategyShares(-0.1, 0.6, 0.5)
     with pytest.raises(ValidationError):
         StrategyShares(1.2, -0.1, -0.1)
+    # The same rule on share columns, one point per case above.
+    columns = np.array([(0.2, 0.3, 0.5), (0.2, 0.3, 0.6), (-0.1, 0.6, 0.5), (1.2, -0.1, -0.1)]).T
+    assert on_simplex(*columns).tolist() == [True, False, False, False]
 
 
 def test_vehicle_flows():

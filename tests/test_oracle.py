@@ -17,15 +17,13 @@ from hotlane import (
     RegimeLabel,
     StrategyShares,
     ValidationError,
-    best_response_at_gap,
-    empirical_shares,
     latency_gap,
     oracle_equilibrium,
     region_measures_at_gap,
     solve,
 )
 from hotlane import oracle
-from hotlane.population import ActionLabel
+from paper_reference import ActionLabel, best_response_at_gap, empirical_shares
 
 # The congested calibration: I-880 with demand 250 and a = 0.6.
 CONGESTED_POP = PopulationParams(demand=250.0, beta_max=1.5, gamma_max=8.0)

@@ -5,7 +5,6 @@ import importlib
 import hotlane
 
 PUBLIC_NAMES = [
-    "ActionLabel",
     "BprParams",
     "DesignParams",
     "EquilibriumBatch",
@@ -20,11 +19,8 @@ PUBLIC_NAMES = [
     "RunConfig",
     "StrategyShares",
     "ValidationError",
-    "action_cost",
-    "best_response_at_gap",
     "comparative_statics_scan",
     "dump_config",
-    "empirical_shares",
     "i880_config",
     "latency_gap",
     "load_config",

@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from hotlane import (
-    ActionLabel,
     DesignParams,
     PopulationParams,
     StrategyShares,
     ValidationError,
-    action_cost,
-    best_response_at_gap,
     latency_gap,
     region_measures_at_gap,
 )
 from hotlane.latency import lane_times
 from hotlane.population import region_fractions
+from paper_reference import ActionLabel, action_cost, best_response_at_gap
 
 # Frozen from 40-digit evaluation: beta=1.5, gamma=4, sigma=(0.1, 0.2, 0.7),
 # rho=0.25, tau=3 on the I-880 calibration.
