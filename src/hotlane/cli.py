@@ -59,9 +59,9 @@ _COLUMN_LABELS = (
     ("residual", "residual"),
 )
 SWEEP_COLUMNS = tuple(column for column, _ in _COLUMN_LABELS)
-_ROW_FORMAT = ",".join("{}" if column == "regime" else "{:.12g}" for column in SWEEP_COLUMNS).format
-# A failed point keeps tau and rho; every cell after "ERROR" is blank.
-_ERROR_FORMAT = ("{:.12g},{:.12g},ERROR" + "," * (len(SWEEP_COLUMNS) - 3)).format
+# The two formats of a row's tail (its cells after tau); a failed point keeps rho, then "ERROR" and blanks.
+_ROW_FORMAT = ",".join("{}" if column == "regime" else "{:.12g}" for column in SWEEP_COLUMNS[1:]).format
+_ERROR_FORMAT = ("{:.12g},ERROR" + "," * (len(SWEEP_COLUMNS) - 3)).format
 _REGIME_CELLS = tuple(label.value for label in RegimeLabel)
 # A statics row is a slice of the sweep row.
 _STATICS_CELLS = slice(1, 7)
@@ -203,38 +203,43 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _columns(table: EquilibriumBatch) -> list[list]:
-    """The table's columns in ``SWEEP_COLUMNS`` order, as lists of Python values."""
-    toll, pool, ordinary = table.shares.tolist()
-    time_ordinary, time_hot = table.latencies.tolist()
-    regime = [_REGIME_CELLS[code] for code in table.regime.tolist()]
-    tau, rho, gap, avg_time, revenue, residual = (
-        column.tolist() for column in (table.tau, table.rho, table.gap, table.avg_time, table.revenue, table.residual)
-    )
-    return [tau, rho, regime, toll, pool, ordinary, gap, time_hot, time_ordinary, avg_time, revenue, residual]
+def _columns(table: EquilibriumBatch) -> list[np.ndarray]:
+    """The table's columns in ``SWEEP_COLUMNS`` order; the regime as codes into ``_REGIME_CELLS``."""
+    return [
+        table.tau, table.rho, table.regime, *table.shares, table.gap, *table.latencies[::-1],  # HOT lane first
+        table.avg_time, table.revenue, table.residual,
+    ]
 
 
 def _lines(table: EquilibriumBatch) -> list[str]:
     """One sweep CSV line per point: floats to 12 significant digits, a failed point as
-    tau, rho, ``ERROR`` and blank cells. No cell holds a comma, so ``split(",")`` gives the cells back."""
-    lines = list(map(_ROW_FORMAT, *_columns(table)))
-    for i in table.errors:
-        lines[i] = _ERROR_FORMAT(table.tau[i], table.rho[i])
-    return lines
+    tau, rho, ``ERROR`` and blank cells. No cell holds a comma, so ``split(",")`` gives the cells back.
+    A line is the tau cell and a tail, and a row whose tail cells equal the row before's, bit for bit,
+    reuses its formatted tail; a failed row formats its own, and the row after it starts a new run."""
+    tau, *tail = _columns(table)
+    failed = ~table.solved
+    new = failed | np.r_[True, failed[:-1]]  # where a run of equal tails starts
+    for bits in (column.view(f"i{column.itemsize}") for column in tail):  # -0.0 and 0.0 differ in bits
+        new[1:] |= bits[1:] != bits[:-1]
+    first = np.flatnonzero(new)
+    cells = [column[first].tolist() for column in tail]
+    cells[1] = [_REGIME_CELLS[code] for code in cells[1]]
+    tails = [_ERROR_FORMAT(rho) if bad else _ROW_FORMAT(rho, *rest) for bad, rho, *rest in zip(failed[first], *cells)]
+    return [f"{t:.12g},{tails[run]}" for t, run in zip(tau.tolist(), (np.cumsum(new) - 1).tolist())]
 
 
 def cmd_equilibrium(config: RunConfig, tau: float, rho: float, json_output: bool = False) -> int:
     """Solve one design point and print its equilibrium report."""
     table = solve_batch([tau], [rho], [config.occupancy], config.population, config.bpr)
-    iterations = table.outcome(0).iterations  # raises the point's typed error
+    outcome = table.outcome(0)  # raises the point's typed error
     if json_output:
-        report = dict(zip(SWEEP_COLUMNS, (column[0] for column in _columns(table))), iterations=iterations)
-        print(json.dumps(report, sort_keys=True))
+        report = {column: cells[0].item() for column, cells in zip(SWEEP_COLUMNS, _columns(table))}
+        print(json.dumps({**report, "regime": outcome.regime.value, "iterations": outcome.iterations}, sort_keys=True))
         return 0
     for (_, label), cell in zip(_COLUMN_LABELS, _lines(table)[0].split(",")):
         if label is not None:
             print(f"{label}: {cell}")
-    print(f"iterations: {iterations}")
+    print(f"iterations: {outcome.iterations}")
     return 0
 
 

@@ -47,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapNonPositive, HotLaneError, NoConvergence, ValidationError
-from .latency import BprParams, DesignParams, StrategyShares, check_design, lane_times, on_simplex
-from .population import PopulationParams, region_fractions
+from .latency import BprParams, DesignParams, StrategyShares, _capacities, check_design, lane_times, on_simplex
+from .population import PopulationParams, _toll_levels, region_fractions
 
 __all__ = [
     "RegimeLabel",
@@ -174,16 +174,18 @@ def _check_designs(tau, rho, occupancy) -> list[np.ndarray]:
     return [tau, rho, occupancy]
 
 
-def _excess(g, pop: PopulationParams, bpr: BprParams, tau, rho, occupancy):
-    """``F(g)`` at a positive gap, elementwise over the design points' (tau, rho, occupancy) arrays."""
-    _, (time_ordinary, time_hot) = lane_times(region_fractions(g, tau, pop), pop.demand, occupancy, rho, bpr)
+def _excess(g, pop: PopulationParams, bpr: BprParams, tau, cap, toll_height, occupancy, *capacities):
+    """``F(g)`` at a positive gap, elementwise over the design points' constants (see :func:`_gap_root`)."""
+    shares = region_fractions(g, (tau, cap, toll_height), pop)
+    _, (time_ordinary, time_hot) = lane_times(shares, pop.demand, occupancy, capacities, bpr)
     return time_ordinary - time_hot - g
 
 
 def _gap_root(lo, hi, f_lo, pop: PopulationParams, bpr: BprParams, points: list[np.ndarray]):
     """Root of ``F`` on the bracket ``[lo, hi]`` of each point, and its step count.
 
-    ``points`` are the points' (tau, rho, occupancy) arrays. ``F(lo) > 0`` is
+    ``points`` are the points' constants of ``F``, computed once per batch: the
+    three ``_toll_levels``, occupancy and the two ``_capacities``. ``F(lo) > 0`` is
     passed in because ``F`` cannot be evaluated at a zero gap, and
     ``F(hi) < 0`` must hold. A root is NaN where the bracket is still open
     after ``MAX_BISECT`` steps.
@@ -266,11 +268,13 @@ def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> E
     ``RESIDUAL_TOL``), so one bad point never aborts the batch. Every step is
     elementwise, so a point's result does not depend on the rest of the batch.
     """
-    points = tau, rho, occupancy = _check_designs(tau, rho, occupancy)
+    tau, rho, occupancy = _check_designs(tau, rho, occupancy)
+    levels, capacities = _toll_levels(tau, pop), _capacities(rho, bpr)
+    points = [*levels, occupancy, *capacities]
 
     # F(0) is the gap with everyone on the ordinary lanes, the upper bracket end.
     zeros = np.zeros_like(tau)
-    _, (time_ordinary, time_hot) = lane_times((zeros, zeros, 1.0), pop.demand, occupancy, rho, bpr)
+    _, (time_ordinary, time_hot) = lane_times((zeros, zeros, 1.0), pop.demand, occupancy, capacities, bpr)
     top = time_ordinary - time_hot
     open_ = np.flatnonzero(top > 0.0)
     root = np.full(tau.shape, np.nan)
@@ -279,8 +283,8 @@ def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> E
         np.zeros(open_.size), top[open_], top[open_], pop, bpr, [a[open_] for a in points]
     )
 
-    shares = np.array(region_fractions(np.where(root > 0.0, root, 1.0), tau, pop))
-    flows, latencies = (np.array(pair) for pair in lane_times(shares, pop.demand, occupancy, rho, bpr))
+    shares = np.array(region_fractions(np.where(root > 0.0, root, 1.0), levels, pop))
+    flows, latencies = (np.array(pair) for pair in lane_times(shares, pop.demand, occupancy, capacities, bpr))
     toll, pool, ordinary = shares
     time_ordinary, time_hot = latencies
     gap = time_ordinary - time_hot

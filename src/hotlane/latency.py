@@ -174,14 +174,19 @@ def bpr_time(flow, capacity, bpr: BprParams):
     return bpr.t_free * (1.0 + (bpr.a * flow / capacity) ** bpr.b)
 
 
-def lane_times(shares, demand, occupancy, rho, bpr: BprParams):
+def _capacities(rho, bpr: BprParams):
+    """(ordinary, HOT) lane capacities ``v_cap * (1 - rho)`` and ``v_cap * rho``, elementwise."""
+    return bpr.v_cap * (1.0 - rho), bpr.v_cap * rho
+
+
+def lane_times(shares, demand, occupancy, capacities, bpr: BprParams):
     """(ordinary, HOT) vehicle flows and travel times at the (toll, pool, ordinary) shares.
 
-    The ordinary lanes hold capacity ``v_cap * (1 - rho)``, the HOT lanes
-    ``v_cap * rho``. Elementwise over floats or numpy arrays and unvalidated.
+    ``capacities`` is ``_capacities(rho, bpr)``, hoisted out of a caller's loop over
+    shares. Elementwise over floats or numpy arrays and unvalidated.
     """
     flow_ordinary, flow_hot = lane_flows(*shares, demand, occupancy)
-    times = bpr_time(flow_ordinary, bpr.v_cap * (1.0 - rho), bpr), bpr_time(flow_hot, bpr.v_cap * rho, bpr)
+    times = bpr_time(flow_ordinary, capacities[0], bpr), bpr_time(flow_hot, capacities[1], bpr)
     return (flow_ordinary, flow_hot), times
 
 
@@ -191,5 +196,5 @@ def latency_gap(sigma: StrategyShares, design: DesignParams, demand: float, bpr:
     Positive when the HOT lane is faster. Decreasing in the pool share when
     the toll share is held fixed and the remainder rides the ordinary lane.
     """
-    _, (time_ordinary, time_hot) = lane_times(sigma.as_tuple(), demand, design.occupancy, design.rho, bpr)
-    return time_ordinary - time_hot
+    _, (ordinary, hot) = lane_times(sigma.as_tuple(), demand, design.occupancy, _capacities(design.rho, bpr), bpr)
+    return ordinary - hot

@@ -227,7 +227,12 @@ def oracle_equilibrium(
                 residual=distance(s_lo, s_hi) / total,
             )
         labelings += 1
-        return _label_counts(g, design.tau, beta_mid, gamma_pool, above_tau)
+        known.append(_label_counts(g, design.tau, beta_mid, gamma_pool, above_tau))
+        return known[-1]
+
+    def relabel(g: float) -> tuple[int, int]:
+        """The labeling at ``g``, from the labelings already made when one of their intervals holds ``g``."""
+        return next((state for state, start, end in known if start <= g < end), None) or label(g)[0]
 
     # Nobody tolls or pools at zero gap (every gamma midpoint and tau are
     # positive), and that lasts until the largest beta midpoint reaches the
@@ -235,6 +240,7 @@ def oracle_equilibrium(
     # end needs no labeling.
     s_lo = (0, 0)
     first = _first_reaching(float(beta_mid[-1]), float(gamma_pool[0]) if gamma_pool.size else design.tau)
+    known = [(s_lo, -math.inf, first)]  # every labeling so far, with its interval
     lo, x = math.nextafter(first, -math.inf), gap_at(s_lo)
     if x <= lo:
         return as_shares(s_lo), labelings
@@ -265,7 +271,7 @@ def oracle_equilibrium(
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
 
-    residual, best = min((distance(s, label(gap_at(s))[0]), s) for s in (s_lo, s_hi))
+    residual, best = min((distance(s, relabel(gap_at(s))), s) for s in (s_lo, s_hi))
     if residual <= 2 * cfg.grid_n:  # 2/grid_n in count units
         return as_shares(best), labelings
     raise NoConvergence(

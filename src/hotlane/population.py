@@ -57,7 +57,12 @@ class PopulationParams:
             raise ValidationError(f"gamma_max must be > 0, got {self.gamma_max}")
 
 
-def region_fractions(gap, tau, pop: PopulationParams):
+def _toll_levels(tau, pop: PopulationParams):
+    """``(tau, min(tau, gamma_max), max(0, gamma_max - tau))``: the toll's terms in :func:`region_fractions`."""
+    return tau, np.minimum(tau, pop.gamma_max), np.maximum(0.0, pop.gamma_max - tau)
+
+
+def region_fractions(gap, levels, pop: PopulationParams):
     """(toll, pool, ordinary) region fractions at a positive latency gap.
 
     Elementwise over floats or numpy arrays and unvalidated: the one
@@ -67,13 +72,13 @@ def region_fractions(gap, tau, pop: PopulationParams):
     its area is ``h * (beta_max - h / (2 g))``, a pure triangle while
     ``beta_max * g <= t`` and a triangle plus rectangle beyond. The toll
     region is the rectangle above ``gamma = tau`` and right of
-    ``beta = tau / g``.
+    ``beta = tau / g``. ``levels`` is ``_toll_levels(tau, pop)``, hoisted out of a caller's loop over gaps.
     """
-    beta_max, gamma_max = pop.beta_max, pop.gamma_max
-    area = beta_max * gamma_max
-    height = np.minimum(beta_max * gap, np.minimum(tau, gamma_max))
+    tau, cap, toll_height = levels
+    beta_max, area = pop.beta_max, pop.beta_max * pop.gamma_max
+    height = np.minimum(beta_max * gap, cap)
     pool = height * (beta_max - 0.5 * height / gap) / area
-    toll = np.maximum(0.0, beta_max - tau / gap) * np.maximum(0.0, gamma_max - tau) / area
+    toll = np.maximum(0.0, beta_max - tau / gap) * toll_height / area
     return toll, pool, np.maximum(0.0, 1.0 - pool - toll)
 
 
@@ -85,5 +90,5 @@ def region_measures_at_gap(gap: float, tau: float, pop: PopulationParams) -> Str
     """
     if gap <= 0.0:
         return StrategyShares(0.0, 0.0, 1.0)
-    toll, pool, ordinary = region_fractions(gap, tau, pop)
+    toll, pool, ordinary = region_fractions(gap, _toll_levels(tau, pop), pop)
     return StrategyShares(float(toll), float(pool), float(ordinary))

@@ -11,6 +11,8 @@ from hotlane import (
     region_measures_at_gap,
 )
 from hotlane import equilibrium as eq
+from hotlane.latency import _capacities
+from hotlane.population import _toll_levels
 
 
 @pytest.fixture(scope="session")
@@ -53,7 +55,8 @@ def resolve_in_shrunk_bracket():
     """
 
     def resolve(design: DesignParams, pop: PopulationParams, bpr: BprParams) -> StrategyShares:
-        points = [np.array([design.tau]), np.array([design.rho]), np.array([design.occupancy])]
+        tau, rho, occupancy = np.array([design.tau]), np.array([design.rho]), np.array([design.occupancy])
+        points = [*_toll_levels(tau, pop), occupancy, *_capacities(rho, bpr)]
         width = latency_gap(StrategyShares(0.0, 0.0, 1.0), design, pop.demand, bpr)
         lo, hi = np.array([1e-6 * width]), np.array([width - 1e-6 * width])
         (root,), _ = eq._gap_root(lo, hi, eq._excess(lo, pop, bpr, *points), pop, bpr, points)

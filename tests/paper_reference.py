@@ -20,7 +20,7 @@ import math
 from hotlane import oracle
 from hotlane.equilibrium import RegimeLabel
 from hotlane.errors import GapNonPositive, ValidationError
-from hotlane.latency import BprParams, DesignParams, StrategyShares, lane_flows, lane_times, latency_gap
+from hotlane.latency import BprParams, DesignParams, StrategyShares, _capacities, lane_flows, lane_times, latency_gap
 from hotlane.oracle import OracleConfig
 from hotlane.population import PopulationParams
 
@@ -135,7 +135,8 @@ def action_cost(
     ``tau`` and carpooling adds the agent's ``gamma``. The payoff that
     :func:`best_response_at_gap` minimizes.
     """
-    _, (time_ordinary, time_hot) = lane_times(sigma.as_tuple(), pop.demand, design.occupancy, design.rho, bpr)
+    capacities = _capacities(design.rho, bpr)
+    _, (time_ordinary, time_hot) = lane_times(sigma.as_tuple(), pop.demand, design.occupancy, capacities, bpr)
     if action is ActionLabel.ORDINARY:
         return beta * time_ordinary
     if action is ActionLabel.TOLL:

@@ -321,6 +321,90 @@ def test_revenue_is_zero_exactly_in_regime_a(make_config):
 
 
 @pytest.mark.parametrize("make_config", [i880_config, _dense_config, _congested_config])
+def test_regime_a_does_not_depend_on_tau(make_config):
+    """Every solved Regime-A point equals, bit for bit, the point at ``tau = gamma_max`` with
+    the same rho, and a point is in Regime B exactly when ``tau < min(gamma_max, beta_max * g_A)``,
+    with ``g_A`` the gap solved at ``tau = gamma_max``. The step counts may differ."""
+    config = make_config()
+    pop = config.population
+    table = solve_batch(*config.design_grid(), pop, config.bpr)
+    at_cap = solve_batch(pop.gamma_max, table.rho, table.occupancy, pop, config.bpr)
+    assert not at_cap.errors
+    regime_b = table.regime == list(RegimeLabel).index(RegimeLabel.B)
+    regime_a = table.solved & ~regime_b
+    assert regime_a.any()
+    for name in ("shares", "gap", "latencies", "avg_time", "revenue"):
+        column, reference = getattr(table, name)[..., regime_a], getattr(at_cap, name)[..., regime_a]
+        assert column.tobytes() == reference.tobytes(), name
+    tau_ab = np.minimum(pop.gamma_max, pop.beta_max * at_cap.gap)
+    assert ((table.tau < tau_ab) == regime_b)[table.solved].all()
+
+
+# The sweep rows as the formatter wrote them before it reused runs of equal
+# tails: one format string per row, and a failed row overwritten.
+_REFERENCE_ROW = ",".join("{}" if column == "regime" else "{:.12g}" for column in SWEEP_COLUMNS).format
+_REFERENCE_ERROR = ("{:.12g},{:.12g},ERROR" + "," * (len(SWEEP_COLUMNS) - 3)).format
+
+
+def _reference_lines(table) -> list[str]:
+    toll, pool, ordinary = table.shares.tolist()
+    time_ordinary, time_hot = table.latencies.tolist()
+    regime = [list(RegimeLabel)[code].value for code in table.regime.tolist()]
+    tau, rho, gap, avg_time, revenue, residual = (
+        column.tolist() for column in (table.tau, table.rho, table.gap, table.avg_time, table.revenue, table.residual)
+    )
+    columns = [tau, rho, regime, toll, pool, ordinary, gap, time_hot, time_ordinary, avg_time, revenue, residual]
+    lines = list(map(_REFERENCE_ROW, *columns))
+    for i in table.errors:
+        lines[i] = _REFERENCE_ERROR(table.tau[i], table.rho[i])
+    return lines
+
+
+@pytest.mark.parametrize("make_config, tails", [(i880_config, 5), (_dense_config, 555), (_congested_config, 2991)])
+def test_lines_match_per_row_formatting(make_config, tails, monkeypatch):
+    """The rows equal the per-row reference on a whole grid, its Pareto front and one row,
+    and a grid formats one tail per run: its Regime-B rows plus one per rho."""
+    config = make_config()
+    table = solve_batch(*config.design_grid(), config.population, config.bpr)
+    calls = []
+    row_format = cli_mod._ROW_FORMAT
+
+    def counted(*cells):
+        calls.append(cells)
+        return row_format(*cells)
+
+    monkeypatch.setattr(cli_mod, "_ROW_FORMAT", counted)
+    assert cli_mod._lines(table) == _reference_lines(table)
+    assert len(calls) == tails
+    for part in (table.take(pareto_front(table)), table.take([len(table) // 2]), table.take([])):
+        assert cli_mod._lines(part) == _reference_lines(part)
+
+
+def _crafted(case: str):
+    """Six Regime-A rows of one dense-grid rho, their tails bit for bit equal, with ``case`` edited in."""
+    config = _dense_config()
+    rows = solve_batch(*config.design_grid(), config.population, config.bpr).take(slice(94, 100))
+    assert len({line.split(",", 1)[1] for line in _reference_lines(rows)}) == 1
+    if case == "signed zero":  # 0.0 == -0.0, but the cells read "0" and "-0"
+        revenue = rows.revenue.copy()
+        revenue[[2, 4]] = -0.0
+        return dataclasses.replace(rows, revenue=revenue)
+    if case == "nan":  # two NaN payloads next to each other
+        gap = rows.gap.copy()
+        gap[1:3] = np.nan
+        gap[3:4] = np.array([0x7FF8000000000001], dtype=np.int64).view(float)
+        return dataclasses.replace(rows, gap=gap)
+    # Errors first, last and between rows 1 and 3, whose tails are equal.
+    return dataclasses.replace(rows, errors={i: HotLaneError("synthetic failure") for i in (0, 2, 5)})
+
+
+@pytest.mark.parametrize("case", ["signed zero", "nan", "errors"])
+def test_lines_match_per_row_formatting_on_crafted_rows(case):
+    rows = _crafted(case)
+    assert cli_mod._lines(rows) == _reference_lines(rows)
+
+
+@pytest.mark.parametrize("make_config", [i880_config, _dense_config, _congested_config])
 def test_pareto_front_is_a_strict_chain(make_config):
     """Both objectives strictly increase along the global front of each grid and, on the
     I-880 grid, along each rho's front, where the list path gives the same positions."""

@@ -10,7 +10,7 @@ from hotlane import (
     ValidationError,
     latency_gap,
 )
-from hotlane.latency import bpr_time, lane_flows, lane_times, on_simplex
+from hotlane.latency import _capacities, bpr_time, lane_flows, lane_times, on_simplex
 
 # Frozen from 40-digit evaluation of the latency formulas.
 L_ORD_115_HALF = 22.08113101669877
@@ -163,7 +163,7 @@ def test_lane_times_elementwise(i880_bpr):
     profiles = [StrategyShares(0.0, 0.0, 1.0), StrategyShares(0.2, 0.3, 0.5), StrategyShares(0.0, 0.3, 0.7)]
     rhos = [0.25, 0.5, 0.75]
     shares = tuple(np.array(column) for column in zip(*(sigma.as_tuple() for sigma in profiles)))
-    flows, times = lane_times(shares, 115.0, 2.5, np.array(rhos), i880_bpr)
+    flows, times = lane_times(shares, 115.0, 2.5, _capacities(np.array(rhos), i880_bpr), i880_bpr)
     for k, (sigma, rho) in enumerate(zip(profiles, rhos)):
         assert (flows[0][k], flows[1][k]) == lane_flows(*sigma.as_tuple(), 115.0, 2.5)
         gap = latency_gap(sigma, DesignParams(rho=rho, tau=1.0, occupancy=2.5), 115.0, i880_bpr)

@@ -226,10 +226,11 @@ def test_oracle_labelings_per_point(i880_pop, i880_bpr, oracle_cfg, monkeypatch)
     assert np.median(calls) <= 3
     assert max(calls) <= 20
     # The 19 points whose equilibrium straddles two grid labelings stop once
-    # the bracket ends are adjacent labelings, not at float resolution.
+    # the bracket ends are adjacent labelings, not at float resolution, and
+    # relabel an end's own gap only outside every interval already labeled.
     straddles = [count for (rho, tau), count in zip(I880_POINTS, calls) if rho == 0.75 and tau >= 1.0]
     assert len(straddles) == 19
-    assert sum(straddles) <= 19 * 10
+    assert sum(straddles) <= 142
 
 
 def test_oracle_i880_shares_pinned(i880_pop, i880_bpr, oracle_cfg):
