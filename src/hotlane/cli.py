@@ -23,8 +23,8 @@ import numpy as np
 
 from .design import comparative_statics_scan, pareto_front
 from .equilibrium import EquilibriumBatch, RegimeLabel, solve, solve_batch
-from .errors import HotLaneError, NoConvergence, ParseError, ValidationError, require_finite
-from .latency import BprParams, DesignParams, check_design, check_rho_grid
+from .errors import HotLaneError, NoConvergence, ParseError, ValidationError, check_fields
+from .latency import BprParams, DesignParams, check_rho_grid
 from .oracle import OracleConfig, _solve_tolerance, oracle_equilibrium
 from .population import PopulationParams
 
@@ -82,13 +82,8 @@ class RunConfig:
     oracle: OracleConfig
 
     def __post_init__(self):
-        require_finite(self)
-        check_design(occupancy=self.occupancy)
+        check_fields(self)
         check_rho_grid(self.rho_values)
-        if not self.tau_min > 0:
-            raise ValidationError(f"tau_min must be > 0, got {self.tau_min}")
-        if not self.tau_step > 0:
-            raise ValidationError(f"tau_step must be > 0, got {self.tau_step}")
         if not self.tau_min <= self.tau_max:
             raise ValidationError(f"tau_min must be <= tau_max, got {self.tau_min} > {self.tau_max}")
         if not self._tau_steps() < np.iinfo(np.intp).max:

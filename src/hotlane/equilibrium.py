@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GapNonPositive, HotLaneError, NoConvergence, ValidationError
-from .latency import BprParams, DesignParams, StrategyShares, _capacities, check_design, lane_times, on_simplex
+from .errors import GapNonPositive, HotLaneError, NoConvergence, ValidationError, check
+from .latency import BprParams, DesignParams, StrategyShares, _capacities, lane_times, on_simplex
 from .population import PopulationParams, _toll_levels, region_fractions
 
 __all__ = [
@@ -170,7 +170,7 @@ def _check_designs(tau, rho, occupancy) -> list[np.ndarray]:
     except ValueError as exc:
         raise ValidationError(f"tau, rho and occupancy must be numbers that broadcast to one length: {exc}") from None
     tau, rho, occupancy = (x if x.shape == shape else np.full(shape, x) for x in columns)
-    check_design(rho=rho, tau=tau, occupancy=occupancy)
+    check(rho=rho, tau=tau, occupancy=occupancy)
     return [tau, rho, occupancy]
 
 
@@ -269,27 +269,29 @@ def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> E
     elementwise, so a point's result does not depend on the rest of the batch.
     """
     tau, rho, occupancy = _check_designs(tau, rho, occupancy)
-    levels, capacities = _toll_levels(tau, pop), _capacities(rho, bpr)
-    points = [*levels, occupancy, *capacities]
+    # Extreme but valid points overflow or divide by zero on the way to a NaN or
+    # infinite column; _failures turns those into typed errors, so numpy stays quiet.
+    with np.errstate(all="ignore"):
+        levels, capacities = _toll_levels(tau, pop), _capacities(rho, bpr)
+        points = [*levels, occupancy, *capacities]
 
-    # F(0) is the gap with everyone on the ordinary lanes, the upper bracket end.
-    zeros = np.zeros_like(tau)
-    _, (time_ordinary, time_hot) = lane_times((zeros, zeros, 1.0), pop.demand, occupancy, capacities, bpr)
-    top = time_ordinary - time_hot
-    open_ = np.flatnonzero(top > 0.0)
-    root = np.full(tau.shape, np.nan)
-    iterations = np.zeros(tau.shape, dtype=int)
-    root[open_], iterations[open_] = _gap_root(
-        np.zeros(open_.size), top[open_], top[open_], pop, bpr, [a[open_] for a in points]
-    )
+        # F(0) is the gap with everyone on the ordinary lanes, the upper bracket end.
+        zeros = np.zeros_like(tau)
+        _, (time_ordinary, time_hot) = lane_times((zeros, zeros, 1.0), pop.demand, occupancy, capacities, bpr)
+        top = time_ordinary - time_hot
+        open_ = np.flatnonzero(top > 0.0)
+        root = np.full(tau.shape, np.nan)
+        iterations = np.zeros(tau.shape, dtype=int)
+        root[open_], iterations[open_] = _gap_root(
+            np.zeros(open_.size), top[open_], top[open_], pop, bpr, [a[open_] for a in points]
+        )
 
-    shares = np.array(region_fractions(np.where(root > 0.0, root, 1.0), levels, pop))
-    flows, latencies = (np.array(pair) for pair in lane_times(shares, pop.demand, occupancy, capacities, bpr))
-    toll, pool, ordinary = shares
-    time_ordinary, time_hot = latencies
-    gap = time_ordinary - time_hot
-    regime = np.where(toll > 0.0, 2, np.where(pop.beta_max * root > pop.gamma_max, 1, 0))
-    with np.errstate(divide="ignore", invalid="ignore"):
+        shares = np.array(region_fractions(np.where(root > 0.0, root, 1.0), levels, pop))
+        flows, latencies = (np.array(pair) for pair in lane_times(shares, pop.demand, occupancy, capacities, bpr))
+        toll, pool, ordinary = shares
+        time_ordinary, time_hot = latencies
+        gap = time_ordinary - time_hot
+        regime = np.where(toll > 0.0, 2, np.where(pop.beta_max * root > pop.gamma_max, 1, 0))
         printed = np.choose(
             regime,
             [
@@ -298,10 +300,10 @@ def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> E
                 (1.0 - tau / (pop.beta_max * gap)) * (pop.gamma_max - tau) / pop.gamma_max - toll,
             ],
         )
-    residual = np.abs(printed)
-    errors = _failures(top, root, shares, regime, residual)
-    avg_time = (toll + pool) * time_hot + ordinary * time_ordinary
-    revenue = pop.demand * toll * tau
+        residual = np.abs(printed)
+        errors = _failures(top, root, shares, regime, residual)
+        avg_time = (toll + pool) * time_hot + ordinary * time_ordinary
+        revenue = pop.demand * toll * tau
     return EquilibriumBatch(
         tau, rho, occupancy, shares, regime, gap, flows, residual, iterations, latencies, avg_time, revenue, errors
     )

@@ -1,6 +1,13 @@
-"""Exception types shared across the package, and the finiteness check of the parameter types."""
+"""Exception types shared across the package, and the parameter domain.
+
+``_DOMAIN`` is the one statement of every numeric parameter field's range:
+:func:`check_fields` applies it to a parameter dataclass, and :func:`check`
+to named floats or numpy columns.
+"""
 
 import math
+
+import numpy as np
 
 
 class HotLaneError(Exception):
@@ -21,7 +28,7 @@ class NoConvergence(HotLaneError):
     It is raised in three cases:
 
     * Cap: a bracketing search spent its step cap with the bracket still
-      open. The oracle's message says "cap" (``OracleConfig.max_iters``
+      open. The oracle's message says "cap" (its ``MAX_LABELINGS``
       labelings); the solver's says "still open after" its ``MAX_BISECT``
       steps.
     * Straddle (the message says "straddle"): the grid oracle found no
@@ -32,8 +39,8 @@ class NoConvergence(HotLaneError):
       root leaves its printed regime equation with a residual above
       ``RESIDUAL_TOL``.
 
-    Only the cap means that a larger cap can help; retrying a straddle or a
-    residual failure with more iterations gives the same error.
+    Only the cap means that more steps can help; a straddle or a residual
+    failure gives the same error after any number of iterations.
     ``last_value`` and ``residual`` carry the best state reached and its
     error where the raiser has them, and are ``None`` otherwise.
     """
@@ -48,8 +55,45 @@ class GapNonPositive(HotLaneError):
     """No strategy profile yields a faster HOT lane; bad latency parameters."""
 
 
-def require_finite(params) -> None:
-    """Raise ``ValidationError`` naming the first float field of the dataclass ``params`` that is not finite."""
-    for name, value in vars(params).items():
+# The parameter domain: one (rule, text) per numeric field of the parameter types,
+# elementwise over floats or numpy arrays. check_fields rejects infinities before
+# any rule; the tau and occupancy rules also reject them, for the design columns.
+_DOMAIN = {
+    **dict.fromkeys(
+        ("demand", "beta_max", "gamma_max", "a", "t_free", "v_cap", "tau_min", "tau_step"),
+        (lambda x: x > 0.0, "be > 0"),
+    ),
+    "b": (lambda x: x >= 1.0, "be >= 1"),
+    "rho": (lambda x: (0.0 < x) & (x < 1.0), "lie in the open interval (0, 1)"),
+    "tau": (lambda x: (0.0 < x) & (x < math.inf), "be finite and > 0"),
+    "occupancy": (lambda x: (2.0 <= x) & (x < math.inf), "be finite and >= 2"),
+    "grid_n": (lambda x: (x >= 10) & (x % 1 == 0), "be a whole number >= 10"),
+}
+
+
+def check(**values) -> None:
+    """Raise ``ValidationError`` at the first value outside its ``_DOMAIN`` rule.
+
+    ``values`` maps field names to floats or 1-d numpy arrays; they are
+    checked in the order given, and in an array the message names the first
+    bad index as a design point.
+    """
+    for name, value in values.items():
+        holds, rule = _DOMAIN[name]
+        ok = holds(value)
+        if isinstance(ok, np.ndarray):
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise ValidationError(f"design point {i}: {name} must {rule}, got {value[i]}")
+        elif not ok:
+            raise ValidationError(f"{name} must {rule}, got {value}")
+
+
+def check_fields(params) -> None:
+    """Raise ``ValidationError`` naming the first float field of the dataclass ``params``
+    that is not finite, then the first field outside its ``_DOMAIN`` rule."""
+    fields = vars(params)
+    for name, value in fields.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")
+    check(**{name: value for name, value in fields.items() if name in _DOMAIN})

@@ -22,9 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ValidationError, require_finite
+from .errors import ValidationError, check, check_fields
 
 __all__ = [
     "BprParams",
@@ -34,13 +32,6 @@ __all__ = [
 ]
 
 SIMPLEX_TOL = 1e-12
-
-# The design domain: one rule per DesignParams field, elementwise over floats or numpy arrays.
-_DESIGN_DOMAIN = {
-    "rho": (lambda x: (0.0 < x) & (x < 1.0), "lie in the open interval (0, 1)"),
-    "tau": (lambda x: (0.0 < x) & (x < np.inf), "be finite and > 0"),
-    "occupancy": (lambda x: (2.0 <= x) & (x < np.inf), "be finite and >= 2"),
-}
 
 
 @dataclass(frozen=True)
@@ -67,15 +58,7 @@ class BprParams:
     v_cap: float
 
     def __post_init__(self):
-        require_finite(self)
-        if not self.a > 0:
-            raise ValidationError(f"BPR coefficient a must be > 0, got {self.a}")
-        if not self.b >= 1:
-            raise ValidationError(f"BPR exponent b must be >= 1, got {self.b}")
-        if not self.t_free > 0:
-            raise ValidationError(f"free-flow time t_free must be > 0, got {self.t_free}")
-        if not self.v_cap > 0:
-            raise ValidationError(f"capacity v_cap must be > 0, got {self.v_cap}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -86,7 +69,7 @@ class DesignParams:
     one lane group with zero capacity. ``tau`` is the toll in dollars.
     ``occupancy`` is the carpool size required for free HOT access
     (fractional values such as 2.5 model mixed requirements along the
-    segment). :func:`check_design` states the domain of all three.
+    segment). ``errors._DOMAIN`` states the domain of all three.
     """
 
     rho: float
@@ -94,26 +77,7 @@ class DesignParams:
     occupancy: float
 
     def __post_init__(self):
-        require_finite(self)
-        check_design(rho=self.rho, tau=self.tau, occupancy=self.occupancy)
-
-
-def check_design(**values) -> None:
-    """Raise ``ValidationError`` at the first value outside the :class:`DesignParams` domain.
-
-    ``values`` maps any of the fields ``rho``, ``tau`` and ``occupancy`` to a
-    float or a 1-d numpy array; they are checked in the order given, and in an
-    array the message names the first bad index as a design point.
-    """
-    for name, value in values.items():
-        holds, rule = _DESIGN_DOMAIN[name]
-        ok = holds(value)
-        if isinstance(ok, np.ndarray):
-            if not ok.all():
-                i = int(np.argmin(ok))
-                raise ValidationError(f"design point {i}: {name} must {rule}, got {value[i]}")
-        elif not ok:
-            raise ValidationError(f"{name} must {rule}, got {value}")
+        check_fields(self)
 
 
 def check_rho_grid(rho_values) -> None:
@@ -123,7 +87,7 @@ def check_rho_grid(rho_values) -> None:
     if not rho_values:
         raise ValidationError("rho_values must be non-empty")
     for rho in rho_values:
-        check_design(rho=rho)
+        check(rho=rho)
     if any(b <= a for a, b in zip(rho_values, rho_values[1:])):
         raise ValidationError(f"rho_values must be strictly increasing, got {rho_values}")
 

@@ -45,24 +45,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, ValidationError
+from .errors import NoConvergence, check_fields
 from .latency import BprParams, DesignParams, StrategyShares, latency_gap
 from .population import PopulationParams
 
-__all__ = ["OracleConfig", "oracle_equilibrium"]
+__all__ = ["OracleConfig", "oracle_equilibrium", "MAX_LABELINGS"]
+
+MAX_LABELINGS = 10000
+
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Grid resolution (agent types per axis) and the cap on grid labelings."""
+    """Grid resolution: agent types per axis."""
 
     grid_n: int = 2000
-    max_iters: int = 10000
 
     def __post_init__(self):
-        if not self.grid_n >= 10:
-            raise ValidationError(f"grid_n must be >= 10, got {self.grid_n}")
-        if not self.max_iters >= 1:
-            raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
+        check_fields(self)
 
 
 def _solve_tolerance(grid_n: int) -> float:
@@ -193,7 +192,7 @@ def oracle_equilibrium(
       :class:`NoConvergence` says "straddle", with that end's shares as
       ``last_value`` and its self-residual, in share units, as
       ``residual``.
-    * Cap: ``max_iters`` labelings are spent. :class:`NoConvergence` says
+    * Cap: ``MAX_LABELINGS`` labelings are spent. :class:`NoConvergence` says
       "cap". Its ``last_value`` is the lower end's labeling, and its
       ``residual`` is the max-norm share distance between the two ends'
       labelings, which bounds the distance to a self-consistent state if one
@@ -220,9 +219,9 @@ def oracle_equilibrium(
 
     def label(g: float) -> tuple[tuple[int, int], float, float]:
         nonlocal labelings
-        if labelings == cfg.max_iters:
+        if labelings == MAX_LABELINGS:
             raise NoConvergence(
-                f"oracle bracket still open after the cap of {cfg.max_iters} labelings",
+                f"oracle bracket still open after the cap of {MAX_LABELINGS} labelings",
                 last_value=as_shares(s_lo),
                 residual=distance(s_lo, s_hi) / total,
             )

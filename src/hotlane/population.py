@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, require_finite
+from .errors import check_fields
 from .latency import StrategyShares
 
 __all__ = ["PopulationParams", "region_measures_at_gap"]
@@ -48,13 +48,7 @@ class PopulationParams:
     gamma_max: float
 
     def __post_init__(self):
-        require_finite(self)
-        if not self.demand > 0:
-            raise ValidationError(f"demand must be > 0, got {self.demand}")
-        if not self.beta_max > 0:
-            raise ValidationError(f"beta_max must be > 0, got {self.beta_max}")
-        if not self.gamma_max > 0:
-            raise ValidationError(f"gamma_max must be > 0, got {self.gamma_max}")
+        check_fields(self)
 
 
 def _toll_levels(tau, pop: PopulationParams):

@@ -38,6 +38,7 @@ from hotlane.cli import (
     parse_config_text,
 )
 from hotlane import cli as cli_mod
+from hotlane import oracle
 
 I880_TEXT = """
 # I-880 calibration
@@ -91,6 +92,8 @@ def test_parse_errors_report_line_and_key():
         parse_config_text("not a key value line")
     with pytest.raises(ParseError, match="unknown key"):
         parse_config_text("mystery = 1.0")
+    with pytest.raises(ParseError, match="unknown key 'oracle.max_iters'"):  # the labeling cap is a constant
+        parse_config_text(I880_TEXT + "oracle.max_iters = 5\n")
     with pytest.raises(ParseError, match="bad value"):
         parse_config_text("tau_min = abc")
     with pytest.raises(ParseError, match="duplicate"):
@@ -221,12 +224,9 @@ def test_cmd_verify_passes(capsys):
     assert "solver:" in out and "oracle:" in out
 
 
-def test_cmd_verify_oracle_failure_distinct(capsys):
-    import dataclasses
-
-    config = i880_config()
-    config = dataclasses.replace(config, oracle=dataclasses.replace(config.oracle, max_iters=2))
-    assert cmd_verify(config, tau=1.0, rho=0.75) == 2
+def test_cmd_verify_oracle_failure_distinct(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_LABELINGS", 2)
+    assert cmd_verify(i880_config(), tau=1.0, rho=0.75) == 2
     assert "failed to converge" in capsys.readouterr().err
 
 

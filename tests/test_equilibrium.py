@@ -5,6 +5,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +385,23 @@ def test_open_bracket_at_the_cap_is_an_error(i880_pop, i880_bpr, monkeypatch):
         solve(designs[0], i880_pop, i880_bpr)
     table = solve_batch(*_columns(designs), i880_pop, i880_bpr)
     assert sorted(table.errors) == [0, 1] and not table.solved.any()
+
+
+@pytest.mark.parametrize(
+    "rho, pop, error",
+    [
+        (1e-300, PopulationParams(demand=115.0, beta_max=1.5, gamma_max=8.0), NoConvergence),
+        (0.5, PopulationParams(demand=1e300, beta_max=1.5, gamma_max=8.0), ValidationError),
+        (0.5, PopulationParams(demand=115.0, beta_max=1.5, gamma_max=1e-300), NoConvergence),
+    ],
+)
+def test_extreme_points_fail_typed_without_warnings(rho, pop, error, i880_bpr):
+    """Overflow and division by zero at extreme but valid points end in the point's typed
+    error, with no numpy warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        errors = solve_batch([1.0], [rho], [2.5], pop, i880_bpr).errors
+    assert [type(e) for e in errors.values()] == [error] and list(errors) == [0]
 
 
 def test_solve_batch_empty(i880_pop, i880_bpr):

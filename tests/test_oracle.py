@@ -35,8 +35,9 @@ def test_oracle_config_validation():
     OracleConfig()
     with pytest.raises(ValidationError):
         OracleConfig(grid_n=5)
-    with pytest.raises(ValidationError):
-        OracleConfig(max_iters=0)
+    # An infinite grid once reached numpy as an untyped "Maximum allowed size exceeded".
+    with pytest.raises(ValidationError, match="^grid_n must be finite, got inf$"):
+        OracleConfig(grid_n=math.inf)
 
 
 def _loop_shares(sigma, design, pop, bpr, grid_n):
@@ -108,7 +109,7 @@ def test_oracle_equilibrium_fixed_point(i880_pop, i880_bpr, oracle_cfg):
         floor = 2.0 / oracle_cfg.grid_n
         for a, b in zip(shares.as_tuple(), again.as_tuple()):
             assert abs(a - b) <= floor
-        assert 1 <= iterations <= oracle_cfg.max_iters
+        assert 1 <= iterations <= oracle.MAX_LABELINGS
 
 
 def test_oracle_matches_solver_named_point(i880_pop, i880_bpr, oracle_cfg):
@@ -316,10 +317,10 @@ def test_oracle_straddle_surfaced():
     assert _self_residual(best, design, CONGESTED_POP, CONGESTED_BPR, cfg) == round(excinfo.value.residual * total)
 
 
-def test_oracle_no_convergence_surfaced(i880_pop, i880_bpr):
-    cfg = OracleConfig(max_iters=3)
+def test_oracle_no_convergence_surfaced(i880_pop, i880_bpr, monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_LABELINGS", 3)
     with pytest.raises(NoConvergence) as excinfo:
-        oracle_equilibrium(DesignParams(0.75, 0.5, 2.5), i880_pop, i880_bpr, cfg)
+        oracle_equilibrium(DesignParams(0.75, 0.5, 2.5), i880_pop, i880_bpr, OracleConfig())
     assert "cap" in str(excinfo.value) and "straddle" not in str(excinfo.value)
     assert isinstance(excinfo.value.last_value, StrategyShares)
     assert excinfo.value.residual is not None
