@@ -59,9 +59,10 @@ _COLUMN_LABELS = (
     ("residual", "residual"),
 )
 SWEEP_COLUMNS = tuple(column for column, _ in _COLUMN_LABELS)
-# The two formats of a row's tail (its cells after tau); a failed point keeps rho, then "ERROR" and blanks.
-_ROW_FORMAT = ",".join("{}" if column == "regime" else "{:.12g}" for column in SWEEP_COLUMNS[1:]).format
-_ERROR_FORMAT = ("{:.12g},ERROR" + "," * (len(SWEEP_COLUMNS) - 3)).format
+# The two formats of a row's tail (its cells after tau), each taking the tail's cells as one tuple;
+# a failed point keeps rho, then "ERROR" and blanks. "%.12g" % x is format(x, ".12g") for every float.
+_ROW_FORMAT = ",".join("%s" if column == "regime" else "%.12g" for column in SWEEP_COLUMNS[1:]).__mod__
+_ERROR_FORMAT = ("%.12g,ERROR" + "," * (len(SWEEP_COLUMNS) - 3)).__mod__
 _REGIME_CELLS = tuple(label.value for label in RegimeLabel)
 # A statics row is a slice of the sweep row.
 _STATICS_CELLS = slice(1, 7)
@@ -206,21 +207,30 @@ def _columns(table: EquilibriumBatch) -> list[np.ndarray]:
     ]
 
 
+def _bits(column: np.ndarray) -> np.ndarray:
+    """The column as same-width ints: equal exactly when bit-identical, so -0.0 and 0.0 differ."""
+    return column.view(f"i{column.itemsize}")
+
+
 def _lines(table: EquilibriumBatch) -> list[str]:
     """One sweep CSV line per point: floats to 12 significant digits, a failed point as
     tau, rho, ``ERROR`` and blank cells. No cell holds a comma, so ``split(",")`` gives the cells back.
-    A line is the tau cell and a tail, and a row whose tail cells equal the row before's, bit for bit,
-    reuses its formatted tail; a failed row formats its own, and the row after it starts a new run."""
+    A line is the tau cell and a tail. Each bit-distinct tau is formatted once, and a row whose tail
+    cells equal the row before's, bit for bit, reuses its formatted tail; a failed row formats its
+    own, and the row after it starts a new run."""
     tau, *tail = _columns(table)
     failed = ~table.solved
     new = failed | np.r_[True, failed[:-1]]  # where a run of equal tails starts
-    for bits in (column.view(f"i{column.itemsize}") for column in tail):  # -0.0 and 0.0 differ in bits
+    for bits in map(_bits, tail):
         new[1:] |= bits[1:] != bits[:-1]
     first = np.flatnonzero(new)
     cells = [column[first].tolist() for column in tail]
     cells[1] = [_REGIME_CELLS[code] for code in cells[1]]
-    tails = [_ERROR_FORMAT(rho) if bad else _ROW_FORMAT(rho, *rest) for bad, rho, *rest in zip(failed[first], *cells)]
-    return [f"{t:.12g},{tails[run]}" for t, run in zip(tau.tolist(), (np.cumsum(new) - 1).tolist())]
+    rows = zip(failed[first].tolist(), zip(*cells))
+    tails = [_ERROR_FORMAT(row[0]) if bad else _ROW_FORMAT(row) for bad, row in rows]
+    distinct, which = np.unique(_bits(tau), return_inverse=True)
+    heads = ["%.12g," % t for t in distinct.view(tau.dtype).tolist()]
+    return [heads[h] + tails[run] for h, run in zip(which.tolist(), (np.cumsum(new) - 1).tolist())]
 
 
 def cmd_equilibrium(config: RunConfig, tau: float, rho: float, json_output: bool = False) -> int:
@@ -273,13 +283,11 @@ def cmd_pareto(config: RunConfig, out_path: str | Path, per_rho: bool = False) -
     lines = [",".join(SWEEP_COLUMNS) + ",front_id"]
     lines += [f"{line},global" for line in _lines(table.take(pareto_front(table)))]
     if per_rho:
-        # The rows are rho-major, so each rho's points are one contiguous slice.
+        # The rows are rho-major: row i has the rho at index i // n_tau.
         n_tau = len(table) // len(config.rho_values)
-        for k, rho in enumerate(config.rho_values):
-            subset = table.take(slice(k * n_tau, (k + 1) * n_tau))
-            if subset.solved.any():  # a rho whose every point failed has no front
-                front = subset.take(pareto_front(subset))
-                lines += [f"{line},rho={_fmt(rho)}" for line in _lines(front)]
+        front = pareto_front(table, np.arange(len(table)) // n_tau)
+        labels = [f",rho={_fmt(rho)}" for rho in config.rho_values]
+        lines += [line + labels[k] for line, k in zip(_lines(table.take(front)), (front // n_tau).tolist())]
     Path(out_path).write_text("\n".join(lines) + "\n")
     return int(bool(table.errors))
 

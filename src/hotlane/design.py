@@ -29,7 +29,7 @@ def evaluate_design(design: DesignParams, pop: PopulationParams, bpr: BprParams)
     return solve(design, pop, bpr)
 
 
-def pareto_front(results: list[EquilibriumOutcome] | EquilibriumBatch) -> np.ndarray:
+def pareto_front(results: list[EquilibriumOutcome] | EquilibriumBatch, groups=None) -> np.ndarray:
     """Positions in ``results`` of its non-dominated points under (minimize avg_time, maximize revenue).
 
     A point dominates another when it is no slower and no less profitable,
@@ -39,10 +39,18 @@ def pareto_front(results: list[EquilibriumOutcome] | EquilibriumBatch) -> np.nda
     points are skipped. The int array is in front order, by ascending
     ``avg_time``; ``batch.take(front)`` or ``results[i]`` gives the points.
 
-    A stable lexsort by (avg_time, -revenue) puts each point after every
-    point that dominates it, and exact ties in input order; a point is kept
-    when its revenue beats the running maximum of the points before it, so
-    both coordinates strictly increase along the front.
+    ``groups``, an int label per result, asks for one front per label in one
+    pass: the fronts of the labels in ascending order, one after another, each
+    the positions ``pareto_front`` gives on that label's results alone. A label
+    whose every point failed has no front. ``None`` is one group.
+
+    A stable lexsort by (group, avg_time, -revenue, position) puts each point
+    after every point of its group that dominates it, and exact ties in input
+    order; a point is kept when its revenue beats the running maximum of the
+    points before it in its group, so both coordinates strictly increase along
+    each front. The running maximum is over exact integer keys, the group's
+    rank times ``n + 1`` plus the revenue's rank, so no group's key reaches the
+    next one's.
     """
     if isinstance(results, EquilibriumBatch):
         positions = np.flatnonzero(results.solved)
@@ -53,10 +61,19 @@ def pareto_front(results: list[EquilibriumOutcome] | EquilibriumBatch) -> np.nda
         revenue = np.array([p.revenue for p in results], dtype=float)
     if not positions.size:
         raise ValidationError("pareto_front requires at least one result")
-    order = np.lexsort((np.arange(positions.size), -revenue, avg_time))
-    revenue = revenue[order]
-    best = np.maximum.accumulate(revenue)
-    return positions[order[np.concatenate(([True], revenue[1:] > best[:-1]))]]
+    if groups is None:
+        group = np.zeros(positions.size, dtype=np.intp)
+    else:
+        groups = np.asarray(groups)
+        if groups.shape != (len(results),) or not np.issubdtype(groups.dtype, np.integer):
+            raise ValidationError(f"groups must be {len(results)} int labels, one per result")
+        group = groups[positions]
+    order = np.lexsort((positions, -revenue, avg_time, group))
+    group = group[order]
+    rank = np.cumsum(np.concatenate(([0], group[1:] != group[:-1])))
+    key = rank * (positions.size + 1) + np.unique(revenue, return_inverse=True)[1][order]
+    best = np.maximum.accumulate(key)
+    return positions[order[np.concatenate(([True], key[1:] > best[:-1]))]]
 
 
 def comparative_statics_scan(

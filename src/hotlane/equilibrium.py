@@ -192,8 +192,10 @@ def _gap_root(lo, hi, f_lo, pop: PopulationParams, bpr: BprParams, points: list[
     """
     root = np.full(lo.shape, np.nan)
     iterations = np.zeros(lo.shape, dtype=int)
-    # Working arrays hold the points still open; ``index`` maps them back.
+    # Working arrays hold the points still open; ``index`` maps them back. The
+    # bracket arrays are this function's own copies, updated in place each step.
     index = np.arange(lo.size)
+    lo, hi, f_lo = (np.array(a, dtype=float) for a in (lo, hi, f_lo))
     f_hi = _excess(hi, pop, bpr, *points)
     moved_lo = moved_hi = np.zeros(lo.size, dtype=bool)  # ends the last step replaced
     mid = 0.5 * (lo + hi)
@@ -201,15 +203,18 @@ def _gap_root(lo, hi, f_lo, pop: PopulationParams, bpr: BprParams, points: list[
         if not index.size:
             break
         x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
-        x = np.where((lo < x) & (x < hi), x, mid)
+        np.putmask(mid, (lo < x) & (x < hi), x)  # mid is recomputed below, so it can hold x
+        x = mid
         fx = _excess(x, pop, bpr, *points)
         # F(x) == 0 replaces both ends, closing the bracket on the root.
         to_lo, to_hi = fx >= 0.0, fx <= 0.0
         # Illinois: an end kept twice running has its stored value halved.
-        f_hi = np.where(to_lo & moved_lo, 0.5 * f_hi, f_hi)
-        f_lo = np.where(to_hi & moved_hi, 0.5 * f_lo, f_lo)
-        lo, f_lo = np.where(to_lo, x, lo), np.where(to_lo, fx, f_lo)
-        hi, f_hi = np.where(to_hi, x, hi), np.where(to_hi, fx, f_hi)
+        np.putmask(f_hi, to_lo & moved_lo, 0.5 * f_hi)
+        np.putmask(f_lo, to_hi & moved_hi, 0.5 * f_lo)
+        np.putmask(lo, to_lo, x)
+        np.putmask(f_lo, to_lo, fx)
+        np.putmask(hi, to_hi, x)
+        np.putmask(f_hi, to_hi, fx)
         moved_lo, moved_hi = to_lo, to_hi
         mid = 0.5 * (lo + hi)
         done = (mid == lo) | (mid == hi)

@@ -20,6 +20,7 @@ Every lane time in the package comes from :func:`lane_times`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError, check, check_fields
@@ -133,9 +134,15 @@ def bpr_time(flow, capacity, bpr: BprParams):
     """Volume-delay curve ``t_free * (1 + (a * flow / capacity) ** b)``.
 
     Elementwise over floats or numpy arrays and unvalidated: the one
-    definition of the curve behind :func:`lane_times`.
+    definition of the curve behind :func:`lane_times`. A power too large for a
+    float is ``inf`` on both: numpy gives it, and Python's float ``**``, which
+    raises ``OverflowError`` instead, is caught here.
     """
-    return bpr.t_free * (1.0 + (bpr.a * flow / capacity) ** bpr.b)
+    try:
+        power = (bpr.a * flow / capacity) ** bpr.b
+    except OverflowError:
+        power = math.inf
+    return bpr.t_free * (1.0 + power)
 
 
 def _capacities(rho, bpr: BprParams):

@@ -8,8 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import hotlane
 from hotlane import (
@@ -290,6 +292,26 @@ def test_cmd_sweep_error_rows(tmp_path, monkeypatch):
     assert all(cell == "" for cell in cells[3:])
 
 
+def test_cmd_pareto_skips_a_rho_whose_every_point_failed(tmp_path, monkeypatch):
+    """The per-rho fronts of a grid whose middle rho failed everywhere are the clean run's
+    fronts without that rho's rows, and the command exits 1 for the ERROR points."""
+    clean = tmp_path / "clean.csv"
+    assert cmd_pareto(i880_config(), clean, per_rho=True) == 0
+    original = cli_mod.solve_batch
+
+    def failing_solve_batch(tau, rho, occupancy, pop, bpr):
+        batch = original(tau, rho, occupancy, pop, bpr)
+        failed = np.flatnonzero(batch.rho == 0.5).tolist()
+        return dataclasses.replace(batch, errors={i: HotLaneError("synthetic failure") for i in failed})
+
+    monkeypatch.setattr(cli_mod, "solve_batch", failing_solve_batch)
+    out = tmp_path / "pareto.csv"
+    assert cmd_pareto(i880_config(), out, per_rho=True) == 1
+    per_rho = [line for line in out.read_text().splitlines() if ",rho=" in line]
+    assert per_rho == [line for line in clean.read_text().splitlines() if ",rho=" in line and not line.endswith("=0.5")]
+    assert {line.rsplit("=", 1)[1] for line in per_rho} == {"0.25", "0.75"}
+
+
 def _dense_config():
     step = (12.0 - 0.1) / 99
     rho = tuple(float(r) for r in np.linspace(0.05, 0.95, 50))
@@ -340,6 +362,24 @@ def test_regime_a_does_not_depend_on_tau(make_config):
     assert ((table.tau < tau_ab) == regime_b)[table.solved].all()
 
 
+def _off_grid_config():
+    """The dense grid with every toll moved off it by 0.37 of a step: tolls that need all 12 digits."""
+    config = _dense_config()
+    shift = 0.37 * config.tau_step
+    return dataclasses.replace(config, tau_min=config.tau_min + shift, tau_max=config.tau_max + shift)
+
+
+@hypothesis.settings(max_examples=2000, derandomize=True, database=None, deadline=None)
+@hypothesis.given(x=st.floats())
+@hypothesis.example(x=-0.0)
+@hypothesis.example(x=5e-324)
+@hypothesis.example(x=float("-inf"))
+@hypothesis.example(x=float("nan"))
+def test_percent_format_is_format_spec(x):
+    """The row formats' "%.12g" writes every float as format(x, ".12g") does."""
+    assert "%.12g" % x == format(x, ".12g")
+
+
 # The sweep rows as the formatter wrote them before it reused runs of equal
 # tails: one format string per row, and a failed row overwritten.
 _REFERENCE_ROW = ",".join("{}" if column == "regime" else "{:.12g}" for column in SWEEP_COLUMNS).format
@@ -360,7 +400,9 @@ def _reference_lines(table) -> list[str]:
     return lines
 
 
-@pytest.mark.parametrize("make_config, tails", [(i880_config, 5), (_dense_config, 555), (_congested_config, 2991)])
+@pytest.mark.parametrize(
+    "make_config, tails", [(i880_config, 5), (_dense_config, 555), (_congested_config, 2991), (_off_grid_config, 542)]
+)
 def test_lines_match_per_row_formatting(make_config, tails, monkeypatch):
     """The rows equal the per-row reference on a whole grid, its Pareto front and one row,
     and a grid formats one tail per run: its Regime-B rows plus one per rho."""
@@ -386,9 +428,10 @@ def _crafted(case: str):
     rows = solve_batch(*config.design_grid(), config.population, config.bpr).take(slice(94, 100))
     assert len({line.split(",", 1)[1] for line in _reference_lines(rows)}) == 1
     if case == "signed zero":  # 0.0 == -0.0, but the cells read "0" and "-0"
-        revenue = rows.revenue.copy()
+        revenue, tau = rows.revenue.copy(), rows.tau.copy()
         revenue[[2, 4]] = -0.0
-        return dataclasses.replace(rows, revenue=revenue)
+        tau[[1, 3]] = 0.0, -0.0
+        return dataclasses.replace(rows, revenue=revenue, tau=tau)
     if case == "nan":  # two NaN payloads next to each other
         gap = rows.gap.copy()
         gap[1:3] = np.nan

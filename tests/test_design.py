@@ -186,7 +186,18 @@ def test_pareto_front_keeps_first_seen_duplicate(b_template):
     assert pair[front[0]] is first
 
 
+def _fronts_one_group_at_a_time(results, groups):
+    """The grouped front as separate calls: each label's front alone, labels ascending."""
+    fronts = []
+    for label in sorted(set(groups)):
+        members = [i for i, g in enumerate(groups) if g == label]
+        fronts += [members[i] for i in pareto_front([results[i] for i in members])]
+    return fronts
+
+
 def test_pareto_front_matches_brute_force_random(b_template):
+    """The front equals the brute-force one and, with random labels (few of them, so revenues
+    tie across groups), the grouped front equals each group's front taken alone."""
     rng = np.random.default_rng(99)
     for _ in range(1000):
         size = int(rng.integers(1, 201))
@@ -198,6 +209,39 @@ def test_pareto_front_matches_brute_force_random(b_template):
         fast = [results[i] for i in pareto_front(results)]
         slow = _brute_force_front(results)
         assert fast == slow
+        groups = rng.integers(-3, int(rng.integers(-2, 6)), size=size)
+        assert pareto_front(results, groups).tolist() == _fronts_one_group_at_a_time(results, groups.tolist())
+        assert pareto_front(results, np.zeros(size, dtype=int)).tolist() == pareto_front(results).tolist()
+
+
+def test_pareto_front_groups_with_revenue_ties_across_groups(b_template):
+    """A group's front is not cut short by an equal or higher revenue in an earlier group,
+    and exact duplicates in different groups are both kept."""
+    objectives = [(28.0, 9.0), (30.0, 5.0), (27.5, 5.0), (28.0, 9.0), (31.0, 9.0), (27.0, 1.0), (32.0, 12.0)]
+    groups = [4, 4, 7, 7, 7, 9, 9]
+    results = [_synthetic_result(b_template, *pair) for pair in objectives]
+    front = pareto_front(results, groups).tolist()
+    assert front == [0, 2, 3, 5, 6]
+    assert front == _fronts_one_group_at_a_time(results, groups)
+    assert pareto_front(results).tolist() == [5, 2, 0, 6]
+    with pytest.raises(ValidationError):
+        pareto_front(results, groups[:-1])
+    with pytest.raises(ValidationError):
+        pareto_front(results, np.array(groups, dtype=float))
+
+
+def test_pareto_front_groups_skip_a_group_whose_every_point_failed(i880_pop, i880_bpr):
+    """On the I-880 batch grouped by rho, a rho whose every point failed has no front, and
+    the other rhos' fronts are their slices' fronts, offset into the batch."""
+    table = solve_batch(*columns(i880_grid()), i880_pop, i880_bpr)
+    by_rho = np.arange(len(table)) // 20
+    sliced = [20 * k + pareto_front(table.take(slice(20 * k, 20 * k + 20))) for k in range(3)]
+    assert pareto_front(table, by_rho).tolist() == np.concatenate(sliced).tolist()
+    broken = dataclasses.replace(table, errors={i: HotLaneError("synthetic failure") for i in range(20, 40)})
+    assert pareto_front(broken, by_rho).tolist() == np.concatenate([sliced[0], sliced[2]]).tolist()
+    everything = dataclasses.replace(table, errors={i: HotLaneError("synthetic failure") for i in range(60)})
+    with pytest.raises(ValidationError):
+        pareto_front(everything, by_rho)
 
 
 def test_pareto_front_on_i880_sweep(i880_pop, i880_bpr):

@@ -1,5 +1,7 @@
 """Latency model: parameter validation, frozen values, curve properties."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,12 @@ def test_latency_hot_values(i880_bpr):
     # Symmetric capacities give identical curves.
     hot, ordinary = i880_bpr.v_cap * 0.5, i880_bpr.v_cap * (1 - 0.5)
     assert bpr_time(61.0, hot, i880_bpr) == bpr_time(61.0, ordinary, i880_bpr)
+
+
+def test_bpr_time_overflows_to_inf_on_floats_and_arrays(i880_bpr):
+    """A power too large for a float is ``inf`` on a Python float, as it is in numpy."""
+    with np.errstate(over="ignore"):
+        assert bpr_time(1e300, 1.0, i880_bpr) == math.inf == bpr_time(np.array([1e300]), 1.0, i880_bpr)[0]
 
 
 def test_latency_gap_symmetric_zero(i880_bpr):

@@ -332,3 +332,14 @@ def test_oracle_deterministic(i880_pop, i880_bpr):
     first = oracle_equilibrium(design, i880_pop, i880_bpr, cfg)
     second = oracle_equilibrium(design, i880_pop, i880_bpr, cfg)
     assert first == second
+
+
+@pytest.mark.parametrize("rho", [1e-100, 1e-300])
+def test_oracle_tiny_capacity_fraction(i880_pop, i880_bpr, rho):
+    """At a valid but tiny HOT capacity, one pooling agent overflows the HOT lane's
+    float volume-delay power: its time is ``inf`` and the gap ``-inf``, not an
+    ``OverflowError``, and the oracle stops one agent away from everyone ordinary."""
+    design = DesignParams(rho, 1.0, 2.5)
+    shares, _ = oracle_equilibrium(design, i880_pop, i880_bpr, OracleConfig(grid_n=2000))
+    assert shares == StrategyShares(0.0, 2.5e-07, 0.99999975)
+    assert latency_gap(shares, design, i880_pop.demand, i880_bpr) == -math.inf
