@@ -24,7 +24,7 @@ import numpy as np
 from .design import comparative_statics_scan, pareto_front
 from .equilibrium import EquilibriumBatch, RegimeLabel, solve, solve_batch
 from .errors import HotLaneError, NoConvergence, ParseError, ValidationError, check_fields
-from .latency import BprParams, DesignParams, check_rho_grid
+from .latency import BprParams, DesignParams
 from .oracle import OracleConfig, _solve_tolerance, oracle_equilibrium
 from .population import PopulationParams
 
@@ -71,7 +71,10 @@ STATICS_COLUMNS = SWEEP_COLUMNS[_STATICS_CELLS]
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated run configuration."""
+    """Fully validated run configuration: the model and the design grid.
+
+    The oracle's grid is not part of it; ``verify --grid-n`` sets that per run.
+    """
 
     population: PopulationParams
     bpr: BprParams
@@ -80,11 +83,9 @@ class RunConfig:
     tau_min: float
     tau_max: float
     tau_step: float
-    oracle: OracleConfig
 
     def __post_init__(self):
         check_fields(self)
-        check_rho_grid(self.rho_values)
         if not self.tau_min <= self.tau_max:
             raise ValidationError(f"tau_min must be <= tau_max, got {self.tau_min} > {self.tau_max}")
         if not self._tau_steps() < np.iinfo(np.intp).max:
@@ -111,15 +112,14 @@ def i880_config() -> RunConfig:
         tau_min=0.5,
         tau_max=10.0,
         tau_step=0.5,
-        oracle=OracleConfig(),
     )
 
 
 def _schema(cls: type = RunConfig, prefix: tuple[str, ...] = ()):
-    """(attribute path, type, optional) of every config key, in file order.
+    """(attribute path, type) of every config key, in file order.
 
-    Read off the dataclass fields: a nested dataclass becomes a dotted
-    section, and a field with a default is an optional key.
+    Read off the dataclass fields: a nested dataclass becomes a dotted section.
+    Every key is required.
     """
     hints = typing.get_type_hints(cls)
     for field in dataclasses.fields(cls):
@@ -127,10 +127,10 @@ def _schema(cls: type = RunConfig, prefix: tuple[str, ...] = ()):
         if dataclasses.is_dataclass(kind):
             yield from _schema(kind, path)
         else:
-            yield path, kind, field.default is not dataclasses.MISSING
+            yield path, kind
 
 
-_KEYS = {".".join(path): (kind, optional) for path, kind, optional in _schema()}
+_KEYS = {".".join(path): kind for path, kind in _schema()}
 
 
 def _build(cls: type, raw: dict[str, object], prefix: str = ""):
@@ -141,7 +141,7 @@ def _build(cls: type, raw: dict[str, object], prefix: str = ""):
         key = prefix + field.name
         if dataclasses.is_dataclass(hints[field.name]):
             kwargs[field.name] = _build(hints[field.name], raw, key + ".")
-        elif key in raw:
+        else:
             kwargs[field.name] = raw[key]
     return cls(**kwargs)
 
@@ -161,7 +161,7 @@ def parse_config_text(text: str) -> RunConfig:
             raise ParseError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
-        kind = _KEYS[key][0]
+        kind = _KEYS[key]
         try:
             if typing.get_origin(kind) is tuple:
                 raw[key] = tuple(float(item) for item in value.split(","))
@@ -170,7 +170,7 @@ def parse_config_text(text: str) -> RunConfig:
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad value for {key!r}: {exc}") from None
 
-    missing = sorted(key for key, (_, optional) in _KEYS.items() if not optional and key not in raw)
+    missing = sorted(_KEYS.keys() - raw.keys())
     if missing:
         raise ValidationError(f"missing required config keys: {', '.join(missing)}")
     return _build(RunConfig, raw)
@@ -248,10 +248,10 @@ def cmd_equilibrium(config: RunConfig, tau: float, rho: float, json_output: bool
     return 0
 
 
-def cmd_verify(config: RunConfig, tau: float, rho: float, grid_n: int | None = None) -> int:
-    """Compare the analytic equilibrium against the brute-force oracle."""
+def cmd_verify(config: RunConfig, tau: float, rho: float, grid_n: int = OracleConfig.grid_n) -> int:
+    """Compare the analytic equilibrium against the brute-force oracle at ``grid_n`` agents per axis."""
     design = DesignParams(rho=rho, tau=tau, occupancy=config.occupancy)
-    oracle_cfg = config.oracle if grid_n is None else dataclasses.replace(config.oracle, grid_n=grid_n)
+    oracle_cfg = OracleConfig(grid_n)
     solve_shares = solve(design, config.population, config.bpr).shares
     try:
         oracle_shares, iterations = oracle_equilibrium(design, config.population, config.bpr, oracle_cfg)
@@ -329,7 +329,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = commands.add_parser("verify", help="cross-check the solver against the oracle")
     verify.add_argument("--tau", type=float, required=True)
     verify.add_argument("--rho", type=float, required=True)
-    verify.add_argument("--grid-n", type=int, default=None, help="oracle agents per axis")
+    verify.add_argument(
+        "--grid-n", type=int, default=OracleConfig.grid_n, help="oracle agents per axis (default %(default)s)"
+    )
 
     sweep_cmd = commands.add_parser("sweep", help="evaluate the full design grid to CSV")
     sweep_cmd.add_argument("--out", required=True, metavar="PATH")

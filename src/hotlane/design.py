@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .equilibrium import EquilibriumBatch, EquilibriumOutcome, solve, solve_batch
-from .errors import ValidationError
-from .latency import BprParams, DesignParams, check_rho_grid
+from .errors import ValidationError, check
+from .latency import BprParams, DesignParams
 from .population import PopulationParams
 
 __all__ = [
@@ -92,7 +92,7 @@ def comparative_statics_scan(
     are reported, not asserted: the published directional claims conflict
     with each other, so observation is the honest output.
     """
-    check_rho_grid(rho_grid)
+    check(rho_values=tuple(rho_grid))
     rows = solve_batch(tau, rho_grid, occupancy, pop, bpr)
     steps = np.diff(np.vstack((rows.shares, rows.gap))[:, rows.solved], axis=1)
     up, down = (steps >= 0.0).all(axis=1).tolist(), (steps <= 0.0).all(axis=1).tolist()

@@ -2,7 +2,7 @@
 
 ``_DOMAIN`` is the one statement of every numeric parameter field's range:
 :func:`check_fields` applies it to a parameter dataclass, and :func:`check`
-to named floats or numpy columns.
+to named floats, numpy columns or the ``rho_values`` grid.
 """
 
 import math
@@ -56,7 +56,8 @@ class GapNonPositive(HotLaneError):
 
 
 # The parameter domain: one (rule, text) per numeric field of the parameter types,
-# elementwise over floats or numpy arrays. check_fields rejects infinities before
+# elementwise over floats or numpy arrays; the rho_values rule takes the whole grid,
+# the chain 0 < rho_0 < ... < rho_last < 1. check_fields rejects infinities before
 # any rule; the tau and occupancy rules also reject them, for the design columns.
 _DOMAIN = {
     **dict.fromkeys(
@@ -68,15 +69,19 @@ _DOMAIN = {
     "tau": (lambda x: (0.0 < x) & (x < math.inf), "be finite and > 0"),
     "occupancy": (lambda x: (2.0 <= x) & (x < math.inf), "be finite and >= 2"),
     "grid_n": (lambda x: (x >= 10) & (x % 1 == 0), "be a whole number >= 10"),
+    "rho_values": (
+        lambda x: len(x) > 0 and all(a < b for a, b in zip((0.0, *x), (*x, 1.0))),
+        "be non-empty and strictly increasing within (0, 1)",
+    ),
 }
 
 
 def check(**values) -> None:
     """Raise ``ValidationError`` at the first value outside its ``_DOMAIN`` rule.
 
-    ``values`` maps field names to floats or 1-d numpy arrays; they are
-    checked in the order given, and in an array the message names the first
-    bad index as a design point.
+    ``values`` maps field names to floats or 1-d numpy arrays, and
+    ``rho_values`` to a tuple; they are checked in the order given, and in
+    an array the message names the first bad index as a design point.
     """
     for name, value in values.items():
         holds, rule = _DOMAIN[name]

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError, check, check_fields
+from .errors import ValidationError, check_fields
 
 __all__ = [
     "BprParams",
@@ -81,18 +81,6 @@ class DesignParams:
         check_fields(self)
 
 
-def check_rho_grid(rho_values) -> None:
-    """Raise ``ValidationError`` unless the capacity fractions are non-empty, in the
-    design domain and strictly increasing."""
-    rho_values = tuple(rho_values)
-    if not rho_values:
-        raise ValidationError("rho_values must be non-empty")
-    for rho in rho_values:
-        check(rho=rho)
-    if any(b <= a for a, b in zip(rho_values, rho_values[1:])):
-        raise ValidationError(f"rho_values must be strictly increasing, got {rho_values}")
-
-
 def on_simplex(toll, pool, ordinary):
     """Whether the shares lie on the simplex: each in [0, 1], summing to 1 within ``SIMPLEX_TOL``.
 
@@ -134,14 +122,17 @@ def bpr_time(flow, capacity, bpr: BprParams):
     """Volume-delay curve ``t_free * (1 + (a * flow / capacity) ** b)``.
 
     Elementwise over floats or numpy arrays and unvalidated: the one
-    definition of the curve behind :func:`lane_times`. A power too large for a
-    float is ``inf`` on both: numpy gives it, and Python's float ``**``, which
-    raises ``OverflowError`` instead, is caught here.
+    definition of the curve behind :func:`lane_times`. Floats give numpy's
+    value where Python's float arithmetic raises instead, which is caught
+    here: a power too large for a float is ``inf``, and a zero capacity makes
+    the power ``inf``, or ``nan`` where ``a * flow`` is 0.
     """
     try:
         power = (bpr.a * flow / capacity) ** bpr.b
     except OverflowError:
         power = math.inf
+    except ZeroDivisionError:
+        power = math.inf if bpr.a * flow else math.nan
     return bpr.t_free * (1.0 + power)
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, check_fields
+from .errors import GapNonPositive, NoConvergence, check_fields
 from .latency import BprParams, DesignParams, StrategyShares, latency_gap
 from .population import PopulationParams
 
@@ -198,8 +198,9 @@ def oracle_equilibrium(
       labelings, which bounds the distance to a self-consistent state if one
       exists.
 
-    Labels are monotone in ``g``, so the state returned (or named by a
-    straddle) does not depend on the path the bracket takes.
+    :class:`GapNonPositive` is raised first when ``gap(everyone ordinary)``
+    is not positive. Labels are monotone in ``g``, so the state returned (or
+    named by a straddle) does not depend on the path the bracket takes.
     """
     beta_mid, gamma_pool, above_tau = _grid(design.tau, pop, cfg.grid_n)
     total = cfg.grid_n * cfg.grid_n
@@ -241,6 +242,8 @@ def oracle_equilibrium(
     first = _first_reaching(float(beta_mid[-1]), float(gamma_pool[0]) if gamma_pool.size else design.tau)
     known = [(s_lo, -math.inf, first)]  # every labeling so far, with its interval
     lo, x = math.nextafter(first, -math.inf), gap_at(s_lo)
+    if not x > 0.0:
+        raise GapNonPositive(f"the HOT lane is never faster: all-ordinary latency gap {x}")
     if x <= lo:
         return as_shares(s_lo), labelings
     f_lo = x - lo

@@ -21,8 +21,10 @@ from hotlane import (
     ParseError,
     PopulationParams,
     RegimeLabel,
+    StrategyShares,
     ValidationError,
     pareto_front,
+    solve,
     solve_batch,
 )
 from hotlane.cli import (
@@ -96,6 +98,8 @@ def test_parse_errors_report_line_and_key():
         parse_config_text("mystery = 1.0")
     with pytest.raises(ParseError, match="unknown key 'oracle.max_iters'"):  # the labeling cap is a constant
         parse_config_text(I880_TEXT + "oracle.max_iters = 5\n")
+    with pytest.raises(ParseError, match=r"^line 15: unknown key 'oracle.grid_n'$"):  # verify --grid-n sets it
+        parse_config_text(I880_TEXT + "oracle.grid_n = 400\n")
     with pytest.raises(ParseError, match="bad value"):
         parse_config_text("tau_min = abc")
     with pytest.raises(ParseError, match="duplicate"):
@@ -114,6 +118,9 @@ def test_validation_names_constraint():
     bad_step = I880_TEXT.replace("tau_step = 0.5", "tau_step = 0.0")
     with pytest.raises(ValidationError, match="tau_step"):
         parse_config_text(bad_step)
+    empty_tolls = I880_TEXT.replace("tau_min = 0.5", "tau_min = 10.5")
+    with pytest.raises(ValidationError, match=r"^tau_min must be <= tau_max, got 10.5 > 10.0$"):
+        parse_config_text(empty_tolls)
 
 
 @pytest.mark.parametrize(
@@ -224,6 +231,19 @@ def test_cmd_verify_passes(capsys):
     out = capsys.readouterr().out
     assert "max-norm distance" in out
     assert "solver:" in out and "oracle:" in out
+
+
+def test_cmd_verify_reports_a_distance_over_tolerance(capsys, monkeypatch):
+    """An oracle answer further from the solver than the tolerance exits 1 and says so."""
+    def shifted(design, pop, bpr, cfg):
+        toll, pool, ordinary = solve(design, pop, bpr).shares.as_tuple()
+        return StrategyShares(toll, pool + 0.02, ordinary - 0.02), 1
+
+    monkeypatch.setattr(cli_mod, "oracle_equilibrium", shifted)
+    assert cmd_verify(i880_config(), tau=1.0, rho=0.75, grid_n=400) == 1
+    captured = capsys.readouterr()
+    assert "max-norm distance: 0.02 (tolerance 0.01)\n" in captured.out
+    assert captured.err == "distance exceeds tolerance\n"
 
 
 def test_cmd_verify_oracle_failure_distinct(capsys, monkeypatch):
@@ -534,14 +554,14 @@ def test_cmd_statics_non_ascending_rho(capsys, tmp_path):
 def test_rho_values_must_strictly_increase(rho_values, capsys, tmp_path):
     """Every command reads the same grid, so the config rejects an unordered one."""
     text = I880_TEXT.replace("rho_values = 0.25, 0.5, 0.75", f"rho_values = {rho_values}")
-    message = rf"rho_values must be strictly increasing, got \({rho_values}\)"
+    message = rf"^rho_values must be non-empty and strictly increasing within \(0, 1\), got \({rho_values}\)$"
     with pytest.raises(ValidationError, match=message):
         parse_config_text(text)
     path = tmp_path / "run.cfg"
     path.write_text(text)
     out = tmp_path / "sweep.csv"
     assert main(["--config", str(path), "sweep", "--out", str(out)]) == 1
-    assert "ValidationError: rho_values must be strictly increasing" in capsys.readouterr().err
+    assert "ValidationError: rho_values must be non-empty and strictly increasing" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -598,10 +618,11 @@ def test_main_config_and_defaults_conflict():
 
 def test_main_runs_verify(capsys, tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text(I880_TEXT + "oracle.grid_n = 400\n")
-    code = main(["--config", str(path), "verify", "--tau", "4.0", "--rho", "0.25"])
+    path.write_text(I880_TEXT)
+    code = main(["--config", str(path), "verify", "--tau", "4.0", "--rho", "0.25", "--grid-n", "400"])
     assert code == 0
-    assert "max-norm distance" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "max-norm distance" in out and "[grid_n=400, " in out
 
 
 @pytest.mark.parametrize("command", ["sweep", "pareto"])

@@ -16,6 +16,7 @@ VALID = {
     RunConfig: i880_config(),
 }
 BELOW_TWO = math.nextafter(2.0, 0.0)
+RHO_GRID = "be non-empty and strictly increasing within (0, 1)"
 # (type, field, rule, a value just outside the rule): every bound of every field the table names.
 CASES = [
     (BprParams, "a", "be > 0", 0.0),
@@ -32,6 +33,11 @@ CASES = [
     (OracleConfig, "grid_n", "be a whole number >= 10", 9),
     (OracleConfig, "grid_n", "be a whole number >= 10", 2000.5),  # once normalised by 2000.5**2 for 2001**2 agents
     (RunConfig, "occupancy", "be finite and >= 2", BELOW_TWO),
+    (RunConfig, "rho_values", RHO_GRID, ()),
+    (RunConfig, "rho_values", RHO_GRID, (0.0, 0.5)),
+    (RunConfig, "rho_values", RHO_GRID, (0.5, 1.0)),
+    (RunConfig, "rho_values", RHO_GRID, (0.5, 0.5)),
+    (RunConfig, "rho_values", RHO_GRID, (0.5, math.nan)),
     (RunConfig, "tau_min", "be > 0", 0.0),
     (RunConfig, "tau_step", "be > 0", 0.0),
 ]

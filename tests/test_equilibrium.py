@@ -251,14 +251,17 @@ def test_gap_non_positive_guard(i880_pop):
     assert isinstance(batch.errors[0], GapNonPositive)
     with pytest.raises(GapNonPositive):
         solve(design, i880_pop, bpr)
+    with pytest.raises(GapNonPositive, match="all-ordinary latency gap 0.0"):
+        oracle_equilibrium(design, i880_pop, bpr, OracleConfig(grid_n=100))
 
 
 def test_outcome_invariants_enforced():
-    # The four cases as one batch for the vectorised check: (shares, regime, residual).
+    # The cases as one batch for the vectorised check: (shares, regime, residual). The regime
+    # is not checked against the toll share: solve_batch reads it off that share.
     good = (0.0, 0.2, 0.8)
     cases = [
         ((0.0, 0.0, 1.0), RegimeLabel.A1, 0.0),  # the pool share must be > 0
-        (good, RegimeLabel.B, 0.0),  # B needs a toll share > 0
+        ((0.2, 0.8, 0.0), RegimeLabel.B, 0.0),  # the ordinary share must be > 0
         (good, RegimeLabel.A1, 1e-3),  # residual too big
         (good, RegimeLabel.A1, 1e-12),
     ]
@@ -269,7 +272,7 @@ def test_outcome_invariants_enforced():
     errors = eq._failures(ones, ones, shares, regime, residual)
     assert sorted(errors) == [0, 1, 2]
     assert str(errors[0]) == "equilibrium shares (0.0, 0.0, 1.0) are not valid in regime A1"
-    assert str(errors[1]) == "equilibrium shares (0.0, 0.2, 0.8) are not valid in regime B"
+    assert str(errors[1]) == "equilibrium shares (0.2, 0.8, 0.0) are not valid in regime B"
     assert all(isinstance(errors[i], ValidationError) for i in (0, 1))
     # The batch types a residual over the gate as NoConvergence, with the shares it reached.
     assert isinstance(errors[2], NoConvergence) and errors[2].residual == 1e-3
@@ -387,10 +390,21 @@ def test_open_bracket_at_the_cap_is_an_error(i880_pop, i880_bpr, monkeypatch):
     assert sorted(table.errors) == [0, 1] and not table.solved.any()
 
 
+@pytest.mark.parametrize("rho", [1e-100, 1e-300])
+def test_tiny_capacity_fraction_solves(rho, i880_pop, i880_bpr):
+    """A root gap hundreds of halvings below the bracket top still closes within ``MAX_BISECT``
+    steps (776 at rho=1e-100, 1008 at 1e-300) and meets the residual gate."""
+    table = solve_batch([1.0], [rho], [2.5], i880_pop, i880_bpr)
+    assert not table.errors
+    assert table.residual[0] <= eq.RESIDUAL_TOL
+    assert 200 < table.iterations[0] <= eq.MAX_BISECT
+
+
 @pytest.mark.parametrize(
     "rho, pop, error",
     [
-        (1e-300, PopulationParams(demand=115.0, beta_max=1.5, gamma_max=8.0), NoConvergence),
+        # The smallest subnormal: the bracket closes, but the root misses the residual gate.
+        (5e-324, PopulationParams(demand=115.0, beta_max=1.5, gamma_max=8.0), NoConvergence),
         (0.5, PopulationParams(demand=1e300, beta_max=1.5, gamma_max=8.0), ValidationError),
         (0.5, PopulationParams(demand=115.0, beta_max=1.5, gamma_max=1e-300), NoConvergence),
     ],

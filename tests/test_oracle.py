@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hotlane import (
     BprParams,
     DesignParams,
+    GapNonPositive,
     NoConvergence,
     OracleConfig,
     PopulationParams,
@@ -332,6 +333,17 @@ def test_oracle_deterministic(i880_pop, i880_bpr):
     first = oracle_equilibrium(design, i880_pop, i880_bpr, cfg)
     second = oracle_equilibrium(design, i880_pop, i880_bpr, cfg)
     assert first == second
+
+
+def test_oracle_zero_hot_capacity_is_gap_non_positive():
+    """A valid HOT capacity ``v_cap * rho`` that underflows to 0.0 leaves no positive
+    all-ordinary gap (it is ``nan``): the oracle raises ``GapNonPositive``, as the solver does."""
+    design = DesignParams(1e-320, 1.0, 2.5)
+    pop, bpr = PopulationParams(115.0, 1.5, 8.0), BprParams(0.15, 4.0, 22.0, v_cap=1e-10)
+    with pytest.raises(GapNonPositive, match="all-ordinary latency gap nan"):
+        oracle_equilibrium(design, pop, bpr, OracleConfig(grid_n=100))
+    with pytest.raises(GapNonPositive, match="all-ordinary latency gap nan"):
+        solve(design, pop, bpr)
 
 
 @pytest.mark.parametrize("rho", [1e-100, 1e-300])
