@@ -92,7 +92,7 @@ def comparative_statics_scan(
     are reported, not asserted: the published directional claims conflict
     with each other, so observation is the honest output.
     """
-    check(rho_values=tuple(rho_grid))
+    check(rho_values=tuple(map(float, rho_grid)))
     rows = solve_batch(tau, rho_grid, occupancy, pop, bpr)
     steps = np.diff(np.vstack((rows.shares, rows.gap))[:, rows.solved], axis=1)
     up, down = (steps >= 0.0).all(axis=1).tolist(), (steps <= 0.0).all(axis=1).tolist()

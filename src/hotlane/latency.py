@@ -20,8 +20,9 @@ Every lane time in the package comes from :func:`lane_times`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ValidationError, check_fields
 
@@ -121,19 +122,12 @@ def lane_flows(toll, pool, ordinary, demand, occupancy):
 def bpr_time(flow, capacity, bpr: BprParams):
     """Volume-delay curve ``t_free * (1 + (a * flow / capacity) ** b)``.
 
-    Elementwise over floats or numpy arrays and unvalidated: the one
-    definition of the curve behind :func:`lane_times`. Floats give numpy's
-    value where Python's float arithmetic raises instead, which is caught
-    here: a power too large for a float is ``inf``, and a zero capacity makes
-    the power ``inf``, or ``nan`` where ``a * flow`` is 0.
+    Over numpy arrays or scalars, under the caller's ``np.errstate``, and
+    unvalidated: the one definition of the curve behind :func:`lane_times`.
+    A power too large for a float is ``inf``, and a zero capacity makes the
+    power ``inf``, or ``nan`` where ``a * flow`` is 0.
     """
-    try:
-        power = (bpr.a * flow / capacity) ** bpr.b
-    except OverflowError:
-        power = math.inf
-    except ZeroDivisionError:
-        power = math.inf if bpr.a * flow else math.nan
-    return bpr.t_free * (1.0 + power)
+    return bpr.t_free * (1.0 + (bpr.a * flow / capacity) ** bpr.b)
 
 
 def _capacities(rho, bpr: BprParams):
@@ -145,7 +139,7 @@ def lane_times(shares, demand, occupancy, capacities, bpr: BprParams):
     """(ordinary, HOT) vehicle flows and travel times at the (toll, pool, ordinary) shares.
 
     ``capacities`` is ``_capacities(rho, bpr)``, hoisted out of a caller's loop over
-    shares. Elementwise over floats or numpy arrays and unvalidated.
+    shares. Unvalidated, like :func:`bpr_time`.
     """
     flow_ordinary, flow_hot = lane_flows(*shares, demand, occupancy)
     times = bpr_time(flow_ordinary, capacities[0], bpr), bpr_time(flow_hot, capacities[1], bpr)
@@ -157,6 +151,9 @@ def latency_gap(sigma: StrategyShares, design: DesignParams, demand: float, bpr:
 
     Positive when the HOT lane is faster. Decreasing in the pool share when
     the toll share is held fixed and the remainder rides the ordinary lane.
+    ``-inf`` where the HOT lane time overflows.
     """
-    _, (ordinary, hot) = lane_times(sigma.as_tuple(), demand, design.occupancy, _capacities(design.rho, bpr), bpr)
-    return ordinary - hot
+    shares, capacities = np.array(sigma.as_tuple()), _capacities(design.rho, bpr)
+    with np.errstate(all="ignore"):
+        _, (ordinary, hot) = lane_times(shares, demand, design.occupancy, capacities, bpr)
+        return float(ordinary - hot)

@@ -12,15 +12,18 @@ value-of-time column the pool condition ``beta*gap >= gamma and gamma <= tau``
 selects exactly the gamma midpoints up to ``min(beta*gap, tau)``, and the
 toll condition selects the midpoints strictly above ``tau`` whenever
 ``beta*gap >= tau`` (ties on ``gamma == tau`` belong to pool by the fixed
-priority). Counts via ``searchsorted`` reproduce the per-agent comparisons
-bit for bit while keeping the oracle fast enough to sweep a design grid.
+priority). So a column's state is the count, by one ``searchsorted``, of
+the entries of one ascending threshold row that ``fl(beta*gap)`` reaches:
+the gamma midpoints ``<= tau``, then ``tau`` itself when a midpoint lies
+above it, which the column reaches exactly when it tolls. The counts
+reproduce the per-agent comparisons bit for bit while keeping the oracle
+fast enough to sweep a design grid.
 
-A column's state (its pool count, and whether it tolls) changes only where
-the float product ``fl(beta*gap)`` crosses one threshold: the next gamma
-midpoint, or ``tau``. So each labeling holds on a float interval of gaps
-``[start, end)``, and the kernel returns that interval with the counts:
-``start`` is the latest gap at which some column reaches its current state,
-``end`` the earliest at which some column leaves it. Both are exact floats.
+A column's state changes only where ``fl(beta*gap)`` crosses its next
+threshold, so each labeling holds on a float interval of gaps ``[start, end)``,
+returned with the counts: ``start`` is the latest gap at which some column
+reaches its last threshold, ``end`` the earliest at which some column
+reaches its next one. Both are exact floats.
 
 The search is a scalar root find in the latency gap. Write ``L(g)`` for the
 grid labeling (toll and pool counts) at gap ``g`` and ``gap(s)`` for the
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapNonPositive, NoConvergence, check_fields
-from .latency import BprParams, DesignParams, StrategyShares, latency_gap
+from .latency import BprParams, DesignParams, StrategyShares, _capacities, lane_times
 from .population import PopulationParams
 
 __all__ = ["OracleConfig", "oracle_equilibrium", "MAX_LABELINGS"]
@@ -76,14 +79,15 @@ def _midpoints(upper: float, n: int) -> np.ndarray:
 def _grid(tau: float, pop: PopulationParams, grid_n: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Per-design constants of the labeling.
 
-    The beta midpoints, the gamma midpoints a column can pool on (those
-    ``<= tau``, so a column's pool count is capped at their number), and the
-    count of gamma midpoints strictly above ``tau``, which every tolling
-    column adds to the toll count.
+    The beta midpoints, the ascending threshold row (the gamma midpoints a
+    column can pool on, those ``<= tau``, then ``tau`` itself when any
+    midpoint lies above it), and the count of gamma midpoints strictly above
+    ``tau``, which every tolling column adds to the toll count.
     """
     gamma_mid = _midpoints(pop.gamma_max, grid_n)
-    gamma_pool = gamma_mid[: np.searchsorted(gamma_mid, tau, side="right")]
-    return _midpoints(pop.beta_max, grid_n), gamma_pool, grid_n - gamma_pool.size
+    pooling = int(np.searchsorted(gamma_mid, tau, side="right"))
+    row = np.append(gamma_mid[:pooling], tau) if pooling < grid_n else gamma_mid
+    return _midpoints(pop.beta_max, grid_n), row, grid_n - pooling
 
 
 def _first_reaching(beta: float, threshold: float) -> float:
@@ -128,42 +132,37 @@ def _first_reaching_any(beta: np.ndarray, threshold: np.ndarray) -> float:
 
 
 def _label_counts(
-    gap: float, tau: float, beta_mid: np.ndarray, gamma_pool: np.ndarray, above_tau: int
+    gap: float, beta_mid: np.ndarray, row: np.ndarray, above_tau: int
 ) -> tuple[tuple[int, int], float, float]:
     """(toll, pool) agent counts over the midpoint grid at the given gap, and
     the float interval ``[start, end)`` of gaps on which they hold.
 
-    ``start`` is ``-inf`` when no agent tolls or pools, and ``end`` is
-    ``inf`` when every column is saturated.
+    ``row`` and ``above_tau`` come from :func:`_grid`. ``start`` is ``-inf``
+    when no agent tolls or pools, and ``end`` is ``inf`` when every column
+    reaches the whole row.
     """
     n = beta_mid.size
-    weighted = beta_mid * gap
-    # Pool: per column, the gamma midpoints up to min(beta*gap, tau).
-    counts = np.searchsorted(gamma_pool, weighted, side="right")
-    pool = int(counts.sum())
-    # Toll: columns with beta*gap >= tau take every gamma midpoint strictly
-    # above tau (gamma == tau ties go to pool). beta_mid is ascending, so the
-    # tolling columns are a suffix and so are the pooling ones.
-    tolling = int(np.count_nonzero(weighted >= tau))
-    first_toll = n - tolling
+    # Per column, the thresholds up to beta*gap. beta_mid is ascending, so
+    # the columns reaching any threshold are a suffix, as are those reaching
+    # all of them; when the row closes with tau, those are the tolling ones.
+    # A nan gap (both lane times overflow) reaches nothing, as per agent; searchsorted puts nan last.
+    reached = np.zeros(n, int) if math.isnan(gap) else np.searchsorted(row, beta_mid * gap, side="right")
+    first_any = int(np.searchsorted(reached, 0, side="right"))
+    first_full = int(np.searchsorted(reached, row.size, side="left"))
+    tolling = n - first_full if above_tau else 0
+    pool = int(reached.sum()) - tolling
 
+    # A column reaches its state at the last threshold it covers and leaves
+    # it at the next one, unless it covers the whole row.
     start, end = -math.inf, math.inf
-    if above_tau:  # otherwise tolling changes no count
-        if tolling:
-            start = _first_reaching(float(beta_mid[first_toll]), tau)
-        if first_toll:
-            end = _first_reaching(float(beta_mid[first_toll - 1]), tau)
-    # A column reaches its pool count at the last gamma midpoint it covers
-    # and leaves it at the next one, unless it covers all of gamma_pool.
-    first_pool = int(np.searchsorted(counts, 0, side="right"))
-    first_full = int(np.searchsorted(counts, gamma_pool.size, side="left"))
-    if first_pool < n:
-        start = max(start, _first_reaching_all(beta_mid[first_pool:], gamma_pool[counts[first_pool:] - 1]))
+    if first_any < n:
+        start = _first_reaching_all(beta_mid[first_any:], row[reached[first_any:] - 1])
     if first_full:
-        end = min(end, _first_reaching_any(beta_mid[:first_full], gamma_pool[counts[:first_full]]))
+        end = _first_reaching_any(beta_mid[:first_full], row[reached[:first_full]])
     return (above_tau * tolling, pool), start, end
 
 
+@np.errstate(all="ignore")
 def oracle_equilibrium(
     design: DesignParams,
     pop: PopulationParams,
@@ -202,7 +201,8 @@ def oracle_equilibrium(
     is not positive. Labels are monotone in ``g``, so the state returned (or
     named by a straddle) does not depend on the path the bracket takes.
     """
-    beta_mid, gamma_pool, above_tau = _grid(design.tau, pop, cfg.grid_n)
+    beta_mid, row, above_tau = _grid(design.tau, pop, cfg.grid_n)
+    capacities = _capacities(design.rho, bpr)
     total = cfg.grid_n * cfg.grid_n
     labelings = 0
 
@@ -211,7 +211,10 @@ def oracle_equilibrium(
         return StrategyShares(toll / total, pool / total, (total - toll - pool) / total)
 
     def gap_at(state: tuple[int, int]) -> float:
-        return latency_gap(as_shares(state), design, pop.demand, bpr)
+        toll, pool = state
+        shares = np.array((toll, pool, total - toll - pool)) / total
+        _, (ordinary, hot) = lane_times(shares, pop.demand, design.occupancy, capacities, bpr)
+        return float(ordinary - hot)
 
     def distance(a: tuple[int, int], b: tuple[int, int]) -> int:
         """Max-norm count distance over the toll, pool and ordinary counts."""
@@ -227,19 +230,18 @@ def oracle_equilibrium(
                 residual=distance(s_lo, s_hi) / total,
             )
         labelings += 1
-        known.append(_label_counts(g, design.tau, beta_mid, gamma_pool, above_tau))
+        known.append(_label_counts(g, beta_mid, row, above_tau))
         return known[-1]
 
     def relabel(g: float) -> tuple[int, int]:
         """The labeling at ``g``, from the labelings already made when one of their intervals holds ``g``."""
         return next((state for state, start, end in known if start <= g < end), None) or label(g)[0]
 
-    # Nobody tolls or pools at zero gap (every gamma midpoint and tau are
-    # positive), and that lasts until the largest beta midpoint reaches the
-    # first gamma midpoint or, if that lies above tau, tau itself: the lower
-    # end needs no labeling.
+    # Nobody tolls or pools at zero gap (every threshold is positive), and
+    # that lasts until the largest beta midpoint reaches the first threshold:
+    # the lower end needs no labeling.
     s_lo = (0, 0)
-    first = _first_reaching(float(beta_mid[-1]), float(gamma_pool[0]) if gamma_pool.size else design.tau)
+    first = _first_reaching(float(beta_mid[-1]), float(row[0]))
     known = [(s_lo, -math.inf, first)]  # every labeling so far, with its interval
     lo, x = math.nextafter(first, -math.inf), gap_at(s_lo)
     if not x > 0.0:

@@ -169,6 +169,6 @@ def empirical_shares(
     """Best-response label fractions of the midpoint agent grid against ``sigma``."""
     beta_mid, gamma_pool, above_tau = oracle._grid(design.tau, pop, cfg.grid_n)
     gap = latency_gap(sigma, design, pop.demand, bpr)
-    (toll, pool), _, _ = oracle._label_counts(gap, design.tau, beta_mid, gamma_pool, above_tau)
+    (toll, pool), _, _ = oracle._label_counts(gap, beta_mid, gamma_pool, above_tau)
     total = cfg.grid_n * cfg.grid_n
     return StrategyShares(toll / total, pool / total, (total - toll - pool) / total)

@@ -303,6 +303,9 @@ def test_statics_scan_validation(i880_pop, i880_bpr):
         comparative_statics_scan(1.0, [0.5, 0.5], 2.5, i880_pop, i880_bpr)
     with pytest.raises(ValidationError):
         comparative_statics_scan(1.0, [0.75, 0.25], 2.5, i880_pop, i880_bpr)
+    # A numpy grid is named by the floats it holds, not by numpy scalar reprs.
+    with pytest.raises(ValidationError, match=r"got \(0\.75, 0\.25\)$"):
+        comparative_statics_scan(1.0, np.array([0.75, 0.25]), 2.5, i880_pop, i880_bpr)
 
 
 def test_statics_scan_deterministic(i880_pop, i880_bpr):

@@ -80,16 +80,18 @@ def test_latency_hot_values(i880_bpr):
 
 
 def test_bpr_time_overflows_to_inf_on_floats_and_arrays(i880_bpr):
-    """A power too large for a float is ``inf`` on a Python float, as it is in numpy."""
+    """A power too large for a float is ``inf`` on a numpy scalar, as it is on an array."""
     with np.errstate(over="ignore"):
-        assert bpr_time(1e300, 1.0, i880_bpr) == math.inf == bpr_time(np.array([1e300]), 1.0, i880_bpr)[0]
+        assert bpr_time(np.float64(1e300), 1.0, i880_bpr) == math.inf == bpr_time(np.array([1e300]), 1.0, i880_bpr)[0]
 
 
 def test_bpr_time_at_zero_capacity_matches_numpy(i880_bpr):
-    """A zero capacity gives numpy's value on a Python float too: ``inf``, or ``nan`` at zero flow."""
+    """A zero capacity gives the same value on a numpy scalar as on an array: ``inf``, or ``nan`` at zero flow."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        assert bpr_time(1.0, 0.0, i880_bpr) == math.inf == bpr_time(np.array([1.0]), 0.0, i880_bpr)[0]
-        assert math.isnan(bpr_time(0.0, 0.0, i880_bpr)) and np.isnan(bpr_time(np.array([0.0]), 0.0, i880_bpr)[0])
+        assert bpr_time(np.float64(1.0), 0.0, i880_bpr) == math.inf == bpr_time(np.array([1.0]), 0.0, i880_bpr)[0]
+        assert math.isnan(bpr_time(np.float64(0.0), 0.0, i880_bpr)) and np.isnan(
+            bpr_time(np.array([0.0]), 0.0, i880_bpr)[0]
+        )
 
 
 def test_latency_gap_symmetric_zero(i880_bpr):

@@ -66,10 +66,15 @@ def test_empirical_shares_matches_per_agent_loop(i880_pop, i880_bpr, congested_b
         (DesignParams(0.25, 1.0, 2.5), StrategyShares(0.0, 0.01, 0.99), i880_bpr),
         (DesignParams(0.5, 0.5, 2.5), StrategyShares(0.3, 0.1, 0.6), congested_bpr),
         (DesignParams(0.5, 4.0, 2.5), StrategyShares(0.0, 0.5, 0.5), congested_bpr),
+        # Both lane times overflow, so the gap is nan and every agent rides the ordinary lane.
+        (DesignParams(0.5, 1.0, 2.5), StrategyShares(0.1, 0.1, 0.8), BprParams(1e80, 4.0, 22.0, 140.0)),
     ]
     for grid_n in (10, 37):
         cfg = OracleConfig(grid_n=grid_n)
-        for design, sigma, bpr in cases:
+        # tau on gamma midpoint 2, the same float as the loop's (2 + 0.5) * gamma_max / grid_n:
+        # those agents pool, and the columns with beta*gap >= tau toll above it.
+        tie = DesignParams(0.25, float(oracle._midpoints(i880_pop.gamma_max, grid_n)[2]), 2.5)
+        for design, sigma, bpr in cases + [(tie, StrategyShares(0.1, 0.1, 0.8), congested_bpr)]:
             fast = empirical_shares(sigma, design, i880_pop, bpr, cfg)
             slow = _loop_shares(sigma, design, i880_pop, bpr, grid_n)
             assert fast.as_tuple() == slow
@@ -266,8 +271,9 @@ def test_oracle_straddle_pinned():
     tau=st.floats(0.01, 20.0),
     reach=st.floats(0.0, 1.5),
     snap=st.none() | st.sampled_from([1, 3, 5]),
+    tie=st.booleans(),
 )
-def test_label_interval_is_exact(grid_n, beta_max, gamma_max, tau, reach, snap):
+def test_label_interval_is_exact(grid_n, beta_max, gamma_max, tau, reach, snap, tie):
     """The kernel's gap interval [start, end) is exactly where its labeling holds.
 
     ``reach`` places the gap so that the largest ``beta*gap`` runs from 0 to
@@ -275,22 +281,28 @@ def test_label_interval_is_exact(grid_n, beta_max, gamma_max, tau, reach, snap):
     it at ``snap * gamma_max / beta_max``, written as the ratio of two
     midpoints ``(2j+1)/(2i+1)``: there every column ``i`` with a midpoint
     ``j = snap*i + (snap-1)/2`` crosses a threshold within a few ulps of the
-    gap, so the interval edges are near-ties between many columns.
+    gap, so the interval edges are near-ties between many columns. With
+    ``snap``, ``tie`` also puts ``tau`` on the snapped midpoint ``j``: the one
+    place where the threshold row holds two equal entries.
     """
     pop = PopulationParams(demand=100.0, beta_max=beta_max, gamma_max=gamma_max)
-    beta_mid, gamma_pool, above_tau = oracle._grid(tau, pop, grid_n)
     gamma_mid = oracle._midpoints(gamma_max, grid_n)
+    if snap is not None:
+        i = round(reach / 1.5 * (grid_n // snap - 1))
+        j = snap * i + (snap - 1) // 2
+        if tie:
+            tau = float(gamma_mid[j])
+    beta_mid, gamma_pool, above_tau = oracle._grid(tau, pop, grid_n)
 
     def labeling(g):
-        return oracle._label_counts(g, tau, beta_mid, gamma_pool, above_tau)[0]
+        return oracle._label_counts(g, beta_mid, gamma_pool, above_tau)[0]
 
     gaps = [reach * max(tau, gamma_max) / beta_max]
     if snap is not None:
-        i = round(reach / 1.5 * (grid_n // snap - 1))
-        ratio = float(gamma_mid[snap * i + (snap - 1) // 2] / beta_mid[i])
+        ratio = float(gamma_mid[j] / beta_mid[i])
         gaps = [math.nextafter(ratio, -math.inf), ratio]
     for gap in gaps:
-        state, start, end = oracle._label_counts(gap, tau, beta_mid, gamma_pool, above_tau)
+        state, start, end = oracle._label_counts(gap, beta_mid, gamma_pool, above_tau)
         assert start <= gap < end
         if start > 0.0:
             assert labeling(start) == state
