@@ -5,7 +5,7 @@ closed-form region measures give the share of travelers best-responding
 with each action, and those shares produce a latency gap of their own. An
 equilibrium is a fixed point of that map, the root of
 
-    F(g) = latency_gap(region_measures_at_gap(g)) - g.
+    F(g) = lane_gap(region_fractions(g)) - g.
 
 The region measures grow with ``g`` and moving travelers onto the HOT lanes
 closes the gap, so ``F`` falls strictly from ``F(0) = gap(everyone
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapNonPositive, HotLaneError, NoConvergence, ValidationError, check
-from .latency import BprParams, DesignParams, StrategyShares, _capacities, lane_times, on_simplex
+from .latency import BprParams, DesignParams, StrategyShares, _capacities, lane_gap, lane_times, on_simplex
 from .population import PopulationParams, _toll_levels, region_fractions
 
 __all__ = [
@@ -178,9 +178,7 @@ def _check_designs(tau, rho, occupancy) -> list[np.ndarray]:
 
 def _excess(g, pop: PopulationParams, bpr: BprParams, tau, cap, toll_height, occupancy, *capacities):
     """``F(g)`` at a positive gap, elementwise over the design points' constants (see :func:`_gap_root`)."""
-    shares = region_fractions(g, (tau, cap, toll_height), pop)
-    _, (time_ordinary, time_hot) = lane_times(shares, pop.demand, occupancy, capacities, bpr)
-    return time_ordinary - time_hot - g
+    return lane_gap(region_fractions(g, (tau, cap, toll_height), pop), pop.demand, occupancy, capacities, bpr) - g
 
 
 def _gap_root(lo, hi, f_lo, pop: PopulationParams, bpr: BprParams, points: list[np.ndarray]):
@@ -279,8 +277,7 @@ def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> E
 
         # F(0) is the gap with everyone on the ordinary lanes, the upper bracket end.
         zeros = np.zeros_like(tau)
-        _, (time_ordinary, time_hot) = lane_times((zeros, zeros, 1.0), pop.demand, occupancy, capacities, bpr)
-        top = time_ordinary - time_hot
+        top = lane_gap((zeros, zeros, 1.0), pop.demand, occupancy, capacities, bpr)
         open_ = np.flatnonzero(top > 0.0)
         root = np.full(tau.shape, np.nan)
         iterations = np.zeros(tau.shape, dtype=int)
@@ -292,7 +289,7 @@ def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> E
         flows, latencies = (np.array(pair) for pair in lane_times(shares, pop.demand, occupancy, capacities, bpr))
         toll, pool, ordinary = shares
         time_ordinary, time_hot = latencies
-        gap = time_ordinary - time_hot
+        gap = lane_gap(shares, pop.demand, occupancy, capacities, bpr)
         regime = np.where(toll > 0.0, 2, np.where(pop.beta_max * root > pop.gamma_max, 1, 0))
         printed = np.choose(
             regime,

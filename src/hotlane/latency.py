@@ -146,6 +146,12 @@ def lane_times(shares, demand, occupancy, capacities, bpr: BprParams):
     return (flow_ordinary, flow_hot), times
 
 
+def lane_gap(shares, demand, occupancy, capacities, bpr: BprParams):
+    """Ordinary-lane minus HOT-lane travel time: the one latency gap, with :func:`lane_times`' contract."""
+    _, (ordinary, hot) = lane_times(shares, demand, occupancy, capacities, bpr)
+    return ordinary - hot
+
+
 def latency_gap(sigma: StrategyShares, design: DesignParams, demand: float, bpr: BprParams) -> float:
     """Ordinary-lane latency minus HOT-lane latency at the given profile.
 
@@ -155,5 +161,4 @@ def latency_gap(sigma: StrategyShares, design: DesignParams, demand: float, bpr:
     """
     shares, capacities = np.array(sigma.as_tuple()), _capacities(design.rho, bpr)
     with np.errstate(all="ignore"):
-        _, (ordinary, hot) = lane_times(shares, demand, design.occupancy, capacities, bpr)
-        return float(ordinary - hot)
+        return float(lane_gap(shares, demand, design.occupancy, capacities, bpr))

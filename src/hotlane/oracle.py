@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapNonPositive, NoConvergence, check_fields
-from .latency import BprParams, DesignParams, StrategyShares, _capacities, lane_times
+from .latency import BprParams, DesignParams, StrategyShares, _capacities, lane_gap
 from .population import PopulationParams
 
 __all__ = ["OracleConfig", "oracle_equilibrium", "MAX_LABELINGS"]
@@ -211,10 +211,7 @@ def oracle_equilibrium(
         return StrategyShares(toll / total, pool / total, (total - toll - pool) / total)
 
     def gap_at(state: tuple[int, int]) -> float:
-        toll, pool = state
-        shares = np.array((toll, pool, total - toll - pool)) / total
-        _, (ordinary, hot) = lane_times(shares, pop.demand, design.occupancy, capacities, bpr)
-        return float(ordinary - hot)
+        return float(lane_gap(np.array(as_shares(state).as_tuple()), pop.demand, design.occupancy, capacities, bpr))
 
     def distance(a: tuple[int, int], b: tuple[int, int]) -> int:
         """Max-norm count distance over the toll, pool and ordinary counts."""
