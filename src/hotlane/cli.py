@@ -371,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "pareto":
             return cmd_pareto(config, args.out, per_rho=args.per_rho)
         return cmd_statics(config, args.tau, args.out)
-    except HotLaneError as exc:
+    except (HotLaneError, OSError) as exc:  # an OSError here is an output file that cannot be written
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # numpy raises a subclass for an array too large to allocate

@@ -169,7 +169,7 @@ def _check_designs(tau, rho, occupancy) -> list[np.ndarray]:
     try:
         columns = [np.asarray(x, dtype=float).ravel() for x in (tau, rho, occupancy)]
         shape = np.broadcast(*columns).shape
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"tau, rho and occupancy must be numbers that broadcast to one length: {exc}") from None
     tau, rho, occupancy = (x if x.shape == shape else np.full(shape, x) for x in columns)
     check(rho=rho, tau=tau, occupancy=occupancy)

@@ -15,7 +15,8 @@ from a source using that convention, rescale ``a`` accordingly
 (``a_inside = a_outside ** (1/b)``).
 
 The parameter types validate their fields; the formulas validate nothing.
-Every lane time in the package comes from :func:`lane_times`.
+Every lane time in the package comes from :func:`lane_times`, and every
+latency gap from :func:`lane_gap`.
 """
 
 from __future__ import annotations
@@ -119,15 +120,21 @@ def lane_flows(toll, pool, ordinary, demand, occupancy):
     return ordinary * demand, (toll + pool / occupancy) * demand
 
 
+def _congestion(flow, capacity, bpr: BprParams):
+    """The curve's power term ``(a * flow / capacity) ** b``, behind :func:`bpr_time` and :func:`lane_gap`."""
+    return (bpr.a * flow / capacity) ** bpr.b
+
+
 def bpr_time(flow, capacity, bpr: BprParams):
     """Volume-delay curve ``t_free * (1 + (a * flow / capacity) ** b)``.
 
     Over numpy arrays or scalars, under the caller's ``np.errstate``, and
-    unvalidated: the one definition of the curve behind :func:`lane_times`.
-    A power too large for a float is ``inf``, and a zero capacity makes the
-    power ``inf``, or ``nan`` where ``a * flow`` is 0.
+    unvalidated: the one definition of the curve behind :func:`lane_times`;
+    :func:`lane_gap` shares its power term. A power too large for a float
+    is ``inf``, and a zero capacity makes the power ``inf``, or ``nan``
+    where ``a * flow`` is 0.
     """
-    return bpr.t_free * (1.0 + (bpr.a * flow / capacity) ** bpr.b)
+    return bpr.t_free * (1.0 + _congestion(flow, capacity, bpr))
 
 
 def _capacities(rho, bpr: BprParams):
@@ -139,7 +146,8 @@ def lane_times(shares, demand, occupancy, capacities, bpr: BprParams):
     """(ordinary, HOT) vehicle flows and travel times at the (toll, pool, ordinary) shares.
 
     ``capacities`` is ``_capacities(rho, bpr)``, hoisted out of a caller's loop over
-    shares. Unvalidated, like :func:`bpr_time`.
+    shares. Unvalidated, like :func:`bpr_time`. Their latency gap is :func:`lane_gap`,
+    not the difference of these times.
     """
     flow_ordinary, flow_hot = lane_flows(*shares, demand, occupancy)
     times = bpr_time(flow_ordinary, capacities[0], bpr), bpr_time(flow_hot, capacities[1], bpr)
@@ -147,13 +155,18 @@ def lane_times(shares, demand, occupancy, capacities, bpr: BprParams):
 
 
 def lane_gap(shares, demand, occupancy, capacities, bpr: BprParams):
-    """Ordinary-lane minus HOT-lane travel time: the one latency gap, with :func:`lane_times`' contract."""
-    _, (ordinary, hot) = lane_times(shares, demand, occupancy, capacities, bpr)
-    return ordinary - hot
+    """Ordinary-lane minus HOT-lane travel time: the one latency gap, with :func:`lane_times`' contract.
+
+    Computed as ``t_free * (x_o**b - x_h**b)`` with ``x = a * flow / capacity``:
+    the two times share ``t_free``, and subtracting them would cancel it and
+    lose the gap's low digits whenever the power terms are small against 1.
+    """
+    flow_ordinary, flow_hot = lane_flows(*shares, demand, occupancy)
+    return bpr.t_free * (_congestion(flow_ordinary, capacities[0], bpr) - _congestion(flow_hot, capacities[1], bpr))
 
 
 def latency_gap(sigma: StrategyShares, design: DesignParams, demand: float, bpr: BprParams) -> float:
-    """Ordinary-lane latency minus HOT-lane latency at the given profile.
+    """Ordinary-lane latency minus HOT-lane latency at the given profile: :func:`lane_gap` as a float.
 
     Positive when the HOT lane is faster. Decreasing in the pool share when
     the toll share is held fixed and the remainder rides the ordinary lane.

@@ -400,6 +400,28 @@ def test_tiny_capacity_fraction_solves(rho, i880_pop, i880_bpr):
     assert 200 < table.iterations[0] <= eq.MAX_BISECT
 
 
+def test_small_gamma_max_a2_point_solves(i880_bpr):
+    """At ``beta_max * t_free / gamma_max = 3.3e7`` the A2 residual needs the gap's low digits.
+
+    A gap taken as the difference of two lane times near ``t_free`` lost them: the point
+    ended in ``NoConvergence`` at residual 6.7e-10 with these shares as ``last_value``.
+    """
+    pop = PopulationParams(demand=115.0, beta_max=1.5, gamma_max=1e-6)
+    outcome = solve(DesignParams(rho=0.5, tau=1.0, occupancy=2.5), pop, i880_bpr)
+    assert outcome.regime is RegimeLabel.A2
+    assert outcome.residual <= eq.RESIDUAL_TOL
+    rejected = (0.0, 0.7141756976776442, 0.2858243023223558)
+    assert max(abs(a - b) for a, b in zip(outcome.shares.as_tuple(), rejected)) <= 1e-12
+
+
+@pytest.mark.parametrize("gamma_max", [3.2e-5, 1e-6, 1e-7])
+def test_small_gamma_max_rho_grid_solves(gamma_max, i880_bpr):
+    """Every point of a 91-point rho grid at ``tau=1`` meets the residual gate; with the gap
+    as a difference of lane times 8, 61 and 83 of them failed."""
+    pop = PopulationParams(demand=115.0, beta_max=1.5, gamma_max=gamma_max)
+    assert not solve_batch(1.0, np.linspace(0.05, 0.95, 91), 2.5, pop, i880_bpr).errors
+
+
 @pytest.mark.parametrize(
     "rho, pop, error",
     [
@@ -449,3 +471,5 @@ def test_solve_batch_columns_must_broadcast(i880_pop, i880_bpr):
         solve_batch([1.0, 2.0], [0.25, 0.5, 0.75], 2.5, i880_pop, i880_bpr)
     with pytest.raises(ValidationError, match="must be numbers"):
         solve_batch(["cheap"], [0.5], 2.5, i880_pop, i880_bpr)
+    with pytest.raises(ValidationError, match="must be numbers"):
+        solve_batch({}, 0.5, 2.5, i880_pop, i880_bpr)

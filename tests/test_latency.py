@@ -12,7 +12,7 @@ from hotlane import (
     ValidationError,
     latency_gap,
 )
-from hotlane.latency import _capacities, bpr_time, lane_flows, lane_times, on_simplex
+from hotlane.latency import _capacities, _congestion, bpr_time, lane_flows, lane_gap, lane_times, on_simplex
 
 # Frozen from 40-digit evaluation of the latency formulas.
 L_ORD_115_HALF = 22.08113101669877
@@ -180,8 +180,30 @@ def test_lane_times_elementwise(i880_bpr):
     profiles = [StrategyShares(0.0, 0.0, 1.0), StrategyShares(0.2, 0.3, 0.5), StrategyShares(0.0, 0.3, 0.7)]
     rhos = [0.25, 0.5, 0.75]
     shares = tuple(np.array(column) for column in zip(*(sigma.as_tuple() for sigma in profiles)))
-    flows, times = lane_times(shares, 115.0, 2.5, _capacities(np.array(rhos), i880_bpr), i880_bpr)
+    capacities = _capacities(np.array(rhos), i880_bpr)
+    flows, _ = lane_times(shares, 115.0, 2.5, capacities, i880_bpr)
+    gaps = lane_gap(shares, 115.0, 2.5, capacities, i880_bpr)
     for k, (sigma, rho) in enumerate(zip(profiles, rhos)):
         assert (flows[0][k], flows[1][k]) == lane_flows(*sigma.as_tuple(), 115.0, 2.5)
         gap = latency_gap(sigma, DesignParams(rho=rho, tau=1.0, occupancy=2.5), 115.0, i880_bpr)
-        assert times[0][k] - times[1][k] == gap
+        assert gaps[k] == gap
+
+
+@pytest.mark.parametrize("a", [0.15, 1.0])
+def test_lane_gap_is_the_time_difference(a):
+    """``lane_gap`` and the difference of the two lane times agree to their float error, in minutes.
+
+    Both share the power terms ``P = (a * flow / capacity) ** b`` bit for bit. Each time
+    ``t_free * (1 + P)`` rounds twice, the difference of the times once more, and
+    ``t_free * (P_o - P_h)`` twice; with ``u = eps/2`` that is at most
+    ``u * t_free * (4 + 5 * (P_o + P_h))``, inside ``3 * eps * t_free * (1 + P_o + P_h)``.
+    """
+    bpr = BprParams(a=a, b=4.0, t_free=22.0, v_cap=140.0)
+    rng = np.random.default_rng(5)
+    toll, pool = rng.uniform(0.0, 0.5, (2, 500))
+    shares, rho = (toll, pool, 1.0 - toll - pool), rng.uniform(0.05, 0.95, 500)
+    capacities = _capacities(rho, bpr)
+    (flow_ordinary, flow_hot), times = lane_times(shares, 115.0, 2.5, capacities, bpr)
+    powers = _congestion(flow_ordinary, capacities[0], bpr) + _congestion(flow_hot, capacities[1], bpr)
+    bound = 3 * np.finfo(float).eps * bpr.t_free * (1.0 + powers)
+    assert np.all(np.abs(times[0] - times[1] - lane_gap(shares, 115.0, 2.5, capacities, bpr)) <= bound)

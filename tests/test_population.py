@@ -11,7 +11,7 @@ from hotlane import (
     latency_gap,
     region_measures_at_gap,
 )
-from hotlane.latency import _capacities, lane_times
+from hotlane.latency import _capacities, lane_gap
 from hotlane.population import _toll_levels, region_fractions
 from paper_reference import ActionLabel, action_cost, best_response_at_gap
 
@@ -140,8 +140,8 @@ def test_region_measures_composes_gap(i880_pop, i880_bpr):
     shares = tuple(np.array(column) for column in zip(*(sigma.as_tuple() for sigma in profiles)))
     rho = np.array([design.rho for design in designs])
     tau = np.array([design.tau for design in designs])
-    _, (time_ordinary, time_hot) = lane_times(shares, i880_pop.demand, 2.5, _capacities(rho, i880_bpr), i880_bpr)
-    batch = region_fractions(time_ordinary - time_hot, _toll_levels(tau, i880_pop), i880_pop)
+    gaps = lane_gap(shares, i880_pop.demand, 2.5, _capacities(rho, i880_bpr), i880_bpr)
+    batch = region_fractions(gaps, _toll_levels(tau, i880_pop), i880_pop)
     for k, (sigma, design) in enumerate(zip(profiles, designs)):
         gap = latency_gap(sigma, design, i880_pop.demand, i880_bpr)
         assert gap > 0
