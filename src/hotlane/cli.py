@@ -115,13 +115,19 @@ def i880_config() -> RunConfig:
     )
 
 
+@functools.cache
+def _hints(cls: type) -> dict[str, type]:
+    """The field types of the config dataclass ``cls``, resolved once per class."""
+    return typing.get_type_hints(cls)
+
+
 def _schema(cls: type = RunConfig, prefix: tuple[str, ...] = ()):
     """(attribute path, type) of every config key, in file order.
 
     Read off the dataclass fields: a nested dataclass becomes a dotted section.
     Every key is required.
     """
-    hints = typing.get_type_hints(cls)
+    hints = _hints(cls)
     for field in dataclasses.fields(cls):
         path, kind = (*prefix, field.name), hints[field.name]
         if dataclasses.is_dataclass(kind):
@@ -135,7 +141,7 @@ _KEYS = {".".join(path): kind for path, kind in _schema()}
 
 def _build(cls: type, raw: dict[str, object], prefix: str = ""):
     """Instance of the config dataclass ``cls`` from the parsed values under ``prefix``."""
-    hints = typing.get_type_hints(cls)
+    hints = _hints(cls)
     kwargs = {}
     for field in dataclasses.fields(cls):
         key = prefix + field.name

@@ -11,13 +11,15 @@ The region measures grow with ``g`` and moving travelers onto the HOT lanes
 closes the gap, so ``F`` falls strictly from ``F(0) = gap(everyone
 ordinary) > 0`` and has exactly one root on ``[0, gap(everyone ordinary)]``.
 :func:`solve_batch` brackets that root for every design point at once, in
-elementwise numpy: each step is a secant step with the Illinois weighting
-that falls back to the midpoint whenever it would leave the bracket, and a
-point stops when its bracket reaches float resolution. The batch is numpy
-columns end to end: the points come in as ``tau``, ``rho`` and
-``occupancy`` arrays, checked against the parameter domain once, and go out
-as one :class:`EquilibriumBatch` whose invariants are checked once,
-vectorised; a failed point keeps its typed error by index. The batch also
+elementwise numpy: each step is a secant step with the Illinois weighting,
+and a point stops when its bracket reaches float resolution. A secant point
+that would leave the bracket is replaced by the midpoint, or, on a narrow
+bracket whose end it rounds onto, by the float next to that end (see
+:func:`_gap_root`). The batch is numpy columns end to end: the points come
+in as ``tau``, ``rho`` and ``occupancy`` arrays, checked against the
+parameter domain once, and go out as one :class:`EquilibriumBatch` whose
+invariants are checked once, vectorised; a failed point keeps its typed
+error by index. The batch also
 carries the authority's two objectives as columns: the demand-weighted
 average travel time ``avg_time = (toll + pool) * hot_latency + ordinary *
 ordinary_latency`` (minutes, to minimize) and the toll revenue ``revenue =
@@ -61,9 +63,14 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-10
-# Enough steps to take the widest bracket to float resolution by halving alone:
-# 1024 + 1074 halvings take the largest double down to the smallest subnormal.
-MAX_BISECT = 2100
+# A bracket at most this wide relative to its upper end may take a one-float step (see _gap_root).
+_NARROW = 2.0**-20
+# Enough steps to take the widest bracket to float resolution by halving alone, plus
+# the one-float steps: 1024 + 1074 halvings take the largest double down to the
+# smallest subnormal. A _NARROW bracket spans at most 2**34 of its smallest float
+# spacing, so at most 34 of those halvings are left once one-float steps may start,
+# and no two such steps run back to back: at most 35 of them, 2133 steps in all.
+MAX_BISECT = 2140
 
 
 class RegimeLabel(enum.Enum):
@@ -189,6 +196,17 @@ def _gap_root(lo, hi, f_lo, pop: PopulationParams, bpr: BprParams, points: list[
     passed in because ``F`` cannot be evaluated at a zero gap, and
     ``F(hi) < 0`` must hold. A root is NaN where the bracket is still open
     after ``MAX_BISECT`` steps.
+
+    Each step evaluates ``F`` at one trial point per point. It is the secant
+    point, with the Illinois weighting, when that lies strictly inside the
+    bracket. When it lands on or past an end instead, that end is usually
+    within a few floats of the root, and every later secant point would round
+    onto it too. So if the secant point is finite and the bracket narrow
+    (``hi - lo <= _NARROW * hi``), the trial point is the float next to that
+    end, toward the other end: a one-float step, never two in a row.
+    Otherwise it is the midpoint. A point stops when the midpoint of its
+    bracket equals an end, and that midpoint is its root: the same float that
+    halving alone reaches, so the step rule moves only the step count.
     """
     root = np.full(lo.shape, np.nan)
     iterations = np.zeros(lo.shape, dtype=int)
@@ -198,13 +216,25 @@ def _gap_root(lo, hi, f_lo, pop: PopulationParams, bpr: BprParams, points: list[
     lo, hi, f_lo = (np.array(a, dtype=float) for a in (lo, hi, f_lo))
     f_hi = _excess(hi, pop, bpr, *points)
     moved_lo = moved_hi = np.zeros(lo.size, dtype=bool)  # ends the last step replaced
+    may_nudge = np.ones(lo.size, dtype=bool)  # points whose last step was not a one-float step
     mid = 0.5 * (lo + hi)
     for step in range(1, MAX_BISECT + 1):
         if not index.size:
             break
         x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
-        np.putmask(mid, (lo < x) & (x < hi), x)  # mid is recomputed below, so it can hold x
-        x = mid
+        inside = (lo < x) & (x < hi)
+        # np.count_nonzero is the cheapest all/any test on a few points.
+        if np.count_nonzero(inside) == inside.size:
+            may_nudge = inside  # all True: no point takes a one-float step
+        else:
+            # A finite secant point on or past an end of a narrow bracket: that end sits
+            # next to the root, so step one float off it; any other point takes the midpoint.
+            nudge = ~inside & (hi - lo <= _NARROW * hi) & may_nudge & np.isfinite(x)
+            may_nudge = ~nudge
+            np.putmask(mid, inside, x)  # mid is recomputed below, so it can hold x
+            if np.count_nonzero(nudge):
+                np.putmask(mid, nudge, np.nextafter(np.clip(x, lo, hi), mid))
+            x = mid
         fx = _excess(x, pop, bpr, *points)
         # F(x) == 0 replaces both ends, closing the bracket on the root.
         to_lo, to_hi = fx >= 0.0, fx <= 0.0
@@ -218,12 +248,12 @@ def _gap_root(lo, hi, f_lo, pop: PopulationParams, bpr: BprParams, points: list[
         moved_lo, moved_hi = to_lo, to_hi
         mid = 0.5 * (lo + hi)
         done = (mid == lo) | (mid == hi)
-        if done.any():
+        if np.count_nonzero(done):
             root[index[done]] = mid[done]
             iterations[index[done]] = step
             keep = ~done
-            index, lo, hi, f_lo, f_hi, moved_lo, moved_hi, mid = (
-                a[keep] for a in (index, lo, hi, f_lo, f_hi, moved_lo, moved_hi, mid)
+            index, lo, hi, f_lo, f_hi, moved_lo, moved_hi, may_nudge, mid = (
+                a[keep] for a in (index, lo, hi, f_lo, f_hi, moved_lo, moved_hi, may_nudge, mid)
             )
             points = [a[keep] for a in points]
     return root, iterations
@@ -239,21 +269,30 @@ def _failures(top, root, shares, regime, residual) -> dict[int, HotLaneError]:
     ordinary shares.
     """
     toll, pool, ordinary = shares
-    valid = on_simplex(toll, pool, ordinary) & (pool > 0.0) & (ordinary > 0.0)
-    checks = (
-        (~(top > 0.0), lambda i: GapNonPositive(f"the HOT lane is never faster: all-ordinary latency gap {top[i]}")),
-        (np.isnan(root), lambda i: NoConvergence(f"the gap bracket is still open after {MAX_BISECT} steps")),
-        (~(residual <= RESIDUAL_TOL), lambda i: NoConvergence(
+    failed = (
+        ~(top > 0.0),
+        np.isnan(root),
+        ~(residual <= RESIDUAL_TOL),
+        ~(on_simplex(toll, pool, ordinary) & (pool > 0.0) & (ordinary > 0.0)),
+    )
+    bad = failed[0] | failed[1] | failed[2] | failed[3]
+    if not np.count_nonzero(bad):
+        return {}
+    errors = (
+        lambda i: GapNonPositive(f"the HOT lane is never faster: all-ordinary latency gap {top[i]}"),
+        lambda i: NoConvergence(f"the gap bracket is still open after {MAX_BISECT} steps"),
+        lambda i: NoConvergence(
             f"fixed-point residual {residual[i]} exceeds {RESIDUAL_TOL}",
             last_value=tuple(shares[:, i].tolist()),
             residual=residual[i].item(),
-        )),
-        (~valid, lambda i: ValidationError(
+        ),
+        lambda i: ValidationError(
             f"equilibrium shares {tuple(shares[:, i].tolist())} are not valid in regime {_LABELS[regime[i]].value}"
-        )),
+        ),
     )
-    bad = np.flatnonzero(np.logical_or.reduce([failed for failed, _ in checks])).tolist()
-    return {i: next(error(i) for failed, error in checks if failed[i]) for i in bad}
+    return {
+        i: next(error(i) for mask, error in zip(failed, errors) if mask[i]) for i in np.flatnonzero(bad).tolist()
+    }
 
 
 def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> EquilibriumBatch:

@@ -12,17 +12,29 @@ and for B the linearly damped gap (:func:`b_auxiliary`) along the closure
 :func:`b_companion_shares`. An agent of type ``(beta, gamma)`` pays
 :func:`action_cost` for an action and picks :func:`best_response_at_gap`;
 :func:`empirical_shares` labels the oracle's midpoint grid with its kernel.
+:func:`bisection_gap` finds the solver's own root by halving alone.
 """
 
 import enum
 import math
 
+import numpy as np
+
 from hotlane import oracle
-from hotlane.equilibrium import RegimeLabel
+from hotlane.equilibrium import MAX_BISECT, RegimeLabel, _excess
 from hotlane.errors import GapNonPositive, ValidationError
-from hotlane.latency import BprParams, DesignParams, StrategyShares, _capacities, lane_flows, lane_times, latency_gap
+from hotlane.latency import (
+    BprParams,
+    DesignParams,
+    StrategyShares,
+    _capacities,
+    lane_flows,
+    lane_gap,
+    lane_times,
+    latency_gap,
+)
 from hotlane.oracle import OracleConfig
-from hotlane.population import PopulationParams
+from hotlane.population import PopulationParams, _toll_levels, region_fractions
 
 
 def _probe_share(design: DesignParams, pop: PopulationParams) -> float:
@@ -172,3 +184,31 @@ def empirical_shares(
     (toll, pool), _, _ = oracle._label_counts(gap, beta_mid, gamma_pool, above_tau)
     total = cfg.grid_n * cfg.grid_n
     return StrategyShares(toll / total, pool / total, (total - toll - pool) / total)
+
+
+def bisection_gap(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> np.ndarray:
+    """The latency gap of each design point at the root of the solver's ``F``, found by halving alone.
+
+    Each bracket starts as ``[0, gap(everyone ordinary)]`` and is halved at
+    its midpoint with ``equilibrium._excess`` until the midpoint equals an
+    end, the solver's stop rule; that midpoint is the root (``F == 0`` there
+    closes both ends on it). The gap is then taken at the root's region
+    fractions, as ``solve_batch`` reports it. A bracket still open after
+    ``MAX_BISECT`` halvings has no root, and its gap means nothing.
+    """
+    tau, rho, occupancy = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (tau, rho, occupancy)))
+    with np.errstate(all="ignore"):
+        levels, capacities = _toll_levels(tau, pop), _capacities(rho, bpr)
+        lo = np.zeros_like(tau)
+        hi = lane_gap((lo, lo, 1.0), pop.demand, occupancy, capacities, bpr)
+        root = np.full(tau.shape, np.nan)
+        for _ in range(MAX_BISECT):
+            mid = 0.5 * (lo + hi)
+            closed = np.isnan(root) & ((mid == lo) | (mid == hi))
+            root[closed] = mid[closed]
+            if not np.isnan(root).any():
+                break
+            f_mid = _excess(mid, pop, bpr, *levels, occupancy, *capacities)
+            lo, hi = np.where(f_mid >= 0.0, mid, lo), np.where(f_mid <= 0.0, mid, hi)
+        shares = region_fractions(np.where(root > 0.0, root, 1.0), levels, pop)
+        return lane_gap(shares, pop.demand, occupancy, capacities, bpr)

@@ -43,6 +43,7 @@ from hotlane.cli import (
 )
 from hotlane import cli as cli_mod
 from hotlane import oracle
+from paper_reference import bisection_gap
 
 I880_TEXT = """
 # I-880 calibration
@@ -380,6 +381,36 @@ def test_regime_a_does_not_depend_on_tau(make_config):
         assert column.tobytes() == reference.tobytes(), name
     tau_ab = np.minimum(pop.gamma_max, pop.beta_max * at_cap.gap)
     assert ((table.tau < tau_ab) == regime_b)[table.solved].all()
+
+
+@pytest.mark.parametrize("make_config", [_dense_config, _congested_config])
+def test_root_does_not_depend_on_the_step_rule(make_config):
+    """Halving alone reaches the solver's root bit for bit: each root is a unique float, so the
+    rule that picks the trial points moves only the step counts, never an output byte."""
+    config = make_config()
+    grid = config.design_grid()
+    table = solve_batch(*grid, config.population, config.bpr)
+    assert not table.errors
+    assert table.gap.tobytes() == bisection_gap(*grid, config.population, config.bpr).tobytes()
+
+
+def test_stalled_bracket_end_takes_a_one_float_step():
+    """A secant point that rounds onto a bracket end next to the root steps one float off it.
+
+    At this congested point (``tau ~ 0.70101``, ``rho ~ 0.89490``) 27 secant steps bring ``hi``
+    within 6 ulps of the root; halving the bracket, still 1.16e-5 wide, took 34 more steps.
+    """
+    config = _congested_config()
+    tau, rho, occupancy = config.design_grid()
+    point = 46 * 100 + 5
+    assert solve(DesignParams(rho[point], tau[point], occupancy[point]), config.population, config.bpr).iterations <= 45
+
+
+@pytest.mark.parametrize("make_config, most", [(_dense_config, 30), (_congested_config, 45)])
+def test_largest_step_count(make_config, most):
+    """With midpoint steps alone after a stalled secant the largest counts were 49 and 61."""
+    config = make_config()
+    assert solve_batch(*config.design_grid(), config.population, config.bpr).iterations.max() <= most
 
 
 def _off_grid_config():

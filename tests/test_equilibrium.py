@@ -36,6 +36,7 @@ from paper_reference import (
     a2_auxiliary,
     b_auxiliary,
     b_companion_shares,
+    bisection_gap,
     positive_gap_bracket,
     regime_bracket,
 )
@@ -393,7 +394,7 @@ def test_open_bracket_at_the_cap_is_an_error(i880_pop, i880_bpr, monkeypatch):
 @pytest.mark.parametrize("rho", [1e-100, 1e-300])
 def test_tiny_capacity_fraction_solves(rho, i880_pop, i880_bpr):
     """A root gap hundreds of halvings below the bracket top still closes within ``MAX_BISECT``
-    steps (776 at rho=1e-100, 1008 at 1e-300) and meets the residual gate."""
+    steps (761 at rho=1e-100, 995 at 1e-300) and meets the residual gate."""
     table = solve_batch([1.0], [rho], [2.5], i880_pop, i880_bpr)
     assert not table.errors
     assert table.residual[0] <= eq.RESIDUAL_TOL
@@ -422,22 +423,48 @@ def test_small_gamma_max_rho_grid_solves(gamma_max, i880_bpr):
     assert not solve_batch(1.0, np.linspace(0.05, 0.95, 91), 2.5, pop, i880_bpr).errors
 
 
+I880_POP = PopulationParams(demand=115.0, beta_max=1.5, gamma_max=8.0)
+
+
 @pytest.mark.parametrize(
-    "rho, pop, error",
+    "rho, pop, errors, most",
     [
         # The smallest subnormal: the bracket closes, but the root misses the residual gate.
-        (5e-324, PopulationParams(demand=115.0, beta_max=1.5, gamma_max=8.0), NoConvergence),
-        (0.5, PopulationParams(demand=1e300, beta_max=1.5, gamma_max=8.0), ValidationError),
-        (0.5, PopulationParams(demand=115.0, beta_max=1.5, gamma_max=1e-300), NoConvergence),
+        pytest.param(5e-324, I880_POP, {0: NoConvergence}, eq.MAX_BISECT, id="5e-324-pop0-NoConvergence"),
+        pytest.param(
+            0.5,
+            PopulationParams(demand=1e300, beta_max=1.5, gamma_max=8.0),
+            {0: ValidationError},
+            eq.MAX_BISECT,
+            id="0.5-pop1-ValidationError",
+        ),
+        pytest.param(
+            0.5,
+            PopulationParams(demand=115.0, beta_max=1.5, gamma_max=1e-300),
+            {0: NoConvergence},
+            eq.MAX_BISECT,
+            id="0.5-pop2-NoConvergence",
+        ),
+        # Capacity fractions from subnormal up: the roots of the two subnormal points after the
+        # first miss the residual gate. Halving alone takes at most 1067 steps here and the
+        # solver 1063; with one-float steps on wide brackets as well it took 2119.
+        pytest.param(
+            np.logspace(-320, -1, 300), I880_POP, {1: NoConvergence, 2: NoConvergence}, 1100, id="tiny-rho-sweep"
+        ),
     ],
 )
-def test_extreme_points_fail_typed_without_warnings(rho, pop, error, i880_bpr):
+def test_extreme_points_fail_typed_without_warnings(rho, pop, errors, most, i880_bpr):
     """Overflow and division by zero at extreme but valid points end in the point's typed
-    error, with no numpy warning on the way."""
+    error, with no numpy warning on the way; every other point has the root that halving
+    alone finds."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        errors = solve_batch([1.0], [rho], [2.5], pop, i880_bpr).errors
-    assert [type(e) for e in errors.values()] == [error] and list(errors) == [0]
+        table = solve_batch(1.0, rho, 2.5, pop, i880_bpr)
+    assert {i: type(e) for i, e in table.errors.items()} == errors
+    assert table.iterations.max() <= most
+    solved = table.solved
+    reference = bisection_gap(table.tau, table.rho, table.occupancy, pop, i880_bpr)
+    assert table.gap[solved].tobytes() == reference[solved].tobytes()
 
 
 def test_solve_batch_empty(i880_pop, i880_bpr):
