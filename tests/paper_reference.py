@@ -12,7 +12,8 @@ and for B the linearly damped gap (:func:`b_auxiliary`) along the closure
 :func:`b_companion_shares`. An agent of type ``(beta, gamma)`` pays
 :func:`action_cost` for an action and picks :func:`best_response_at_gap`;
 :func:`empirical_shares` labels the oracle's midpoint grid with its kernel.
-:func:`bisection_gap` finds the solver's own root by halving alone.
+:func:`bisection_gap` finds the solver's own root by halving alone, and
+:func:`brute_force_front` the Pareto front by comparing every pair of points.
 """
 
 import enum
@@ -212,3 +213,28 @@ def bisection_gap(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) ->
             lo, hi = np.where(f_mid >= 0.0, mid, lo), np.where(f_mid <= 0.0, mid, hi)
         shares = region_fractions(np.where(root > 0.0, root, 1.0), levels, pop)
         return lane_gap(shares, pop.demand, occupancy, capacities, bpr)
+
+
+def brute_force_front(results):
+    """The Pareto front of ``results`` (lowest ``avg_time``, highest ``revenue``) by comparing every pair.
+
+    A point is kept unless another point is at least as good in both
+    objectives and better in one, or is an earlier exact copy of it. The kept
+    points are returned sorted by ``avg_time``.
+    """
+    kept = []
+    for i, candidate in enumerate(results):
+        dominated = False
+        for j, other in enumerate(results):
+            better_or_equal = other.avg_time <= candidate.avg_time and other.revenue >= candidate.revenue
+            strictly_better = other.avg_time < candidate.avg_time or other.revenue > candidate.revenue
+            duplicate_later_copy = (
+                other.avg_time == candidate.avg_time and other.revenue == candidate.revenue and j < i
+            )
+            if (better_or_equal and strictly_better) or duplicate_later_copy:
+                dominated = True
+                break
+        if not dominated:
+            kept.append(candidate)
+    kept.sort(key=lambda r: r.avg_time)
+    return kept

@@ -27,7 +27,7 @@ from hotlane import (
 )
 from hotlane.equilibrium import MAX_BISECT, RESIDUAL_TOL
 from hotlane.latency import bpr_time
-from paper_reference import a1_auxiliary, a2_auxiliary, b_auxiliary, positive_gap_bracket
+from paper_reference import a1_auxiliary, a2_auxiliary, b_auxiliary, brute_force_front, positive_gap_bracket
 
 ORACLE_TOL = 5e-3
 SELF_CONSISTENCY_TOL = 1e-8
@@ -171,38 +171,13 @@ def test_auxiliary_monotonicity(solved, pop, bpr):
     assert ok
 
 
-def _brute_force_front(results):
-    kept = []
-    for i, candidate in enumerate(results):
-        dominated = False
-        for j, other in enumerate(results):
-            better_or_equal = (
-                other.avg_time <= candidate.avg_time and other.revenue >= candidate.revenue
-            )
-            strictly_better = (
-                other.avg_time < candidate.avg_time or other.revenue > candidate.revenue
-            )
-            duplicate_later_copy = (
-                other.avg_time == candidate.avg_time
-                and other.revenue == candidate.revenue
-                and j < i
-            )
-            if (better_or_equal and strictly_better) or duplicate_later_copy:
-                dominated = True
-                break
-        if not dominated:
-            kept.append(candidate)
-    kept.sort(key=lambda r: r.avg_time)
-    return kept
-
-
 def test_pareto_against_brute_force(grid, pop, bpr):
     """Fast front extraction equals the quadratic dominance scan exactly."""
     table = solve_batch([d.tau for d in grid], [d.rho for d in grid], [d.occupancy for d in grid], pop, bpr)
     assert not table.errors
     results = [table.outcome(i) for i in range(len(table))]
     assert all(isinstance(r, EquilibriumOutcome) for r in results)
-    ok = [results[i] for i in pareto_front(results)] == _brute_force_front(results)
+    ok = [results[i] for i in pareto_front(results)] == brute_force_front(results)
 
     # A Regime-B carrier, so that a positive synthetic revenue agrees with its regime.
     template = next(r for r in results if r.regime is RegimeLabel.B)
@@ -216,7 +191,7 @@ def test_pareto_against_brute_force(grid, pop, bpr):
             dataclasses.replace(template, avg_time=float(t), revenue=float(r))
             for t, r in zip(times, revenues)
         ]
-        if [synthetic[i] for i in pareto_front(synthetic)] != _brute_force_front(synthetic):
+        if [synthetic[i] for i in pareto_front(synthetic)] != brute_force_front(synthetic):
             ok = False
             break
         random_sets += 1

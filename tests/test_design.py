@@ -17,6 +17,7 @@ from hotlane import (
 )
 from hotlane.design import evaluate_design
 from hotlane.latency import bpr_time
+from paper_reference import brute_force_front
 
 
 def i880_grid():
@@ -118,31 +119,6 @@ def test_pareto_front_positions_skip_a_failed_point(i880_pop, i880_bpr):
     assert positions == [kept[i] for i in pareto_front([table.outcome(i) for i in kept])]
 
 
-def _brute_force_front(results):
-    kept = []
-    for i, candidate in enumerate(results):
-        dominated = False
-        for j, other in enumerate(results):
-            better_or_equal = (
-                other.avg_time <= candidate.avg_time and other.revenue >= candidate.revenue
-            )
-            strictly_better = (
-                other.avg_time < candidate.avg_time or other.revenue > candidate.revenue
-            )
-            duplicate_later_copy = (
-                other.avg_time == candidate.avg_time
-                and other.revenue == candidate.revenue
-                and j < i
-            )
-            if (better_or_equal and strictly_better) or duplicate_later_copy:
-                dominated = True
-                break
-        if not dominated:
-            kept.append(candidate)
-    kept.sort(key=lambda r: r.avg_time)
-    return kept
-
-
 def _synthetic_result(template, avg_time, revenue):
     return dataclasses.replace(template, avg_time=avg_time, revenue=revenue)
 
@@ -207,7 +183,7 @@ def test_pareto_front_matches_brute_force_random(b_template):
             _synthetic_result(b_template, float(t), float(r)) for t, r in zip(times, revenues)
         ]
         fast = [results[i] for i in pareto_front(results)]
-        slow = _brute_force_front(results)
+        slow = brute_force_front(results)
         assert fast == slow
         groups = rng.integers(-3, int(rng.integers(-2, 6)), size=size)
         assert pareto_front(results, groups).tolist() == _fronts_one_group_at_a_time(results, groups.tolist())
@@ -249,7 +225,7 @@ def test_pareto_front_on_i880_sweep(i880_pop, i880_bpr):
     results = rows(table)
     front = [results[i] for i in pareto_front(results)]
     assert set(front) <= set(results)
-    assert front == _brute_force_front(results)
+    assert front == brute_force_front(results)
     # The columnar path keeps the same points.
     assert rows(table.take(pareto_front(table))) == front
     # Per-rho fronts: the batch slice and the list give the same points.
@@ -274,7 +250,7 @@ def test_pareto_front_ties_in_a_slice(i880_pop, i880_bpr):
         assert front.avg_time.tolist() == [28.0, 29.0] and front.revenue.tolist() == [7.0, 9.0]
         listed = tuple(results[start + i] for i in pareto_front(results[start : start + 6]))
         assert listed == (results[start + 1], results[start + 4])
-        assert listed == tuple(_brute_force_front(results[start : start + 6]))
+        assert listed == tuple(brute_force_front(results[start : start + 6]))
 
 
 def test_statics_scan_i880(i880_pop, i880_bpr):

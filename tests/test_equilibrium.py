@@ -391,14 +391,32 @@ def test_open_bracket_at_the_cap_is_an_error(i880_pop, i880_bpr, monkeypatch):
     assert sorted(table.errors) == [0, 1] and not table.solved.any()
 
 
-@pytest.mark.parametrize("rho", [1e-100, 1e-300])
+@pytest.mark.parametrize("rho", [1e-100, 1e-300, 4.45e-87])
 def test_tiny_capacity_fraction_solves(rho, i880_pop, i880_bpr):
-    """A root gap hundreds of halvings below the bracket top still closes within ``MAX_BISECT``
-    steps (761 at rho=1e-100, 995 at 1e-300) and meets the residual gate."""
+    """A Regime-A1 root more than 200 binades below the bracket top closes in at most 250 steps
+    and meets the residual gate. Halving a stalled bracket's width took 761, 995 and 805 steps
+    here; halving its count of floats takes 212, 23 and 78."""
     table = solve_batch([1.0], [rho], [2.5], i880_pop, i880_bpr)
     assert not table.errors
     assert table.residual[0] <= eq.RESIDUAL_TOL
-    assert 200 < table.iterations[0] <= eq.MAX_BISECT
+    # In Regime A1 the pool share is beta_max / (2 * gamma_max) times the root gap.
+    root = table.shares[1, 0] * 2.0 * i880_pop.gamma_max / i880_pop.beta_max
+    top = latency_gap(StrategyShares(0.0, 0.0, 1.0), DesignParams(rho, 1.0, 2.5), i880_pop.demand, i880_bpr)
+    assert table.regime[0] == 0 and 0.0 < root < 2.0**-200 * top
+    assert table.iterations[0] <= 250
+
+
+def test_negative_index_of_a_failed_point_raises(i880_pop, i880_bpr):
+    """``outcome(-1)`` is the last point: when that point failed, it raises the point's error
+    instead of returning its meaningless columns as an equilibrium."""
+    table = solve_batch([1.0, 1.0], [0.5, 5e-324], 2.5, i880_pop, i880_bpr)
+    assert list(table.errors) == [1] and isinstance(table.errors[1], NoConvergence)
+    with pytest.raises(NoConvergence) as raised:
+        table.outcome(-1)
+    assert raised.value is table.errors[1]
+    assert table.outcome(-2) == table.outcome(0)
+    with pytest.raises(IndexError):
+        table.outcome(2)
 
 
 def test_small_gamma_max_a2_point_solves(i880_bpr):
@@ -447,9 +465,10 @@ I880_POP = PopulationParams(demand=115.0, beta_max=1.5, gamma_max=8.0)
         ),
         # Capacity fractions from subnormal up: the roots of the two subnormal points after the
         # first miss the residual gate. Halving alone takes at most 1067 steps here and the
-        # solver 1063; with one-float steps on wide brackets as well it took 2119.
+        # solver 782, at rho=9.6e-82 where secant steps creep; halving a stalled bracket's
+        # width instead of its count of floats took 1063.
         pytest.param(
-            np.logspace(-320, -1, 300), I880_POP, {1: NoConvergence, 2: NoConvergence}, 1100, id="tiny-rho-sweep"
+            np.logspace(-320, -1, 300), I880_POP, {1: NoConvergence, 2: NoConvergence}, 900, id="tiny-rho-sweep"
         ),
     ],
 )
