@@ -14,14 +14,8 @@ reproduce themselves through the best-response region areas, which is the
 equilibrium condition.
 """
 
-from hotlane import (
-    BprParams,
-    DesignParams,
-    PopulationParams,
-    latency_gap,
-    region_measures_at_gap,
-    solve,
-)
+from hotlane import BprParams, DesignParams, PopulationParams, solve
+from hotlane.population import region_measures_at_gap
 
 I880_POP = PopulationParams(demand=115.0, beta_max=1.5, gamma_max=8.0)
 I880_BPR = BprParams(a=0.15, b=4.0, t_free=22.0, v_cap=140.0)
@@ -41,7 +35,7 @@ CASES = [
 def main() -> None:
     for name, design, pop, bpr in CASES:
         out = solve(design, pop, bpr)
-        measured = region_measures_at_gap(latency_gap(out.shares, design, pop.demand, bpr), design.tau, pop)
+        measured = region_measures_at_gap(out.gap, design.tau, pop)
         consistency = max(
             abs(measured.toll - out.shares.toll),
             abs(measured.pool - out.shares.pool),

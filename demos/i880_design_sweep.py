@@ -13,7 +13,8 @@ batch, and ``table.take(front)`` is the batch of those points.
 
 import numpy as np
 
-from hotlane import i880_config, pareto_front, solve_batch
+from hotlane import pareto_front, solve_batch
+from hotlane.cli import i880_config
 
 def main() -> None:
     config = i880_config()

@@ -18,7 +18,8 @@ Main entry points:
   capacity statics.
 * ``hotlane`` console script (or ``python -m hotlane``) - equilibrium /
   verify / sweep / pareto / statics commands over a config file or the
-  built-in I-880 calibration.
+  built-in I-880 calibration. Its config API (``RunConfig``, ``i880_config``,
+  ``load_config``, ``parse_config_text``, ``dump_config``) is :mod:`hotlane.cli`.
 """
 
 from .errors import (
@@ -32,9 +33,8 @@ from .latency import (
     BprParams,
     DesignParams,
     StrategyShares,
-    latency_gap,
 )
-from .population import PopulationParams, region_measures_at_gap
+from .population import PopulationParams
 from .equilibrium import (
     EquilibriumBatch,
     EquilibriumOutcome,
@@ -44,7 +44,6 @@ from .equilibrium import (
 )
 from .oracle import OracleConfig, oracle_equilibrium
 from .design import comparative_statics_scan, pareto_front
-from .cli import RunConfig, dump_config, i880_config, load_config
 
 __version__ = "0.1.0"
 
@@ -60,17 +59,11 @@ __all__ = [
     "ParseError",
     "PopulationParams",
     "RegimeLabel",
-    "RunConfig",
     "StrategyShares",
     "ValidationError",
     "comparative_statics_scan",
-    "dump_config",
-    "i880_config",
-    "latency_gap",
-    "load_config",
     "oracle_equilibrium",
     "pareto_front",
-    "region_measures_at_gap",
     "solve",
     "solve_batch",
 ]

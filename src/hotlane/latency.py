@@ -31,7 +31,6 @@ __all__ = [
     "BprParams",
     "DesignParams",
     "StrategyShares",
-    "latency_gap",
 ]
 
 SIMPLEX_TOL = 1e-12
@@ -165,6 +164,7 @@ def lane_gap(shares, demand, occupancy, capacities, bpr: BprParams):
     return bpr.t_free * (_congestion(flow_ordinary, capacities[0], bpr) - _congestion(flow_hot, capacities[1], bpr))
 
 
+# Nothing in src/ calls this; perfbench/child.py times it. ROADMAP items 1 and 11 delete it.
 def latency_gap(sigma: StrategyShares, design: DesignParams, demand: float, bpr: BprParams) -> float:
     """Ordinary-lane latency minus HOT-lane latency at the given profile: :func:`lane_gap` as a float.
 

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import check_fields
 from .latency import StrategyShares
 
-__all__ = ["PopulationParams", "region_measures_at_gap"]
+__all__ = ["PopulationParams"]
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,7 @@ def region_fractions(gap, levels, pop: PopulationParams):
     return toll, pool, np.maximum(0.0, 1.0 - pool - toll)
 
 
+# Nothing in src/ calls this; perfbench/child.py times it. ROADMAP items 1 and 11 delete it.
 def region_measures_at_gap(gap: float, tau: float, pop: PopulationParams) -> StrategyShares:
     """Population fractions of the three best-response regions, closed form.
 

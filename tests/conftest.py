@@ -7,12 +7,10 @@ from hotlane import (
     OracleConfig,
     PopulationParams,
     StrategyShares,
-    latency_gap,
-    region_measures_at_gap,
 )
 from hotlane import equilibrium as eq
-from hotlane.latency import _capacities
-from hotlane.population import _toll_levels
+from hotlane.latency import _capacities, latency_gap
+from hotlane.population import _toll_levels, region_measures_at_gap
 
 
 @pytest.fixture(scope="session")

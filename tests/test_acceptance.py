@@ -18,15 +18,14 @@ from hotlane import (
     OracleConfig,
     PopulationParams,
     RegimeLabel,
-    latency_gap,
     oracle_equilibrium,
     pareto_front,
-    region_measures_at_gap,
     solve,
     solve_batch,
 )
 from hotlane.equilibrium import MAX_BISECT, RESIDUAL_TOL
-from hotlane.latency import bpr_time
+from hotlane.latency import bpr_time, latency_gap
+from hotlane.population import region_measures_at_gap
 from paper_reference import a1_auxiliary, a2_auxiliary, b_auxiliary, brute_force_front, positive_gap_bracket
 
 ORACLE_TOL = 5e-3

@@ -616,12 +616,13 @@ def test_main_twice_in_one_process(capsys):
     assert capsys.readouterr().out == text
 
 
-def test_python_m_hotlane(capsys):
-    """``python -m hotlane`` runs the console script, and the module run leaks no warning."""
+@pytest.mark.parametrize("module", ["hotlane", "hotlane.cli"])
+def test_python_m_hotlane(module, capsys):
+    """``python -m hotlane`` and ``python -m hotlane.cli`` run the console script without leaking a warning."""
     argv = ["--i880-defaults", "equilibrium", "--tau", "1", "--rho", "0.5"]
     path = os.pathsep.join(filter(None, [str(Path(hotlane.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "hotlane", *argv],
+        [sys.executable, "-W", "error", "-m", module, *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert run.returncode == 0, run.stderr

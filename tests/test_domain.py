@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from hotlane import BprParams, DesignParams, OracleConfig, PopulationParams, RunConfig, ValidationError, i880_config
+from hotlane import BprParams, DesignParams, OracleConfig, PopulationParams, ValidationError
+from hotlane.cli import RunConfig, i880_config
 from hotlane.errors import _DOMAIN
 
 VALID = {

@@ -23,13 +23,13 @@ from hotlane import (
     RegimeLabel,
     StrategyShares,
     ValidationError,
-    latency_gap,
     oracle_equilibrium,
-    region_measures_at_gap,
     solve,
     solve_batch,
 )
 from hotlane import equilibrium as eq
+from hotlane.latency import latency_gap
+from hotlane.population import region_measures_at_gap
 import paper_reference
 from paper_reference import (
     a1_auxiliary,

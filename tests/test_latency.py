@@ -10,9 +10,17 @@ from hotlane import (
     DesignParams,
     StrategyShares,
     ValidationError,
-    latency_gap,
 )
-from hotlane.latency import _capacities, _congestion, bpr_time, lane_flows, lane_gap, lane_times, on_simplex
+from hotlane.latency import (
+    _capacities,
+    _congestion,
+    bpr_time,
+    lane_flows,
+    lane_gap,
+    lane_times,
+    latency_gap,
+    on_simplex,
+)
 
 # Frozen from 40-digit evaluation of the latency formulas.
 L_ORD_115_HALF = 22.08113101669877

@@ -18,12 +18,12 @@ from hotlane import (
     RegimeLabel,
     StrategyShares,
     ValidationError,
-    latency_gap,
     oracle_equilibrium,
-    region_measures_at_gap,
     solve,
 )
 from hotlane import oracle
+from hotlane.latency import latency_gap
+from hotlane.population import region_measures_at_gap
 from paper_reference import ActionLabel, best_response_at_gap, empirical_shares
 
 # The congested calibration: I-880 with demand 250 and a = 0.6.

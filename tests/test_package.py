@@ -1,6 +1,10 @@
-"""The package's public surface: exactly these names, and all of them defined."""
+"""The package's public surface: exactly these names, all of them defined, and no front end loaded."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import hotlane
 
@@ -16,17 +20,11 @@ PUBLIC_NAMES = [
     "ParseError",
     "PopulationParams",
     "RegimeLabel",
-    "RunConfig",
     "StrategyShares",
     "ValidationError",
     "comparative_statics_scan",
-    "dump_config",
-    "i880_config",
-    "latency_gap",
-    "load_config",
     "oracle_equilibrium",
     "pareto_front",
-    "region_measures_at_gap",
     "solve",
     "solve_batch",
 ]
@@ -43,3 +41,10 @@ def test_module_all_names_exist():
         module = importlib.import_module(f"hotlane.{name}")
         missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
         assert not missing, f"hotlane.{name}.__all__ names undefined {missing}"
+
+
+def test_import_loads_the_library_alone():
+    """``import hotlane`` loads no front end: the CLI and argparse stay unloaded."""
+    path = os.pathsep.join(filter(None, [str(Path(hotlane.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    code = "import sys, hotlane; loaded = {'hotlane.cli', 'argparse'} & set(sys.modules); assert not loaded, loaded"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})

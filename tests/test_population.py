@@ -8,11 +8,9 @@ from hotlane import (
     PopulationParams,
     StrategyShares,
     ValidationError,
-    latency_gap,
-    region_measures_at_gap,
 )
-from hotlane.latency import _capacities, lane_gap
-from hotlane.population import _toll_levels, region_fractions
+from hotlane.latency import _capacities, lane_gap, latency_gap
+from hotlane.population import _toll_levels, region_fractions, region_measures_at_gap
 from paper_reference import ActionLabel, action_cost, best_response_at_gap
 
 # Frozen from 40-digit evaluation: beta=1.5, gamma=4, sigma=(0.1, 0.2, 0.7),
