@@ -185,8 +185,8 @@ def parse_config_text(text: str) -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     """Read and validate a configuration file."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from None
     return parse_config_text(text)
 

@@ -36,8 +36,9 @@ def pareto_front(results: list[EquilibriumOutcome] | EquilibriumBatch, groups=No
     strictly better in at least one coordinate. Exact ties on both
     coordinates keep the first-seen point. ``results`` is a list of
     :class:`EquilibriumOutcome` or an :class:`EquilibriumBatch`, whose failed
-    points are skipped. The int array is in front order, by ascending
-    ``avg_time``; ``batch.take(front)`` or ``results[i]`` gives the points.
+    points are skipped: a batch with no solved point has an empty front, and
+    an empty list raises ``ValidationError``. The int array is in front order,
+    by ascending ``avg_time``; ``batch.take(front)`` or ``results[i]`` gives the points.
 
     ``groups``, an int label per result, asks for one front per label in one
     pass: the fronts of the labels in ascending order, one after another, each
@@ -55,11 +56,11 @@ def pareto_front(results: list[EquilibriumOutcome] | EquilibriumBatch, groups=No
     if isinstance(results, EquilibriumBatch):
         positions = np.flatnonzero(results.solved)
         avg_time, revenue = results.avg_time[positions], results.revenue[positions]
-    else:
+    elif len(results):
         positions = np.arange(len(results))
         avg_time = np.array([p.avg_time for p in results], dtype=float)
         revenue = np.array([p.revenue for p in results], dtype=float)
-    if not positions.size:
+    else:
         raise ValidationError("pareto_front requires at least one result")
     if groups is None:
         group = np.zeros(positions.size, dtype=np.intp)
@@ -70,10 +71,9 @@ def pareto_front(results: list[EquilibriumOutcome] | EquilibriumBatch, groups=No
         group = groups[positions]
     order = np.lexsort((positions, -revenue, avg_time, group))
     group = group[order]
-    rank = np.cumsum(np.concatenate(([0], group[1:] != group[:-1])))
+    rank = np.cumsum(np.diff(group, prepend=group[:1]) != 0)
     key = rank * (positions.size + 1) + np.unique(revenue, return_inverse=True)[1][order]
-    best = np.maximum.accumulate(key)
-    return positions[order[np.concatenate(([True], key[1:] > best[:-1]))]]
+    return positions[order[key > np.maximum.accumulate(np.concatenate(([-1], key)))[:-1]]]
 
 
 def comparative_statics_scan(

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapNonPositive, HotLaneError, NoConvergence, ValidationError, check
-from .latency import BprParams, DesignParams, StrategyShares, _capacities, lane_gap, lane_times, on_simplex
+from .latency import BprParams, DesignParams, StrategyShares, _capacities, bpr_time, lane_flows, lane_gap, on_simplex
 from .population import PopulationParams, _toll_levels, region_fractions
 
 __all__ = [
@@ -279,7 +279,7 @@ def _failures(top, root, shares, regime, residual) -> dict[int, HotLaneError]:
     if not np.count_nonzero(bad):
         return {}
     errors = (
-        lambda i: GapNonPositive(f"the HOT lane is never faster: all-ordinary latency gap {top[i]}"),
+        lambda i: GapNonPositive(top[i]),
         lambda i: NoConvergence(f"the gap bracket is still open after {MAX_BISECT} steps"),
         lambda i: NoConvergence(
             f"fixed-point residual {residual[i]} exceeds {RESIDUAL_TOL}",
@@ -302,10 +302,11 @@ def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> E
     length (a scalar occupancy serves every point); a point outside the
     :class:`DesignParams` domain raises ``ValidationError``. A point that
     cannot be solved gets its typed error in ``errors`` (``GapNonPositive``
-    when the HOT lane is never faster, ``NoConvergence`` when the bracket is
-    still open after ``MAX_BISECT`` steps or the printed residual exceeds
-    ``RESIDUAL_TOL``), so one bad point never aborts the batch. Every step is
-    elementwise, so a point's result does not depend on the rest of the batch.
+    when the all-ordinary gap is not a positive float, ``NoConvergence`` when
+    the bracket is still open after ``MAX_BISECT`` steps or the printed
+    residual exceeds ``RESIDUAL_TOL``), so one bad point never aborts the
+    batch. Every step is elementwise, so a point's result does not depend on
+    the rest of the batch.
     """
     tau, rho, occupancy = _check_designs(tau, rho, occupancy)
     # Extreme but valid points overflow or divide by zero on the way to a NaN or
@@ -325,9 +326,9 @@ def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> E
         )
 
         shares = np.array(region_fractions(np.where(root > 0.0, root, 1.0), levels, pop))
-        flows, latencies = (np.array(pair) for pair in lane_times(shares, pop.demand, occupancy, capacities, bpr))
+        flows = np.array(lane_flows(*shares, pop.demand, occupancy))
+        latencies = bpr_time(flows, np.array(capacities), bpr)
         toll, pool, ordinary = shares
-        time_ordinary, time_hot = latencies
         gap = lane_gap(shares, pop.demand, occupancy, capacities, bpr)
         regime = np.where(toll > 0.0, 2, np.where(pop.beta_max * root > pop.gamma_max, 1, 0))
         printed = np.choose(
@@ -340,7 +341,7 @@ def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> E
         )
         residual = np.abs(printed)
         errors = _failures(top, root, shares, regime, residual)
-        avg_time = (toll + pool) * time_hot + ordinary * time_ordinary
+        avg_time = (toll + pool) * latencies[1] + ordinary * latencies[0]
         revenue = pop.demand * toll * tau
     return EquilibriumBatch(
         tau, rho, occupancy, shares, regime, gap, flows, residual, iterations, latencies, avg_time, revenue, errors

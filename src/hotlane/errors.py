@@ -52,7 +52,11 @@ class NoConvergence(HotLaneError):
 
 
 class GapNonPositive(HotLaneError):
-    """No strategy profile yields a faster HOT lane; bad latency parameters."""
+    """``GapNonPositive(gap)``: the all-ordinary latency gap is a float that is not positive, unlike its exact value."""
+
+    def __str__(self) -> str:
+        cause = "a congestion power underflowed or the HOT capacity is 0"
+        return f"all-ordinary latency gap {self.args[0]} is not a positive float: {cause}"
 
 
 # The parameter domain: one (rule, text) per numeric field of the parameter types,

@@ -15,8 +15,8 @@ from a source using that convention, rescale ``a`` accordingly
 (``a_inside = a_outside ** (1/b)``).
 
 The parameter types validate their fields; the formulas validate nothing.
-Every lane time in the package comes from :func:`lane_times`, and every
-latency gap from :func:`lane_gap`.
+Every lane flow in the package comes from :func:`lane_flows`, every lane
+time from :func:`bpr_time`, and every latency gap from :func:`lane_gap`.
 """
 
 from __future__ import annotations
@@ -128,10 +128,10 @@ def bpr_time(flow, capacity, bpr: BprParams):
     """Volume-delay curve ``t_free * (1 + (a * flow / capacity) ** b)``.
 
     Over numpy arrays or scalars, under the caller's ``np.errstate``, and
-    unvalidated: the one definition of the curve behind :func:`lane_times`;
-    :func:`lane_gap` shares its power term. A power too large for a float
-    is ``inf``, and a zero capacity makes the power ``inf``, or ``nan``
-    where ``a * flow`` is 0.
+    unvalidated: the one definition of the curve, whose power term
+    :func:`lane_gap` shares. A power too large for a float is ``inf``, and
+    a zero capacity makes the power ``inf``, or ``nan`` where ``a * flow``
+    is 0.
     """
     return bpr.t_free * (1.0 + _congestion(flow, capacity, bpr))
 
@@ -141,24 +141,12 @@ def _capacities(rho, bpr: BprParams):
     return bpr.v_cap * (1.0 - rho), bpr.v_cap * rho
 
 
-def lane_times(shares, demand, occupancy, capacities, bpr: BprParams):
-    """(ordinary, HOT) vehicle flows and travel times at the (toll, pool, ordinary) shares.
-
-    ``capacities`` is ``_capacities(rho, bpr)``, hoisted out of a caller's loop over
-    shares. Unvalidated, like :func:`bpr_time`. Their latency gap is :func:`lane_gap`,
-    not the difference of these times.
-    """
-    flow_ordinary, flow_hot = lane_flows(*shares, demand, occupancy)
-    times = bpr_time(flow_ordinary, capacities[0], bpr), bpr_time(flow_hot, capacities[1], bpr)
-    return (flow_ordinary, flow_hot), times
-
-
 def lane_gap(shares, demand, occupancy, capacities, bpr: BprParams):
-    """Ordinary-lane minus HOT-lane travel time: the one latency gap, with :func:`lane_times`' contract.
+    """Ordinary-lane minus HOT-lane travel time at the (toll, pool, ordinary) shares, unvalidated.
 
-    Computed as ``t_free * (x_o**b - x_h**b)`` with ``x = a * flow / capacity``:
-    the two times share ``t_free``, and subtracting them would cancel it and
-    lose the gap's low digits whenever the power terms are small against 1.
+    ``capacities`` is ``_capacities(rho, bpr)``. Computed as ``t_free * (x_o**b - x_h**b)``
+    with ``x = a * flow / capacity``: the two times share ``t_free``, and subtracting them
+    would cancel it and lose the gap's low digits whenever the power terms are small against 1.
     """
     flow_ordinary, flow_hot = lane_flows(*shares, demand, occupancy)
     return bpr.t_free * (_congestion(flow_ordinary, capacities[0], bpr) - _congestion(flow_hot, capacities[1], bpr))

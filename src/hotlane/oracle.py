@@ -211,7 +211,8 @@ def oracle_equilibrium(
         return StrategyShares(toll / total, pool / total, (total - toll - pool) / total)
 
     def gap_at(state: tuple[int, int]) -> float:
-        return float(lane_gap(np.array(as_shares(state).as_tuple()), pop.demand, design.occupancy, capacities, bpr))
+        counts = np.array((*state, total - sum(state)))
+        return float(lane_gap(counts / total, pop.demand, design.occupancy, capacities, bpr))
 
     def distance(a: tuple[int, int], b: tuple[int, int]) -> int:
         """Max-norm count distance over the toll, pool and ordinary counts."""
@@ -242,7 +243,7 @@ def oracle_equilibrium(
     known = [(s_lo, -math.inf, first)]  # every labeling so far, with its interval
     lo, x = math.nextafter(first, -math.inf), gap_at(s_lo)
     if not x > 0.0:
-        raise GapNonPositive(f"the HOT lane is never faster: all-ordinary latency gap {x}")
+        raise GapNonPositive(x)
     if x <= lo:
         return as_shares(s_lo), labelings
     f_lo = x - lo

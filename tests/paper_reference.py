@@ -29,9 +29,9 @@ from hotlane.latency import (
     DesignParams,
     StrategyShares,
     _capacities,
+    bpr_time,
     lane_flows,
     lane_gap,
-    lane_times,
     latency_gap,
 )
 from hotlane.oracle import OracleConfig
@@ -148,8 +148,8 @@ def action_cost(
     ``tau`` and carpooling adds the agent's ``gamma``. The payoff that
     :func:`best_response_at_gap` minimizes.
     """
-    capacities = _capacities(design.rho, bpr)
-    _, (time_ordinary, time_hot) = lane_times(sigma.as_tuple(), pop.demand, design.occupancy, capacities, bpr)
+    flows = lane_flows(*sigma.as_tuple(), pop.demand, design.occupancy)
+    time_ordinary, time_hot = (bpr_time(f, c, bpr) for f, c in zip(flows, _capacities(design.rho, bpr)))
     if action is ActionLabel.ORDINARY:
         return beta * time_ordinary
     if action is ActionLabel.TOLL:

@@ -198,6 +198,19 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "nope.cfg")
 
 
+def test_non_utf8_config_is_a_parse_error(capsys, tmp_path):
+    """A config file that is not UTF-8 exits 1 with one ParseError line, not a decode traceback."""
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(I880_TEXT.encode() + b"\xff\n")
+    with pytest.raises(ParseError, match="cannot read config"):
+        load_config(path)
+    out = tmp_path / "sweep.csv"
+    assert main(["--config", str(path), "sweep", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ParseError: cannot read config {path}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_load_config_from_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(I880_TEXT)
@@ -331,6 +344,17 @@ def test_cmd_pareto_skips_a_rho_whose_every_point_failed(tmp_path, monkeypatch):
     per_rho = [line for line in out.read_text().splitlines() if ",rho=" in line]
     assert per_rho == [line for line in clean.read_text().splitlines() if ",rho=" in line and not line.endswith("=0.5")]
     assert {line.rsplit("=", 1)[1] for line in per_rho} == {"0.25", "0.75"}
+
+
+def test_cmd_pareto_on_a_grid_where_every_point_failed(capsys, tmp_path):
+    """With every point ``GapNonPositive`` (an underflowing congestion power), ``pareto``
+    writes its header and no row and exits 1 for the failed points, as ``sweep`` does."""
+    path = tmp_path / "underflow.cfg"
+    path.write_text(I880_TEXT.replace("bpr.a = 0.15", "bpr.a = 1e-100"))
+    out = tmp_path / "pareto.csv"
+    assert main(["--config", str(path), "pareto", "--per-rho", "--out", str(out)]) == 1
+    assert out.read_text() == ",".join(SWEEP_COLUMNS) + ",front_id\n"
+    assert capsys.readouterr().err == ""
 
 
 def _dense_config():

@@ -208,7 +208,8 @@ def test_pareto_front_groups_with_revenue_ties_across_groups(b_template):
 
 def test_pareto_front_groups_skip_a_group_whose_every_point_failed(i880_pop, i880_bpr):
     """On the I-880 batch grouped by rho, a rho whose every point failed has no front, and
-    the other rhos' fronts are their slices' fronts, offset into the batch."""
+    the other rhos' fronts are their slices' fronts, offset into the batch. With every point
+    failed the front is empty, and the groups are still checked."""
     table = solve_batch(*columns(i880_grid()), i880_pop, i880_bpr)
     by_rho = np.arange(len(table)) // 20
     sliced = [20 * k + pareto_front(table.take(slice(20 * k, 20 * k + 20))) for k in range(3)]
@@ -216,8 +217,11 @@ def test_pareto_front_groups_skip_a_group_whose_every_point_failed(i880_pop, i88
     broken = dataclasses.replace(table, errors={i: HotLaneError("synthetic failure") for i in range(20, 40)})
     assert pareto_front(broken, by_rho).tolist() == np.concatenate([sliced[0], sliced[2]]).tolist()
     everything = dataclasses.replace(table, errors={i: HotLaneError("synthetic failure") for i in range(60)})
+    for groups in (by_rho, None):
+        front = pareto_front(everything, groups)
+        assert front.dtype == np.intp and front.size == 0
     with pytest.raises(ValidationError):
-        pareto_front(everything, by_rho)
+        pareto_front(everything, by_rho[:-1])
 
 
 def test_pareto_front_on_i880_sweep(i880_pop, i880_bpr):

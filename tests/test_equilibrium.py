@@ -244,8 +244,7 @@ def test_a1_auxiliary_inf_past_zero_gap(i880_pop, i880_bpr):
 
 def test_gap_non_positive_guard(i880_pop):
     # A vanishing congestion coefficient underflows the all-ordinary latency
-    # gap to 0.0: the HOT lane is never faster. That must be surfaced, not
-    # papered over with a fake root.
+    # gap to 0.0. That must be surfaced, not papered over with a fake root.
     bpr = BprParams(a=1e-100, b=4.0, t_free=22.0, v_cap=140.0)
     design = DesignParams(0.25, 1.0, 2.5)
     batch = solve_batch([design.tau], [design.rho], [design.occupancy], i880_pop, bpr)
@@ -254,6 +253,19 @@ def test_gap_non_positive_guard(i880_pop):
         solve(design, i880_pop, bpr)
     with pytest.raises(GapNonPositive, match="all-ordinary latency gap 0.0"):
         oracle_equilibrium(design, i880_pop, bpr, OracleConfig(grid_n=100))
+
+
+def test_gap_non_positive_names_the_underflow(i880_pop):
+    """At ``a = 1e-100`` the exact all-ordinary gap, about 1.6e-398, is positive but below the
+    smallest float: the solver and the oracle say that a power underflowed, not that the HOT
+    lane is never faster."""
+    bpr = BprParams(a=1e-100, b=4.0, t_free=22.0, v_cap=140.0)
+    design = DesignParams(0.5, 1.0, 2.5)
+    message = "all-ordinary latency gap 0.0 is not a positive float: a congestion power underflowed"
+    for run in (solve, lambda *args: oracle_equilibrium(*args, OracleConfig(grid_n=100))):
+        with pytest.raises(GapNonPositive, match=message) as info:
+            run(design, i880_pop, bpr)
+        assert "never faster" not in str(info.value)
 
 
 def test_outcome_invariants_enforced():

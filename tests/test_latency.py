@@ -17,7 +17,6 @@ from hotlane.latency import (
     bpr_time,
     lane_flows,
     lane_gap,
-    lane_times,
     latency_gap,
     on_simplex,
 )
@@ -189,7 +188,7 @@ def test_lane_times_elementwise(i880_bpr):
     rhos = [0.25, 0.5, 0.75]
     shares = tuple(np.array(column) for column in zip(*(sigma.as_tuple() for sigma in profiles)))
     capacities = _capacities(np.array(rhos), i880_bpr)
-    flows, _ = lane_times(shares, 115.0, 2.5, capacities, i880_bpr)
+    flows = lane_flows(*shares, 115.0, 2.5)
     gaps = lane_gap(shares, 115.0, 2.5, capacities, i880_bpr)
     for k, (sigma, rho) in enumerate(zip(profiles, rhos)):
         assert (flows[0][k], flows[1][k]) == lane_flows(*sigma.as_tuple(), 115.0, 2.5)
@@ -211,7 +210,8 @@ def test_lane_gap_is_the_time_difference(a):
     toll, pool = rng.uniform(0.0, 0.5, (2, 500))
     shares, rho = (toll, pool, 1.0 - toll - pool), rng.uniform(0.05, 0.95, 500)
     capacities = _capacities(rho, bpr)
-    (flow_ordinary, flow_hot), times = lane_times(shares, 115.0, 2.5, capacities, bpr)
+    flow_ordinary, flow_hot = lane_flows(*shares, 115.0, 2.5)
+    times = bpr_time(flow_ordinary, capacities[0], bpr), bpr_time(flow_hot, capacities[1], bpr)
     powers = _congestion(flow_ordinary, capacities[0], bpr) + _congestion(flow_hot, capacities[1], bpr)
     bound = 3 * np.finfo(float).eps * bpr.t_free * (1.0 + powers)
     assert np.all(np.abs(times[0] - times[1] - lane_gap(shares, 115.0, 2.5, capacities, bpr)) <= bound)
