@@ -42,23 +42,24 @@ __all__ = [
     "main",
 ]
 
-# The sweep CSV columns in order, each with its label in the equilibrium
-# text report, which prints neither tau nor rho.
-_COLUMN_LABELS = (
-    ("tau", None),
-    ("rho", None),
-    ("regime", "regime"),
-    ("sigma_toll", "toll share"),
-    ("sigma_pool", "pool share"),
-    ("sigma_o", "ordinary share"),
-    ("c_delta", "c_delta (min)"),
-    ("latency_hot", "latency_hot (min)"),
-    ("latency_ordinary", "latency_ordinary (min)"),
-    ("avg_time", "avg_time (min)"),
-    ("revenue", "revenue ($/min)"),
-    ("residual", "residual"),
+# The sweep CSV columns in order, one row each: the column name (also its key in the equilibrium
+# JSON report), its label in the text report (None for tau and rho, which it does not print) and
+# its values in a batch (the regime as codes into ``_REGIME_CELLS``).
+_LAYOUT = (
+    ("tau", None, lambda table: table.tau),
+    ("rho", None, lambda table: table.rho),
+    ("regime", "regime", lambda table: table.regime),
+    ("sigma_toll", "toll share", lambda table: table.shares[0]),
+    ("sigma_pool", "pool share", lambda table: table.shares[1]),
+    ("sigma_o", "ordinary share", lambda table: table.shares[2]),
+    ("c_delta", "c_delta (min)", lambda table: table.gap),
+    ("latency_hot", "latency_hot (min)", lambda table: table.latencies[1]),
+    ("latency_ordinary", "latency_ordinary (min)", lambda table: table.latencies[0]),
+    ("avg_time", "avg_time (min)", lambda table: table.avg_time),
+    ("revenue", "revenue ($/min)", lambda table: table.revenue),
+    ("residual", "residual", lambda table: table.residual),
 )
-SWEEP_COLUMNS = tuple(column for column, _ in _COLUMN_LABELS)
+SWEEP_COLUMNS = tuple(column for column, _, _ in _LAYOUT)
 # The two formats of a row's tail (its cells after tau), each taking the tail's cells as one tuple;
 # a failed point keeps rho, then "ERROR" and blanks. "%.12g" % x is format(x, ".12g") for every float.
 _ROW_FORMAT = ",".join("%s" if column == "regime" else "%.12g" for column in SWEEP_COLUMNS[1:]).__mod__
@@ -139,17 +140,14 @@ def _schema(cls: type = RunConfig, prefix: tuple[str, ...] = ()):
 _KEYS = {".".join(path): kind for path, kind in _schema()}
 
 
-def _build(cls: type, raw: dict[str, object], prefix: str = ""):
-    """Instance of the config dataclass ``cls`` from the parsed values under ``prefix``."""
+def _build(cls: type, values):
+    """Instance of the config dataclass ``cls``, its keys' values taken from the iterator ``values`` in
+    ``_KEYS`` order: the order ``_schema`` walks the fields in, a nested dataclass's keys in its place."""
     hints = _hints(cls)
-    kwargs = {}
-    for field in dataclasses.fields(cls):
-        key = prefix + field.name
-        if dataclasses.is_dataclass(hints[field.name]):
-            kwargs[field.name] = _build(hints[field.name], raw, key + ".")
-        else:
-            kwargs[field.name] = raw[key]
-    return cls(**kwargs)
+    return cls(**{
+        field.name: _build(hints[field.name], values) if dataclasses.is_dataclass(hints[field.name]) else next(values)
+        for field in dataclasses.fields(cls)
+    })
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -179,13 +177,13 @@ def parse_config_text(text: str) -> RunConfig:
     missing = sorted(_KEYS.keys() - raw.keys())
     if missing:
         raise ValidationError(f"missing required config keys: {', '.join(missing)}")
-    return _build(RunConfig, raw)
+    return _build(RunConfig, map(raw.__getitem__, _KEYS))
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Read and validate a configuration file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from None
     return parse_config_text(text)
@@ -206,11 +204,8 @@ def _fmt(value: float) -> str:
 
 
 def _columns(table: EquilibriumBatch) -> list[np.ndarray]:
-    """The table's columns in ``SWEEP_COLUMNS`` order; the regime as codes into ``_REGIME_CELLS``."""
-    return [
-        table.tau, table.rho, table.regime, *table.shares, table.gap, *table.latencies[::-1],  # HOT lane first
-        table.avg_time, table.revenue, table.residual,
-    ]
+    """The table's columns in ``SWEEP_COLUMNS`` order, as ``_LAYOUT`` reads them off the batch."""
+    return [values(table) for _, _, values in _LAYOUT]
 
 
 def _bits(column: np.ndarray) -> np.ndarray:
@@ -244,10 +239,10 @@ def cmd_equilibrium(config: RunConfig, tau: float, rho: float, json_output: bool
     table = solve_batch([tau], [rho], [config.occupancy], config.population, config.bpr)
     outcome = table.outcome(0)  # raises the point's typed error
     if json_output:
-        report = {column: cells[0].item() for column, cells in zip(SWEEP_COLUMNS, _columns(table))}
+        report = {column: values(table)[0].item() for column, _, values in _LAYOUT}
         print(json.dumps({**report, "regime": outcome.regime.value, "iterations": outcome.iterations}, sort_keys=True))
         return 0
-    for (_, label), cell in zip(_COLUMN_LABELS, _lines(table)[0].split(",")):
+    for (_, label, _), cell in zip(_LAYOUT, _lines(table)[0].split(",")):
         if label is not None:
             print(f"{label}: {cell}")
     print(f"iterations: {outcome.iterations}")
@@ -289,11 +284,10 @@ def cmd_pareto(config: RunConfig, out_path: str | Path, per_rho: bool = False) -
     lines = [",".join(SWEEP_COLUMNS) + ",front_id"]
     lines += [f"{line},global" for line in _lines(table.take(pareto_front(table)))]
     if per_rho:
-        # The rows are rho-major: row i has the rho at index i // n_tau.
-        n_tau = len(table) // len(config.rho_values)
-        front = pareto_front(table, np.arange(len(table)) // n_tau)
+        which = np.searchsorted(config.rho_values, table.rho)  # each row's index in rho_values
+        front = pareto_front(table, which)
         labels = [f",rho={_fmt(rho)}" for rho in config.rho_values]
-        lines += [line + labels[k] for line, k in zip(_lines(table.take(front)), (front // n_tau).tolist())]
+        lines += [line + labels[k] for line, k in zip(_lines(table.take(front)), which[front].tolist())]
     Path(out_path).write_text("\n".join(lines) + "\n")
     return int(bool(table.errors))
 

@@ -44,7 +44,7 @@ and check them at the solved points.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -154,17 +154,20 @@ class EquilibriumBatch:
         return type(self)(**columns, errors=errors)
 
     def outcome(self, i: int) -> EquilibriumOutcome:
-        """Point ``i`` as an :class:`EquilibriumOutcome`; raises the point's typed error if it failed."""
+        """Point ``i`` as an :class:`EquilibriumOutcome`, each field read from the column of its name
+        (``design`` from the ``DesignParams`` field columns); raises the point's typed error if it failed."""
         i = range(len(self))[i]  # a negative index names the same point as its error key
         if i in self.errors:
             raise self.errors[i]
-        shares, flows, times = (tuple(a[:, i].tolist()) for a in (self.shares, self.flows, self.latencies))
-        scalars = (self.regime, self.gap, self.residual, self.iterations, self.avg_time, self.revenue)
-        regime, gap, residual, steps, avg_time, revenue = (a[i].item() for a in scalars)
-        design = DesignParams(*(a[i].item() for a in (self.rho, self.tau, self.occupancy)))
-        return EquilibriumOutcome(
-            design, StrategyShares(*shares), _LABELS[regime], gap, flows, residual, steps, times, avg_time, revenue
+        row = {f.name: getattr(self, f.name)[..., i].tolist() for f in fields(EquilibriumOutcome) if f.name != "design"}
+        row.update(
+            design=DesignParams(**{f.name: getattr(self, f.name)[i].item() for f in fields(DesignParams)}),
+            shares=StrategyShares(*row["shares"]),
+            regime=_LABELS[row["regime"]],
+            flows=tuple(row["flows"]),
+            latencies=tuple(row["latencies"]),
         )
+        return EquilibriumOutcome(**row)
 
 
 def _check_designs(tau, rho, occupancy) -> list[np.ndarray]:
@@ -263,36 +266,30 @@ def _failures(top, root, shares, regime, residual) -> dict[int, HotLaneError]:
     """The typed error of every point without a valid equilibrium, by index.
 
     The one definition of the outcome invariants, checked at all points at
-    once; a point gets the error of the first check it fails. A valid
-    equilibrium has a root, a printed residual of at most ``RESIDUAL_TOL``,
-    and shares on the simplex (:func:`on_simplex`) with positive pool and
-    ordinary shares.
+    once: one tuple of ``(failed mask, error of index)`` checks in order of
+    precedence, and a point gets the error of the first check it fails. A
+    valid equilibrium has a positive all-ordinary gap, a root, a printed
+    residual of at most ``RESIDUAL_TOL``, and shares on the simplex
+    (:func:`on_simplex`) with positive pool and ordinary shares.
     """
     toll, pool, ordinary = shares
-    failed = (
-        ~(top > 0.0),
-        np.isnan(root),
-        ~(residual <= RESIDUAL_TOL),
-        ~(on_simplex(toll, pool, ordinary) & (pool > 0.0) & (ordinary > 0.0)),
-    )
-    bad = failed[0] | failed[1] | failed[2] | failed[3]
-    if not np.count_nonzero(bad):
-        return {}
-    errors = (
-        lambda i: GapNonPositive(top[i]),
-        lambda i: NoConvergence(f"the gap bracket is still open after {MAX_BISECT} steps"),
-        lambda i: NoConvergence(
+    checks = (
+        (~(top > 0.0), lambda i: GapNonPositive(top[i])),
+        (np.isnan(root), lambda i: NoConvergence(f"the gap bracket is still open after {MAX_BISECT} steps")),
+        (~(residual <= RESIDUAL_TOL), lambda i: NoConvergence(
             f"fixed-point residual {residual[i]} exceeds {RESIDUAL_TOL}",
             last_value=tuple(shares[:, i].tolist()),
             residual=residual[i].item(),
-        ),
-        lambda i: ValidationError(
+        )),
+        (~(on_simplex(toll, pool, ordinary) & (pool > 0.0) & (ordinary > 0.0)), lambda i: ValidationError(
             f"equilibrium shares {tuple(shares[:, i].tolist())} are not valid in regime {_LABELS[regime[i]].value}"
-        ),
+        )),
     )
-    return {
-        i: next(error(i) for mask, error in zip(failed, errors) if mask[i]) for i in np.flatnonzero(bad).tolist()
-    }
+    failed = np.array([mask for mask, _ in checks])
+    if not np.count_nonzero(failed):
+        return {}
+    first = failed.argmax(axis=0).tolist()  # each point's first failed check
+    return {i: checks[first[i]][1](i) for i in np.flatnonzero(failed.any(axis=0)).tolist()}
 
 
 def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> EquilibriumBatch:

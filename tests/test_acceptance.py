@@ -3,7 +3,9 @@
 Each test prints one PASS/FAIL line (visible with ``pytest -s``) and then
 asserts, so the suite doubles as a human-readable checklist. All criteria
 run on the I-880 calibration grid: rho in {0.25, 0.5, 0.75}, tau from 0.5
-to 10 in steps of 0.5.
+to 10 in steps of 0.5. That grid is 58 A1 points and 2 B points, so the
+oracle check also runs on ``REGIME_POINTS``, a second I-880 set inside
+Regimes B and A2.
 """
 
 import dataclasses
@@ -33,6 +35,16 @@ SELF_CONSISTENCY_TOL = 1e-8
 UNIQUENESS_TOL = 2e-10
 MONOTONE_NOISE = 1e-12
 ORACLE_GRID_N = 2000
+# I-880 (rho, tau) points by the regime they solve into. B: tolls below tau_AB (about 0.024,
+# 0.118 and 1.363 $ at rho 0.25, 0.5 and 0.75) and rho 0.93-0.99 at tolls 2 and 5; A2: rho at
+# least 0.93 at tau 9, above gamma_max. (0.25, 0.005) is left out: the oracle straddles there.
+REGIME_POINTS = {
+    RegimeLabel.B: [
+        (0.25, 0.01), (0.25, 0.02), (0.5, 0.02), (0.5, 0.05), (0.5, 0.1), (0.75, 0.1),
+        (0.75, 0.25), (0.75, 1.25), (0.93, 2.0), (0.95, 5.0), (0.99, 5.0),
+    ],
+    RegimeLabel.A2: [(0.93, 9.0), (0.95, 9.0), (0.97, 9.0), (0.99, 9.0)],
+}
 
 
 def _report(ok: bool, label: str, detail: str) -> None:
@@ -77,6 +89,24 @@ def test_oracle_equivalence(solved, pop, bpr):
         worst = max(worst, distance)
     ok = worst <= ORACLE_TOL
     _report(ok, "oracle equivalence", f"worst max-norm distance {worst:.3e} <= {ORACLE_TOL}")
+    assert ok
+
+
+@pytest.mark.parametrize("regime", list(REGIME_POINTS), ids=lambda regime: regime.value)
+def test_oracle_equivalence_by_regime(regime, pop, bpr):
+    """Each point solves into its stated regime and agrees with the grid oracle."""
+    cfg = OracleConfig(grid_n=ORACLE_GRID_N)
+    worst = 0.0
+    regimes_ok = True
+    for rho, tau in REGIME_POINTS[regime]:
+        design = DesignParams(rho=rho, tau=tau, occupancy=2.5)
+        outcome = solve(design, pop, bpr)
+        regimes_ok = regimes_ok and outcome.regime is regime
+        oracle_shares, _ = oracle_equilibrium(design, pop, bpr, cfg)
+        worst = max(worst, *(abs(a - b) for a, b in zip(outcome.shares.as_tuple(), oracle_shares.as_tuple())))
+    ok = regimes_ok and worst <= ORACLE_TOL
+    points = len(REGIME_POINTS[regime])
+    _report(ok, f"oracle equivalence, regime {regime.value}", f"{points} points, worst {worst:.3e} <= {ORACLE_TOL}")
     assert ok
 
 

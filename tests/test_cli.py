@@ -217,6 +217,17 @@ def test_load_config_from_file(tmp_path):
     assert load_config(path) == i880_config()
 
 
+def test_config_with_a_byte_order_mark_loads(tmp_path):
+    """A UTF-8 file that starts with a byte-order mark is the config after it; one that is
+    not UTF-8 after the mark is still a ParseError."""
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + dump_config(i880_config()).encode())
+    assert load_config(path) == i880_config()
+    path.write_bytes(b"\xef\xbb\xbf" + dump_config(i880_config()).encode() + b"\xff\n")
+    with pytest.raises(ParseError, match="cannot read config"):
+        load_config(path)
+
+
 def test_cmd_equilibrium_regime_a(capsys):
     assert cmd_equilibrium(i880_config(), tau=4.0, rho=0.25) == 0
     out = capsys.readouterr().out

@@ -292,6 +292,23 @@ def test_outcome_invariants_enforced():
     assert errors[2].last_value == good
 
 
+def test_failure_precedence():
+    """A point that fails two checks gets the error of the earlier one: an open bracket before
+    the residual gate, and the residual gate before the simplex check."""
+    shares = np.array([(0.0, 0.2, 0.8), (0.5, 0.7, 0.1)]).T  # the second is off the simplex
+    root = np.array([np.nan, 1.0])
+    residual = np.array([0.5, 2e-3])  # both over RESIDUAL_TOL
+    ones = np.ones(2)
+    errors = eq._failures(ones, root, shares, np.array([0, 2]), residual)
+    assert sorted(errors) == [0, 1]
+    assert isinstance(errors[0], NoConvergence)
+    assert str(errors[0]) == f"the gap bracket is still open after {eq.MAX_BISECT} steps"
+    assert errors[0].last_value is None and errors[0].residual is None
+    assert isinstance(errors[1], NoConvergence)
+    assert str(errors[1]) == f"fixed-point residual 0.002 exceeds {eq.RESIDUAL_TOL}"
+    assert errors[1].last_value == (0.5, 0.7, 0.1) and errors[1].residual == 2e-3
+
+
 def test_a2_unreachable_on_i880(i880_pop, i880_bpr):
     # The mild I-880 latency keeps beta_max * gap far below gamma_max, so no
     # grid point solves into A2; the A2 equations are exercised on the
