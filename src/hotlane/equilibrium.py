@@ -15,7 +15,24 @@ elementwise numpy: each step is a secant step with the Illinois weighting,
 and a point stops when its bracket reaches float resolution. A secant point
 that would leave the bracket is replaced by the float next to the end it
 rounds onto, or by the float halfway in count between the ends (see
-:func:`_gap_root`). The batch is numpy columns end to end: the points come
+:func:`_gap_root`).
+
+Nobody pays the toll at a gap below ``tau / beta_max``, where ``F`` is the
+toll-free ``F``, that is ``F`` at ``tau = gamma_max``. So before the root
+find :func:`solve_batch` evaluates ``F`` at the toll floor of each point
+with ``tau < gamma_max``, the float below ``tau / beta_max``. A point with
+``F > 0`` there is in Regime B and is solved on ``[floor, gap(everyone
+ordinary)]``; a NaN there (the floor underflowed to 0) leaves the point
+``[0, gap(everyone ordinary)]``. Every other point is in Regime A, and its
+root ``g_A`` is that of the toll-free ``F``: it does not depend on the toll,
+so it is solved once per run of Regime-A points with equal ``(rho,
+occupancy)``, and a point is in Regime B exactly when ``tau < tau_AB =
+min(gamma_max, beta_max * g_A)``. The split only decides which points need
+a root of their own: every root is still the float that halving alone
+reaches from ``[0, gap(everyone ordinary)]``, and the shares, regime,
+residual and objectives come from each point's own root and toll.
+
+The batch is numpy columns end to end: the points come
 in as ``tau``, ``rho`` and ``occupancy`` arrays, checked against the
 parameter domain once, and go out as one :class:`EquilibriumBatch` whose
 invariants are checked once, vectorised; a failed point keeps its typed
@@ -85,10 +102,11 @@ class EquilibriumOutcome:
     ``gap`` is the ordinary-minus-HOT latency difference at the solved
     shares (minutes), ``flows`` the (ordinary, HOT) vehicle flows,
     ``residual`` the absolute fixed-point residual of the solved equation in
-    its printed units, ``iterations`` the root-finding step count,
-    ``latencies`` the (ordinary, HOT) lane travel times in minutes at the
-    solved flows, and ``avg_time`` (minutes) and ``revenue`` ($/min) the two
-    objectives. It is one row of an :class:`EquilibriumBatch` (see :func:`_failures`).
+    its printed units, ``iterations`` the root-finding step count (a point
+    sorted into Regime A reports that of its row's ``g_A``), ``latencies``
+    the (ordinary, HOT) lane travel times in minutes at the solved flows,
+    and ``avg_time`` (minutes) and ``revenue`` ($/min) the two objectives.
+    It is one row of an :class:`EquilibriumBatch` (see :func:`_failures`).
     """
 
     design: DesignParams
@@ -116,8 +134,10 @@ class EquilibriumBatch:
     columns mirror :class:`EquilibriumOutcome`: ``shares`` is the ``(3, n)``
     array of (toll, pool, ordinary) shares, ``flows`` and ``latencies`` are
     the ``(2, n)`` arrays of (ordinary, HOT) flows and lane times,
-    ``regime`` holds codes into ``tuple(RegimeLabel)`` (0 A1, 1 A2, 2 B), and
-    ``avg_time`` and ``revenue`` are the objectives.
+    ``regime`` holds codes into ``tuple(RegimeLabel)`` (0 A1, 1 A2, 2 B),
+    ``iterations`` the root-finding step counts (a point sorted into Regime A
+    reports that of its row's ``g_A``), and ``avg_time`` and ``revenue`` are
+    the objectives.
     ``errors`` maps the index of every point without a valid equilibrium to
     its typed error; the columns hold no meaningful value at those indices.
     """
@@ -302,8 +322,15 @@ def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> E
     when the all-ordinary gap is not a positive float, ``NoConvergence`` when
     the bracket is still open after ``MAX_BISECT`` steps or the printed
     residual exceeds ``RESIDUAL_TOL``), so one bad point never aborts the
-    batch. Every step is elementwise, so a point's result does not depend on
-    the rest of the batch.
+    batch.
+
+    All roots are found in one :func:`_gap_root` call. A point with ``tau <
+    gamma_max`` and ``F > 0`` at its toll floor is in Regime B and is solved
+    from the floor; every other point takes the root and step count of its
+    row's ``g_A``, solved once per run of Regime-A points with equal ``(rho,
+    occupancy)`` (see the module docstring). So a point's result, its step
+    count included, depends only on that point, never on the rest of the
+    batch.
     """
     tau, rho, occupancy = _check_designs(tau, rho, occupancy)
     # Extreme but valid points overflow or divide by zero on the way to a NaN or
@@ -312,15 +339,43 @@ def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> E
         levels, capacities = _toll_levels(tau, pop), _capacities(rho, bpr)
         points = [*levels, occupancy, *capacities]
 
-        # F(0) is the gap with everyone on the ordinary lanes, the upper bracket end.
-        zeros = np.zeros_like(tau)
-        top = lane_gap((zeros, zeros, 1.0), pop.demand, occupancy, capacities, bpr)
-        open_ = np.flatnonzero(top > 0.0)
+        # The bracket ends: 0 and F(0), the gap with everyone on the ordinary lanes.
+        lo = np.zeros_like(tau)
+        top = lane_gap((lo, lo, 1.0), pop.demand, occupancy, capacities, bpr)
+        # Nobody pays the toll at a gap below tau / beta_max, where F is the toll-free F. The floor is
+        # the float below that quotient, which may round up to a gap where a few pay. F > 0 at the
+        # floor puts the root above it, in Regime B, bracketed by [floor, top]; a NaN there (the floor
+        # underflowed to 0) leaves the bracket [0, top]. Either way the point is solved at its own toll.
+        # F is not evaluated at a floor at or above top: [0, top] then lies wholly below the floor.
+        floor = np.nextafter(tau / pop.beta_max, 0.0)
+        in_a, f_lo = top > 0.0, top.copy()  # the open points, less those solved at their own toll
+        own = np.flatnonzero((floor < top) & (tau < pop.gamma_max))
+        if own.size:
+            f_floor = _excess(floor[own], pop, bpr, *(a[own] for a in points))
+            above = f_floor > 0.0
+            regime_b = own[above]
+            lo[regime_b], f_lo[regime_b] = floor[regime_b], f_floor[above]
+            own = own[~(f_floor <= 0.0)]
+            in_a[own] = False
+        # Every other open point is in Regime A. Its root is g_A, the root of the toll-free F, which is
+        # F at tau = gamma_max: solved once per run of A points with equal (rho, occupancy), copied along it.
+        # The two size tests below skip work that would change nothing, a fixed cost for a batch of one.
+        regime_a = np.flatnonzero(in_a)
+        head = np.ones(regime_a.size, dtype=bool)
+        if regime_a.size > 1:
+            rho_a, occupancy_a = rho[regime_a], occupancy[regime_a]
+            head[1:] = (rho_a[1:] != rho_a[:-1]) | (occupancy_a[1:] != occupancy_a[:-1])
+        heads = regime_a[head]
+        roots = np.concatenate((own, heads))
+        root_tau = tau[roots]
+        root_tau[own.size :] = pop.gamma_max
+        root_points = [*_toll_levels(root_tau, pop), *(a[roots] for a in (occupancy, *capacities))]
         root = np.full(tau.shape, np.nan)
         iterations = np.zeros(tau.shape, dtype=int)
-        root[open_], iterations[open_] = _gap_root(
-            np.zeros(open_.size), top[open_], top[open_], pop, bpr, [a[open_] for a in points]
-        )
+        root[roots], iterations[roots] = _gap_root(lo[roots], top[roots], f_lo[roots], pop, bpr, root_points)
+        if heads.size < regime_a.size:
+            run_head = np.maximum.accumulate(np.where(head, regime_a, 0))
+            root[regime_a], iterations[regime_a] = root[run_head], iterations[run_head]
 
         shares = np.array(region_fractions(np.where(root > 0.0, root, 1.0), levels, pop))
         flows = np.array(lane_flows(*shares, pop.demand, occupancy))

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hotlane
 from hotlane import (
@@ -418,6 +420,92 @@ def test_open_bracket_at_the_cap_is_an_error(i880_pop, i880_bpr, monkeypatch):
         solve(designs[0], i880_pop, i880_bpr)
     table = solve_batch(*_columns(designs), i880_pop, i880_bpr)
     assert sorted(table.errors) == [0, 1] and not table.solved.any()
+
+
+def test_regime_a_root_is_solved_once_per_row(i880_pop, i880_bpr, monkeypatch):
+    """One root finder call per batch: on the dense grid it solves 555 roots, one ``g_A`` per
+    rho (50, from 0) and one per Regime-B point (505, each from its toll floor), and a batch
+    of one solves one root."""
+    brackets = []
+    gap_root = eq._gap_root
+
+    def counted(lo, *args):
+        brackets.append(lo)
+        return gap_root(lo, *args)
+
+    monkeypatch.setattr(eq, "_gap_root", counted)
+    table = solve_batch(*_columns(dense_grid()), i880_pop, i880_bpr)
+    (lo,) = brackets
+    assert lo.size == 555
+    assert np.count_nonzero(lo > 0.0) == np.count_nonzero(table.regime == 2) == 505
+    for design in (dense_design(0, 0), dense_design(49, 99), DesignParams(0.5, i880_pop.gamma_max, 2.5)):
+        brackets.clear()
+        solve(design, i880_pop, i880_bpr)
+        assert [lo.size for lo in brackets] == [1]
+
+
+def _around(x: float) -> np.ndarray:
+    """``x``, three floats either side of it, and ``x`` moved by 1e-12 and 1e-9 relative."""
+    return np.concatenate([x + np.arange(-3, 4) * np.spacing(x), x * (1.0 + np.array([-1e-9, -1e-12, 1e-12, 1e-9]))])
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    demand=st.floats(50.0, 300.0),
+    a=st.floats(0.1, 1.0),
+    b=st.floats(1.0, 6.0),
+    beta_max=st.floats(0.5, 3.0),
+    gamma_max=st.floats(1.0, 12.0),
+    rows=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(2.0, 4.0)), min_size=1, max_size=3),
+    tau=st.floats(0.1, 15.0),
+    interleave=st.booleans(),
+)
+def test_batch_at_the_regime_boundary_is_its_points(demand, a, b, beta_max, gamma_max, rows, tau, interleave):
+    """Tolls at the Regime-B boundary ``beta_max * g_A`` and at ``gamma_max``, a few ulps and
+    1e-12 and 1e-9 relative either side, in a batch that repeats its first row, its rows one after
+    the other or interleaved: every column of every point, step count included, is that of the
+    point solved alone, and every solved gap is the one that halving alone finds."""
+    pop = PopulationParams(demand=demand, beta_max=beta_max, gamma_max=gamma_max)
+    bpr = BprParams(a=a, b=b, t_free=22.0, v_cap=140.0)
+    rows = [*rows, rows[0]]
+    rho, occupancy = (np.array(column) for column in zip(*rows))
+    g_a = bisection_gap(gamma_max, rho, occupancy, pop, bpr)
+    tolls = np.array([np.concatenate([_around(beta_max * g), _around(gamma_max), [tau]]) for g in g_a])
+    rho, occupancy, kind = (
+        np.broadcast_to(column, tolls.shape) for column in (rho[:, None], occupancy[:, None], np.arange(tolls.shape[1]))
+    )
+    columns = (tolls, rho, occupancy, kind)
+    tolls, rho, occupancy, kind = (column.T.ravel() if interleave else column.ravel() for column in columns)
+    table = solve_batch(tolls, rho, occupancy, pop, bpr)
+    alone = {}
+    for i, point in enumerate(zip(tolls, rho, occupancy)):
+        if point not in alone:
+            alone[point] = solve_batch(*point, pop, bpr)
+        for name, column in vars(table).items():
+            if name != "errors":
+                assert column[..., i].tobytes() == getattr(alone[point], name)[..., 0].tobytes(), (name, point)
+        error, error_alone = table.errors.get(i), alone[point].errors.get(0)
+        assert (type(error), str(error)) == (type(error_alone), str(error_alone)), point
+    solved = table.solved
+    assert table.gap[solved].tobytes() == bisection_gap(tolls, rho, occupancy, pop, bpr)[solved].tobytes()
+    # Kinds 7 and 10 are the boundary moved 1e-9 relative down and up: below it a point pays the toll,
+    # unless tau >= gamma_max, and above it nobody does.
+    below, above = table.take((kind == 7) & solved & (tolls < gamma_max)), table.take((kind == 10) & solved)
+    assert (below.regime == 2).all() and (above.regime != 2).all()
+
+
+def test_underflowed_toll_floor_is_solved_at_its_own_toll(i880_pop, i880_bpr):
+    """At ``tau`` 5e-324 and 1e-323 the toll floor underflows to 0, where ``F`` is NaN, so the floor
+    test cannot sort the point: it is solved from ``[0, gap(everyone ordinary)]`` at its own toll.
+    These points fail, yet each gap is still the one that halving alone finds at that toll; taking
+    the Regime-A root instead moves five of the six and turns both ``NoConvergence`` errors at
+    ``tau = 5e-324`` into ``ValidationError``."""
+    tau, rho = np.repeat([5e-324, 1e-323], 3), np.tile([0.25, 0.5, 0.75], 2)
+    assert not np.nextafter(tau / i880_pop.beta_max, 0.0).any()
+    table = solve_batch(tau, rho, 2.5, i880_pop, i880_bpr)
+    assert table.gap.tobytes() == bisection_gap(tau, rho, 2.5, i880_pop, i880_bpr).tobytes()
+    assert [type(table.errors[i]) for i in range(3)] == [ValidationError, NoConvergence, NoConvergence]
+    assert "not valid in regime B" in str(table.errors[0]) and sorted(table.errors) == list(range(6))
 
 
 @pytest.mark.parametrize("rho", [1e-100, 1e-300, 4.45e-87])
