@@ -12,18 +12,26 @@ value-of-time column the pool condition ``beta*gap >= gamma and gamma <= tau``
 selects exactly the gamma midpoints up to ``min(beta*gap, tau)``, and the
 toll condition selects the midpoints strictly above ``tau`` whenever
 ``beta*gap >= tau`` (ties on ``gamma == tau`` belong to pool by the fixed
-priority). So a column's state is the count, by one ``searchsorted``, of
-the entries of one ascending threshold row that ``fl(beta*gap)`` reaches:
-the gamma midpoints ``<= tau``, then ``tau`` itself when a midpoint lies
-above it, which the column reaches exactly when it tolls. The counts
-reproduce the per-agent comparisons bit for bit while keeping the oracle
-fast enough to sweep a design grid.
+priority). So a column's state is the count of the entries of one
+ascending threshold row that ``fl(beta*gap)`` reaches: the gamma midpoints
+``<= tau``, then ``tau`` itself when a midpoint lies above it, which the
+column reaches exactly when it tolls. The beta midpoints ascend, and so
+does ``fl(beta*gap)`` at a fixed gap, so the columns that reach a threshold
+are a suffix of the grid. One binary search per threshold finds the first
+of them, and the columns from the first one of threshold ``k`` up to that
+of threshold ``k+1`` form a run that reaches exactly thresholds ``0..k``.
+A labeling therefore costs ``len(row) <= grid_n`` binary searches over the
+``grid_n`` columns, and its counts reproduce the per-agent comparisons bit
+for bit.
 
 A column's state changes only where ``fl(beta*gap)`` crosses its next
 threshold, so each labeling holds on a float interval of gaps ``[start, end)``,
 returned with the counts: ``start`` is the latest gap at which some column
 reaches its last threshold, ``end`` the earliest at which some column
-reaches its next one. Both are exact floats.
+reaches its next one. Both are exact floats. A run's first column (its
+smallest beta) is the last of the run to reach the run's last threshold,
+and its last column the first to reach the next one, so only those two
+columns of each run are searched.
 
 The search is a scalar root find in the latency gap. Write ``L(g)`` for the
 grid labeling (toll and pool counts) at gap ``g`` and ``gap(s)`` for the
@@ -137,28 +145,35 @@ def _label_counts(
     """(toll, pool) agent counts over the midpoint grid at the given gap, and
     the float interval ``[start, end)`` of gaps on which they hold.
 
-    ``row`` and ``above_tau`` come from :func:`_grid`. ``start`` is ``-inf``
-    when no agent tolls or pools, and ``end`` is ``inf`` when every column
-    reaches the whole row.
+    ``row`` and ``above_tau`` come from :func:`_grid`. One binary search per
+    threshold (``len(row)`` searches over the ``grid_n`` columns) finds
+    ``first[k]``, the first column whose ``fl(beta*gap)`` reaches ``row[k]``;
+    the columns from ``first[k]`` up to ``first[k+1]`` reach exactly the
+    thresholds up to ``row[k]``. ``start`` is ``-inf`` when no agent tolls or
+    pools, and ``end`` is ``inf`` when every column reaches the whole row.
     """
     n = beta_mid.size
-    # Per column, the thresholds up to beta*gap. beta_mid is ascending, so
-    # the columns reaching any threshold are a suffix, as are those reaching
-    # all of them; when the row closes with tau, those are the tolling ones.
-    # A nan gap (both lane times overflow) reaches nothing, as per agent; searchsorted puts nan last.
-    reached = np.zeros(n, int) if math.isnan(gap) else np.searchsorted(row, beta_mid * gap, side="right")
-    first_any = int(np.searchsorted(reached, 0, side="right"))
-    first_full = int(np.searchsorted(reached, row.size, side="left"))
-    tolling = n - first_full if above_tau else 0
-    pool = int(reached.sum()) - tolling
+    # beta_mid is ascending, so is fl(beta*gap) at a fixed gap >= 0. A
+    # negative gap reaches no (positive) threshold, so every search ends past
+    # the last column. A nan gap (both lane times overflow) reaches nothing,
+    # as per agent; searchsorted sorts nan last, past every threshold.
+    first = np.full(row.size, n) if math.isnan(gap) else np.searchsorted(beta_mid * gap, row, side="left")
+    # When the row closes with tau, the columns reaching all of it are the tolling ones.
+    tolling = n - int(first[-1]) if above_tau else 0
+    pool = row.size * n - int(first.sum()) - tolling
 
-    # A column reaches its state at the last threshold it covers and leaves
-    # it at the next one, unless it covers the whole row.
+    # The runs are the columns between consecutive edges; the one from
+    # first[k] reaches exactly row[:k+1]. A run enters its state where its
+    # first column reaches its last threshold and leaves it where its last
+    # column reaches the next one (see the module docstring).
+    edges = np.concatenate(([0], first, [n]))
+    nonempty = edges[:-1] < edges[1:]
+    starts_run, ends_run = nonempty[1:], nonempty[:-1]  # per k: a run starts at first[k], one ends before it
     start, end = -math.inf, math.inf
-    if first_any < n:
-        start = _first_reaching_all(beta_mid[first_any:], row[reached[first_any:] - 1])
-    if first_full:
-        end = _first_reaching_any(beta_mid[:first_full], row[reached[:first_full]])
+    if first[0] < n:  # some column reaches a threshold
+        start = _first_reaching_all(beta_mid[first[starts_run]], row[starts_run])
+    if first[-1] > 0:  # some column falls short of the whole row
+        end = _first_reaching_any(beta_mid[first[ends_run] - 1], row[ends_run])
     return (above_tau * tolling, pool), start, end
 
 

@@ -11,7 +11,8 @@ for A1 (:func:`a1_auxiliary`), gap*(1-share) for A2 (:func:`a2_auxiliary`),
 and for B the linearly damped gap (:func:`b_auxiliary`) along the closure
 :func:`b_companion_shares`. An agent of type ``(beta, gamma)`` pays
 :func:`action_cost` for an action and picks :func:`best_response_at_gap`;
-:func:`empirical_shares` labels the oracle's midpoint grid with its kernel.
+:func:`empirical_shares` labels the oracle's midpoint grid with its kernel,
+and :func:`column_label_counts` is that kernel's column-wise form.
 :func:`bisection_gap` finds the solver's own root by halving alone, and
 :func:`brute_force_front` the Pareto front by comparing every pair of points.
 """
@@ -170,6 +171,41 @@ def best_response_at_gap(beta: float, gamma: float, gap: float, tau: float) -> A
     if weighted >= tau and gamma >= tau:
         return ActionLabel.TOLL
     return ActionLabel.ORDINARY
+
+
+def column_label_counts(
+    gap: float, beta_mid: np.ndarray, row: np.ndarray, above_tau: int
+) -> tuple[tuple[int, int], float, float]:
+    """(toll, pool) agent counts over the midpoint grid at the given gap, and
+    the float interval ``[start, end)`` of gaps on which they hold.
+
+    The column-wise form of ``oracle._label_counts``: one ``searchsorted`` of
+    every column's ``beta*gap`` into the threshold row, then the gap interval
+    from every column's last and next threshold.
+
+    ``row`` and ``above_tau`` come from :func:`hotlane.oracle._grid`.
+    ``start`` is ``-inf`` when no agent tolls or pools, and ``end`` is
+    ``inf`` when every column reaches the whole row.
+    """
+    n = beta_mid.size
+    # Per column, the thresholds up to beta*gap. beta_mid is ascending, so
+    # the columns reaching any threshold are a suffix, as are those reaching
+    # all of them; when the row closes with tau, those are the tolling ones.
+    # A nan gap (both lane times overflow) reaches nothing, as per agent; searchsorted puts nan last.
+    reached = np.zeros(n, int) if math.isnan(gap) else np.searchsorted(row, beta_mid * gap, side="right")
+    first_any = int(np.searchsorted(reached, 0, side="right"))
+    first_full = int(np.searchsorted(reached, row.size, side="left"))
+    tolling = n - first_full if above_tau else 0
+    pool = int(reached.sum()) - tolling
+
+    # A column reaches its state at the last threshold it covers and leaves
+    # it at the next one, unless it covers the whole row.
+    start, end = -math.inf, math.inf
+    if first_any < n:
+        start = oracle._first_reaching_all(beta_mid[first_any:], row[reached[first_any:] - 1])
+    if first_full:
+        end = oracle._first_reaching_any(beta_mid[:first_full], row[reached[:first_full]])
+    return (above_tau * tolling, pool), start, end
 
 
 def empirical_shares(

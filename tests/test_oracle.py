@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hotlane import (
@@ -24,7 +24,7 @@ from hotlane import (
 from hotlane import oracle
 from hotlane.latency import latency_gap
 from hotlane.population import region_measures_at_gap
-from paper_reference import ActionLabel, best_response_at_gap, empirical_shares
+from paper_reference import ActionLabel, best_response_at_gap, column_label_counts, empirical_shares
 
 # The congested calibration: I-880 with demand 250 and a = 0.6.
 CONGESTED_POP = PopulationParams(demand=250.0, beta_max=1.5, gamma_max=8.0)
@@ -273,6 +273,15 @@ def test_oracle_straddle_pinned():
     snap=st.none() | st.sampled_from([1, 3, 5]),
     tie=st.booleans(),
 )
+# At the CLI default grid_n: a toll below gamma_max; a full-length row (tau
+# >= gamma_max, so the row is every gamma midpoint), also at a snapped gap;
+# the row's two equal entries at a near-tie; and tau at gamma_max with the
+# top columns saturated.
+@example(grid_n=2000, beta_max=1.5, gamma_max=8.0, tau=1.0, reach=0.7, snap=None, tie=False)
+@example(grid_n=2000, beta_max=1.5, gamma_max=8.0, tau=9.0, reach=0.9, snap=None, tie=False)
+@example(grid_n=2000, beta_max=1.5, gamma_max=8.0, tau=9.0, reach=0.6, snap=1, tie=False)
+@example(grid_n=2000, beta_max=1.5, gamma_max=8.0, tau=1.0, reach=0.4, snap=3, tie=True)
+@example(grid_n=2000, beta_max=1.5, gamma_max=8.0, tau=8.0, reach=1.2, snap=None, tie=False)
 def test_label_interval_is_exact(grid_n, beta_max, gamma_max, tau, reach, snap, tie):
     """The kernel's gap interval [start, end) is exactly where its labeling holds.
 
@@ -314,6 +323,57 @@ def test_label_interval_is_exact(grid_n, beta_max, gamma_max, tau, reach, snap, 
             assert labeling(end) != state
         else:  # every column is saturated
             assert labeling(2.0 * gap) == state
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    grid_n=st.integers(10, 2000),
+    beta_max=st.floats(0.2, 4.0),
+    gamma_max=st.floats(0.5, 15.0),
+    tau=st.floats(0.001, 2.0) | st.sampled_from(["midpoint"]),
+    gap=st.sampled_from(["reach", "snap", "saturate"]) | st.sampled_from([0.0, math.nan, 5e-324, 1e300, math.inf]),
+    pick=st.floats(0.0, 1.0),
+    snap=st.sampled_from([1, 3, 5]),
+    ulps=st.integers(-2, 2),
+)
+@example(grid_n=2000, beta_max=1.5, gamma_max=8.0, tau=1.0, gap="snap", pick=0.0, snap=1, ulps=0)
+@example(grid_n=2000, beta_max=1.5, gamma_max=8.0, tau=1.125, gap="reach", pick=0.5, snap=1, ulps=0)
+@example(grid_n=2000, beta_max=1.5, gamma_max=8.0, tau="midpoint", gap="snap", pick=0.3, snap=3, ulps=-1)
+@example(grid_n=2000, beta_max=1.5, gamma_max=8.0, tau=0.5, gap="saturate", pick=1.0, snap=1, ulps=0)
+@example(grid_n=10, beta_max=1.5, gamma_max=8.0, tau=0.001, gap="reach", pick=1.0, snap=1, ulps=0)
+@example(grid_n=10, beta_max=1.5, gamma_max=8.0, tau=0.5, gap=0.0, pick=0.0, snap=1, ulps=-1)
+def test_label_runs_match_columns(grid_n, beta_max, gamma_max, tau, gap, pick, snap, ulps):
+    """The run kernel returns the column-wise reference's counts and interval, bit for bit.
+
+    A float ``tau`` is that multiple of ``gamma_max``: below, at (1.0) or
+    above it, where the row holds every gamma midpoint. "midpoint" puts
+    ``tau`` on the gamma midpoint at fraction ``pick`` of the axis, so the
+    row ends in two equal entries. A float ``gap`` is zero, NaN, subnormal
+    or saturating. "reach" places the largest ``beta*gap`` at ``1.5*pick``
+    times the larger of ``tau`` and ``gamma_max``. "snap" is
+    ``snap * gamma_max / beta_max``, written as the ratio of two midpoints,
+    where many columns cross a threshold within a few ulps of each other
+    (with "midpoint", the same ``pick`` puts ``tau`` near that threshold).
+    "saturate" is where the column at fraction ``pick`` reaches the whole
+    row. Each gap is then moved ``ulps`` floats, below zero from zero.
+    """
+    pop = PopulationParams(demand=100.0, beta_max=beta_max, gamma_max=gamma_max)
+    gamma_mid = oracle._midpoints(gamma_max, grid_n)
+    tau = float(gamma_mid[round(pick * (grid_n - 1))]) if tau == "midpoint" else tau * gamma_max
+    beta_mid, row, above_tau = oracle._grid(tau, pop, grid_n)
+    if gap == "reach":
+        gap = 1.5 * pick * max(tau, gamma_max) / beta_max
+    elif gap == "snap":
+        i = round(pick * (grid_n // snap - 1))
+        gap = float(gamma_mid[snap * i + (snap - 1) // 2] / beta_mid[i])
+    elif gap == "saturate":
+        gap = float(row[-1] / beta_mid[round(pick * (grid_n - 1))])
+    for _ in range(abs(ulps)):
+        gap = math.nextafter(gap, math.copysign(math.inf, ulps))
+    with np.errstate(over="ignore"):  # beta*gap overflows to inf near the largest float, as in the oracle
+        runs = oracle._label_counts(gap, beta_mid, row, above_tau)
+        columns = column_label_counts(gap, beta_mid, row, above_tau)
+    assert runs == columns
 
 
 def test_oracle_straddle_surfaced():
