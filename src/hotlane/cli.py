@@ -8,8 +8,6 @@ floats are written with 12 significant digits, so repeated runs produce
 byte-identical files.
 """
 
-from __future__ import annotations
-
 import argparse
 import dataclasses
 import functools
@@ -116,25 +114,20 @@ def i880_config() -> RunConfig:
     )
 
 
-@functools.cache
-def _hints(cls: type) -> dict[str, type]:
-    """The field types of the config dataclass ``cls``, resolved once per class."""
-    return typing.get_type_hints(cls)
-
-
 def _schema(cls: type = RunConfig, prefix: tuple[str, ...] = ()):
     """(attribute path, type) of every config key, in file order.
 
     Read off the dataclass fields: a nested dataclass becomes a dotted section.
-    Every key is required.
+    Every key is required. ``field.type`` must be the type itself, not its
+    name, so the modules defining the config dataclasses must not postpone
+    the evaluation of annotations.
     """
-    hints = _hints(cls)
     for field in dataclasses.fields(cls):
-        path, kind = (*prefix, field.name), hints[field.name]
-        if dataclasses.is_dataclass(kind):
-            yield from _schema(kind, path)
+        path = (*prefix, field.name)
+        if dataclasses.is_dataclass(field.type):
+            yield from _schema(field.type, path)
         else:
-            yield path, kind
+            yield path, field.type
 
 
 _KEYS = {".".join(path): kind for path, kind in _schema()}
@@ -143,9 +136,8 @@ _KEYS = {".".join(path): kind for path, kind in _schema()}
 def _build(cls: type, values):
     """Instance of the config dataclass ``cls``, its keys' values taken from the iterator ``values`` in
     ``_KEYS`` order: the order ``_schema`` walks the fields in, a nested dataclass's keys in its place."""
-    hints = _hints(cls)
     return cls(**{
-        field.name: _build(hints[field.name], values) if dataclasses.is_dataclass(hints[field.name]) else next(values)
+        field.name: _build(field.type, values) if dataclasses.is_dataclass(field.type) else next(values)
         for field in dataclasses.fields(cls)
     })
 
@@ -203,11 +195,6 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _columns(table: EquilibriumBatch) -> list[np.ndarray]:
-    """The table's columns in ``SWEEP_COLUMNS`` order, as ``_LAYOUT`` reads them off the batch."""
-    return [values(table) for _, _, values in _LAYOUT]
-
-
 def _bits(column: np.ndarray) -> np.ndarray:
     """The column as same-width ints: equal exactly when bit-identical, so -0.0 and 0.0 differ."""
     return column.view(f"i{column.itemsize}")
@@ -219,7 +206,7 @@ def _lines(table: EquilibriumBatch) -> list[str]:
     A line is the tau cell and a tail. Each bit-distinct tau is formatted once, and a row whose tail
     cells equal the row before's, bit for bit, reuses its formatted tail; a failed row formats its
     own, and the row after it starts a new run."""
-    tau, *tail = _columns(table)
+    tau, *tail = (values(table) for _, _, values in _LAYOUT)
     failed = ~table.solved
     new = failed | np.r_[True, failed[:-1]]  # where a run of equal tails starts
     for bits in map(_bits, tail):

@@ -19,8 +19,6 @@ Every lane flow in the package comes from :func:`lane_flows`, every lane
 time from :func:`bpr_time`, and every latency gap from :func:`lane_gap`.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

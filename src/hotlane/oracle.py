@@ -111,32 +111,29 @@ def _first_reaching(beta: float, threshold: float) -> float:
 def _first_reaching_all(beta: np.ndarray, threshold: np.ndarray) -> float:
     """Smallest float ``g`` with ``fl(beta*g) >= threshold`` in every entry.
 
-    The entry with the largest ``threshold/beta`` gives a first answer, which
-    is exact unless other entries tie with it to within a few ulps; those
-    still fall short there and are searched again.
+    The entry with the largest ``threshold/beta`` gives a first answer, and
+    no other entry's own answer lies more than a few ulps above it: the
+    answer steps up one float at a time while some entry still falls short.
     """
-    while True:
-        i = (threshold / beta).argmax()
-        g = _first_reaching(float(beta[i]), float(threshold[i]))
-        short = beta * g < threshold
-        if not short.any():
-            return g
-        beta, threshold = beta[short], threshold[short]
+    i = (threshold / beta).argmax()
+    g = _first_reaching(float(beta[i]), float(threshold[i]))
+    while (beta * g < threshold).any():
+        g = math.nextafter(g, math.inf)
+    return g
 
 
 def _first_reaching_any(beta: np.ndarray, threshold: np.ndarray) -> float:
     """Smallest float ``g`` with ``fl(beta*g) >= threshold`` in some entry.
 
-    The mirror of :func:`_first_reaching_all`: entries that already reach
-    their threshold one float below the first answer are searched again.
+    The mirror of :func:`_first_reaching_all`: from the entry with the
+    smallest ``threshold/beta``, the answer steps down one float at a time
+    while some entry still reaches its threshold one float lower.
     """
-    while True:
-        i = (threshold / beta).argmin()
-        g = _first_reaching(float(beta[i]), float(threshold[i]))
-        early = beta * math.nextafter(g, -math.inf) >= threshold
-        if not early.any():
-            return g
-        beta, threshold = beta[early], threshold[early]
+    i = (threshold / beta).argmin()
+    g = _first_reaching(float(beta[i]), float(threshold[i]))
+    while (beta * math.nextafter(g, -math.inf) >= threshold).any():
+        g = math.nextafter(g, -math.inf)
+    return g
 
 
 def _label_counts(
@@ -184,7 +181,7 @@ def oracle_equilibrium(
     bpr: BprParams,
     cfg: OracleConfig = OracleConfig(),
 ) -> tuple[StrategyShares, int]:
-    """Self-consistent grid state, plus the number of grid labelings it took.
+    """Self-consistent grid state, plus the number of grid labelings made to find it.
 
     ``H(g) = gap(L(g)) - g`` (see the module docstring) is bracketed by
     ``[0, gap(everyone ordinary)]`` and narrowed by Illinois secant steps
@@ -219,7 +216,6 @@ def oracle_equilibrium(
     beta_mid, row, above_tau = _grid(design.tau, pop, cfg.grid_n)
     capacities = _capacities(design.rho, bpr)
     total = cfg.grid_n * cfg.grid_n
-    labelings = 0
 
     def as_shares(state: tuple[int, int]) -> StrategyShares:
         toll, pool = state
@@ -235,14 +231,12 @@ def oracle_equilibrium(
         return max(abs(d_toll), abs(d_pool), abs(d_toll + d_pool))
 
     def label(g: float) -> tuple[tuple[int, int], float, float]:
-        nonlocal labelings
-        if labelings == MAX_LABELINGS:
+        if len(known) > MAX_LABELINGS:  # the first entry of known is no labeling
             raise NoConvergence(
                 f"oracle bracket still open after the cap of {MAX_LABELINGS} labelings",
                 last_value=as_shares(s_lo),
                 residual=distance(s_lo, s_hi) / total,
             )
-        labelings += 1
         known.append(_label_counts(g, beta_mid, row, above_tau))
         return known[-1]
 
@@ -255,12 +249,12 @@ def oracle_equilibrium(
     # the lower end needs no labeling.
     s_lo = (0, 0)
     first = _first_reaching(float(beta_mid[-1]), float(row[0]))
-    known = [(s_lo, -math.inf, first)]  # every labeling so far, with its interval
+    known = [(s_lo, -math.inf, first)]  # the lower end's state, then every labeling made, with its interval
     lo, x = math.nextafter(first, -math.inf), gap_at(s_lo)
     if not x > 0.0:
         raise GapNonPositive(x)
     if x <= lo:
-        return as_shares(s_lo), labelings
+        return as_shares(s_lo), len(known) - 1
     f_lo = x - lo
     # The first labeling is at gap(everyone ordinary), where H <= 0.
     moved_lo = moved_hi = False  # ends the last step replaced
@@ -268,7 +262,7 @@ def oracle_equilibrium(
         s_x, start, end = label(x)
         gap_x = gap_at(s_x)
         if start <= gap_x < end:
-            return as_shares(s_x), labelings
+            return as_shares(s_x), len(known) - 1
         # Illinois: an end kept twice running has its stored value halved.
         if gap_x > x:  # H > 0 on the whole interval: the lower end takes its last float
             if moved_lo:
@@ -290,7 +284,7 @@ def oracle_equilibrium(
 
     residual, best = min((distance(s, relabel(gap_at(s))), s) for s in (s_lo, s_hi))
     if residual <= 2 * cfg.grid_n:  # 2/grid_n in count units
-        return as_shares(best), labelings
+        return as_shares(best), len(known) - 1
     raise NoConvergence(
         f"oracle straddle: the nearest grid state relabels {residual} agents, "
         f"above the 2/grid_n floor of {2 * cfg.grid_n}",

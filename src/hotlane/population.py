@@ -22,8 +22,6 @@ each action is cheapest. The shares that best-respond to a profile ``sigma``
 are ``region_measures_at_gap(latency_gap(sigma, ...), tau, pop)``.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

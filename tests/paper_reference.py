@@ -173,6 +173,20 @@ def best_response_at_gap(beta: float, gamma: float, gap: float, tau: float) -> A
     return ActionLabel.ORDINARY
 
 
+def _first_reaching_each(beta: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+    """Per entry, the smallest float ``g`` with ``fl(beta*g) >= threshold``, for positive arguments.
+
+    Each entry starts at ``threshold/beta``, steps down one float while it
+    reaches its threshold, then up one float while it falls short.
+    """
+    g = threshold / beta
+    while (down := beta * g >= threshold).any():
+        g = np.where(down, np.nextafter(g, -np.inf), g)
+    while (up := beta * g < threshold).any():
+        g = np.where(up, np.nextafter(g, np.inf), g)
+    return g
+
+
 def column_label_counts(
     gap: float, beta_mid: np.ndarray, row: np.ndarray, above_tau: int
 ) -> tuple[tuple[int, int], float, float]:
@@ -181,7 +195,8 @@ def column_label_counts(
 
     The column-wise form of ``oracle._label_counts``: one ``searchsorted`` of
     every column's ``beta*gap`` into the threshold row, then the gap interval
-    from every column's last and next threshold.
+    by definition: each column's own first gap reaching its last threshold
+    and its next one, the latest of the former and the earliest of the latter.
 
     ``row`` and ``above_tau`` come from :func:`hotlane.oracle._grid`.
     ``start`` is ``-inf`` when no agent tolls or pools, and ``end`` is
@@ -202,9 +217,9 @@ def column_label_counts(
     # it at the next one, unless it covers the whole row.
     start, end = -math.inf, math.inf
     if first_any < n:
-        start = oracle._first_reaching_all(beta_mid[first_any:], row[reached[first_any:] - 1])
+        start = float(_first_reaching_each(beta_mid[first_any:], row[reached[first_any:] - 1]).max())
     if first_full:
-        end = oracle._first_reaching_any(beta_mid[:first_full], row[reached[:first_full]])
+        end = float(_first_reaching_each(beta_mid[:first_full], row[reached[:first_full]]).min())
     return (above_tau * tolling, pool), start, end
 
 

@@ -240,6 +240,23 @@ def test_oracle_labelings_per_point(i880_pop, i880_bpr, oracle_cfg, monkeypatch)
     assert sum(straddles) <= 142
 
 
+def test_oracle_labels_nothing_below_the_first_threshold(i880_bpr, monkeypatch):
+    """At demand 1 the all-ordinary gap lies below the first gap at which any
+    agent pools, so everyone ordinary is returned without a grid labeling."""
+    calls = [0]
+    label_counts = oracle._label_counts
+
+    def counted(*args):
+        calls[-1] += 1
+        return label_counts(*args)
+
+    monkeypatch.setattr(oracle, "_label_counts", counted)
+    pop = PopulationParams(demand=1.0, beta_max=1.5, gamma_max=8.0)
+    result = oracle_equilibrium(DesignParams(0.5, 1.0, 2.5), pop, i880_bpr, OracleConfig(grid_n=2000))
+    assert result == (StrategyShares(0.0, 0.0, 1.0), 0)
+    assert calls == [0]
+
+
 def test_oracle_i880_shares_pinned(i880_pop, i880_bpr, oracle_cfg):
     """The 60 I-880 oracle states at grid_n=2000, bit for bit.
 
