@@ -51,6 +51,7 @@ the two bracket ends are adjacent labelings, or at the labeling cap (see
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,8 +81,12 @@ def _solve_tolerance(grid_n: int) -> float:
     return max(5e-3, 4.0 / grid_n)
 
 
+@functools.lru_cache(maxsize=16)
 def _midpoints(upper: float, n: int) -> np.ndarray:
-    return (np.arange(n) + 0.5) * (upper / n)
+    """The ``n`` cell midpoints of ``[0, upper]``, ascending: built once per ``(upper, n)``, read-only."""
+    mid = (np.arange(n) + 0.5) * (upper / n)
+    mid.flags.writeable = False
+    return mid
 
 
 def _grid(tau: float, pop: PopulationParams, grid_n: int) -> tuple[np.ndarray, np.ndarray, int]:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,17 @@ from hotlane import (
 from hotlane import equilibrium as eq
 from hotlane.latency import _capacities, latency_gap
 from hotlane.population import _toll_levels, region_measures_at_gap
+
+# When a property test fails, hypothesis's pytest plugin imports hypothesis.extra._patching to
+# suggest an @example patch. That imports libcst, whose mypy_extensions import warns a
+# DeprecationWarning, and filterwarnings = ["error"] turns it into an INTERNALERROR that ends
+# the session. Imported once here with that warning ignored, the module is cached for the hook.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated", category=DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(scope="session")

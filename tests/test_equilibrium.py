@@ -510,9 +510,10 @@ def test_underflowed_toll_floor_is_solved_at_its_own_toll(i880_pop, i880_bpr):
 
 @pytest.mark.parametrize("rho", [1e-100, 1e-300, 4.45e-87])
 def test_tiny_capacity_fraction_solves(rho, i880_pop, i880_bpr):
-    """A Regime-A1 root more than 200 binades below the bracket top closes in at most 250 steps
-    and meets the residual gate. Halving a stalled bracket's width took 761, 995 and 805 steps
-    here; halving its count of floats takes 212, 23 and 78."""
+    """A Regime-A1 root more than 200 binades below the bracket top closes in at most 40 steps
+    and meets the residual gate. The solver takes 20, 21 and 21 steps here. Halving a stalled
+    bracket's width took 761, 995 and 805; halving its count of floats only after a secant
+    point left the bracket took 212, 23 and 78."""
     table = solve_batch([1.0], [rho], [2.5], i880_pop, i880_bpr)
     assert not table.errors
     assert table.residual[0] <= eq.RESIDUAL_TOL
@@ -520,7 +521,7 @@ def test_tiny_capacity_fraction_solves(rho, i880_pop, i880_bpr):
     root = table.shares[1, 0] * 2.0 * i880_pop.gamma_max / i880_pop.beta_max
     top = latency_gap(StrategyShares(0.0, 0.0, 1.0), DesignParams(rho, 1.0, 2.5), i880_pop.demand, i880_bpr)
     assert table.regime[0] == 0 and 0.0 < root < 2.0**-200 * top
-    assert table.iterations[0] <= 250
+    assert table.iterations[0] <= 40
 
 
 def test_negative_index_of_a_failed_point_raises(i880_pop, i880_bpr):
@@ -582,10 +583,11 @@ I880_POP = PopulationParams(demand=115.0, beta_max=1.5, gamma_max=8.0)
         ),
         # Capacity fractions from subnormal up: the roots of the two subnormal points after the
         # first miss the residual gate. Halving alone takes at most 1067 steps here and the
-        # solver 782, at rho=9.6e-82 where secant steps creep; halving a stalled bracket's
-        # width instead of its count of floats took 1063.
+        # solver 67. With secant points in wide brackets, secant steps crept for up to 782
+        # steps (rho=9.6e-82: 781); halving a stalled bracket's width instead of its count of
+        # floats took 1063.
         pytest.param(
-            np.logspace(-320, -1, 300), I880_POP, {1: NoConvergence, 2: NoConvergence}, 900, id="tiny-rho-sweep"
+            np.logspace(-320, -1, 300), I880_POP, {1: NoConvergence, 2: NoConvergence}, 100, id="tiny-rho-sweep"
         ),
     ],
 )
