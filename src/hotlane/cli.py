@@ -191,10 +191,6 @@ def dump_config(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".12g")
-
-
 def _bits(column: np.ndarray) -> np.ndarray:
     """The column as same-width ints: equal exactly when bit-identical, so -0.0 and 0.0 differ."""
     return column.view(f"i{column.itemsize}")
@@ -249,9 +245,9 @@ def cmd_verify(config: RunConfig, tau: float, rho: float, grid_n: int = OracleCo
     solver, oracle = solve_shares.as_tuple(), oracle_shares.as_tuple()
     distance = max(abs(a - b) for a, b in zip(solver, oracle))
     tolerance = _solve_tolerance(oracle_cfg.grid_n)
-    print(f"solver: ({', '.join(map(_fmt, solver))})")
-    print(f"oracle: ({', '.join(map(_fmt, oracle))})  [grid_n={oracle_cfg.grid_n}, iterations={iterations}]")
-    print(f"max-norm distance: {_fmt(distance)} (tolerance {_fmt(tolerance)})")
+    print("solver: (%.12g, %.12g, %.12g)" % solver)
+    print("oracle: (%.12g, %.12g, %.12g)  [grid_n=%s, iterations=%s]" % (*oracle, oracle_cfg.grid_n, iterations))
+    print("max-norm distance: %.12g (tolerance %.12g)" % (distance, tolerance))
     if distance <= tolerance:
         return 0
     print("distance exceeds tolerance", file=sys.stderr)
@@ -273,7 +269,7 @@ def cmd_pareto(config: RunConfig, out_path: str | Path, per_rho: bool = False) -
     if per_rho:
         which = np.searchsorted(config.rho_values, table.rho)  # each row's index in rho_values
         front = pareto_front(table, which)
-        labels = [f",rho={_fmt(rho)}" for rho in config.rho_values]
+        labels = [",rho=%.12g" % rho for rho in config.rho_values]
         lines += [line + labels[k] for line, k in zip(_lines(table.take(front)), which[front].tolist())]
     Path(out_path).write_text("\n".join(lines) + "\n")
     return int(bool(table.errors))

@@ -19,19 +19,21 @@ is replaced by the float next to the end it rounds onto, or by the float
 halfway in count between the ends (see :func:`_gap_root`).
 
 Nobody pays the toll at a gap below ``tau / beta_max``, where ``F`` is the
-toll-free ``F``, that is ``F`` at ``tau = gamma_max``. So before the root
-find :func:`solve_batch` evaluates ``F`` at the toll floor of each point
-with ``tau < gamma_max``, the float below ``tau / beta_max``. A point with
-``F > 0`` there is in Regime B and is solved on ``[floor, gap(everyone
-ordinary)]``; a NaN there (the floor underflowed to 0) leaves the point
-``[0, gap(everyone ordinary)]``. Every other point is in Regime A, and its
-root ``g_A`` is that of the toll-free ``F``: it does not depend on the toll,
-so it is solved once per run of Regime-A points with equal ``(rho,
-occupancy)``, and a point is in Regime B exactly when ``tau < tau_AB =
-min(gamma_max, beta_max * g_A)``. The split only decides which points need
-a root of their own: every root is still the float that halving alone
-reaches from ``[0, gap(everyone ordinary)]``, and the shares, regime,
-residual and objectives come from each point's own root and toll.
+toll-free ``F``, that is ``F`` at ``tau = gamma_max``. So
+:func:`solve_batch` solves each point's ``F`` at an effective toll:
+``gamma_max``, unless the point has ``tau < gamma_max`` and ``F`` at its
+toll floor, the float below ``tau / beta_max``, is positive or NaN. Then it
+is the point's own ``tau``, and the bracket is ``[floor, gap(everyone
+ordinary)]`` for ``F > 0`` (Regime B) and ``[0, gap(everyone ordinary)]``
+for a NaN (the floor underflowed to 0). At ``gamma_max`` the root is
+``g_A``, that of the toll-free ``F``: it does not depend on the toll, and a
+point is in Regime B exactly when ``tau < tau_AB = min(gamma_max,
+beta_max * g_A)``. The effective toll, ``rho`` and occupancy fix a point's
+bracket and ``F``, so a run of adjacent points equal in all three shares
+one root. The effective toll only decides which points share a root: every
+root is still the float that halving alone reaches from ``[0, gap(everyone
+ordinary)]``, and the shares, regime, residual and objectives come from
+each point's own root and toll.
 
 The batch is numpy columns end to end: the points come
 in as ``tau``, ``rho`` and ``occupancy`` arrays, checked against the
@@ -105,8 +107,8 @@ class EquilibriumOutcome:
     ``gap`` is the ordinary-minus-HOT latency difference at the solved
     shares (minutes), ``flows`` the (ordinary, HOT) vehicle flows,
     ``residual`` the absolute fixed-point residual of the solved equation in
-    its printed units, ``iterations`` the root-finding step count (a point
-    sorted into Regime A reports that of its row's ``g_A``), ``latencies``
+    its printed units, ``iterations`` the step count of the root of ``F`` at
+    the point's effective toll (see :func:`solve_batch`), ``latencies``
     the (ordinary, HOT) lane travel times in minutes at the solved flows,
     and ``avg_time`` (minutes) and ``revenue`` ($/min) the two objectives.
     It is one row of an :class:`EquilibriumBatch` (see :func:`_failures`).
@@ -138,9 +140,9 @@ class EquilibriumBatch:
     array of (toll, pool, ordinary) shares, ``flows`` and ``latencies`` are
     the ``(2, n)`` arrays of (ordinary, HOT) flows and lane times,
     ``regime`` holds codes into ``tuple(RegimeLabel)`` (0 A1, 1 A2, 2 B),
-    ``iterations`` the root-finding step counts (a point sorted into Regime A
-    reports that of its row's ``g_A``), and ``avg_time`` and ``revenue`` are
-    the objectives.
+    ``iterations`` the step counts of the roots of ``F`` at the points'
+    effective tolls (see :func:`solve_batch`), and ``avg_time`` and
+    ``revenue`` are the objectives.
     ``errors`` maps the index of every point without a valid equilibrium to
     its typed error; the columns hold no meaningful value at those indices.
     """
@@ -342,13 +344,14 @@ def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> E
     residual exceeds ``RESIDUAL_TOL``), so one bad point never aborts the
     batch.
 
-    All roots are found in one :func:`_gap_root` call. A point with ``tau <
-    gamma_max`` and ``F > 0`` at its toll floor is in Regime B and is solved
-    from the floor; every other point takes the root and step count of its
-    row's ``g_A``, solved once per run of Regime-A points with equal ``(rho,
-    occupancy)`` (see the module docstring). So a point's result, its step
-    count included, depends only on that point, never on the rest of the
-    batch.
+    All roots are found in one :func:`_gap_root` call, each that of ``F`` at
+    the point's effective toll: its own ``tau`` where ``tau < gamma_max`` and
+    ``F`` at its toll floor is positive (Regime B, solved from the floor) or
+    NaN, and ``gamma_max`` everywhere else (see the module docstring). A run
+    of adjacent points with equal effective toll, ``rho`` and occupancy is
+    solved once, and every point of the run takes that root and step count.
+    So a point's result, its step count included, depends only on that
+    point, never on the rest of the batch.
     """
     tau, rho, occupancy = _check_designs(tau, rho, occupancy)
     # Extreme but valid points overflow or divide by zero on the way to a NaN or
@@ -360,40 +363,37 @@ def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> E
         # The bracket ends: 0 and F(0), the gap with everyone on the ordinary lanes.
         lo = np.zeros_like(tau)
         top = lane_gap((lo, lo, 1.0), pop.demand, occupancy, capacities, bpr)
-        # Nobody pays the toll at a gap below tau / beta_max, where F is the toll-free F. The floor is
-        # the float below that quotient, which may round up to a gap where a few pay. F > 0 at the
-        # floor puts the root above it, in Regime B, bracketed by [floor, top]; a NaN there (the floor
-        # underflowed to 0) leaves the bracket [0, top]. Either way the point is solved at its own toll.
-        # F is not evaluated at a floor at or above top: [0, top] then lies wholly below the floor.
+        # Each point's root is that of F at its effective toll, root_tau. Nobody pays the toll at a gap
+        # below tau / beta_max, where F is the toll-free F (F at tau = gamma_max), so root_tau is gamma_max
+        # unless the floor test keeps the point's own tau. The floor is the float below that quotient,
+        # which may round up to a gap where a few pay. F > 0 at the floor puts the root above it, in
+        # Regime B, bracketed by [floor, top]; a NaN there (the floor underflowed to 0) leaves the bracket
+        # [0, top]. F is not evaluated at a floor at or above top: [0, top] then lies wholly below the floor.
         floor = np.nextafter(tau / pop.beta_max, 0.0)
-        in_a, f_lo = top > 0.0, top.copy()  # the open points, less those solved at their own toll
+        root_tau, f_lo = np.full_like(tau, pop.gamma_max), top.copy()
         own = np.flatnonzero((floor < top) & (tau < pop.gamma_max))
         if own.size:
             f_floor = _excess(floor[own], pop, bpr, *(a[own] for a in points))
             above = f_floor > 0.0
-            regime_b = own[above]
-            lo[regime_b], f_lo[regime_b] = floor[regime_b], f_floor[above]
+            lo[own[above]], f_lo[own[above]] = floor[own[above]], f_floor[above]
             own = own[~(f_floor <= 0.0)]
-            in_a[own] = False
-        # Every other open point is in Regime A. Its root is g_A, the root of the toll-free F, which is
-        # F at tau = gamma_max: solved once per run of A points with equal (rho, occupancy), copied along it.
-        # The two size tests below skip work that would change nothing, a fixed cost for a batch of one.
-        regime_a = np.flatnonzero(in_a)
-        head = np.ones(regime_a.size, dtype=bool)
-        if regime_a.size > 1:
-            rho_a, occupancy_a = rho[regime_a], occupancy[regime_a]
-            head[1:] = (rho_a[1:] != rho_a[:-1]) | (occupancy_a[1:] != occupancy_a[:-1])
-        heads = regime_a[head]
-        roots = np.concatenate((own, heads))
-        root_tau = tau[roots]
-        root_tau[own.size :] = pop.gamma_max
-        root_points = [*_toll_levels(root_tau, pop), *(a[roots] for a in (occupancy, *capacities))]
+            root_tau[own] = tau[own]
+        # (root_tau, rho, occupancy) fix a point's bracket and F, so each run of open points equal in
+        # all three is solved once and its root copied along it. The two size tests below skip work
+        # that would change nothing, a fixed cost for a batch of one.
+        opened = np.flatnonzero(top > 0.0)
+        head = np.ones(opened.size, dtype=bool)
+        if opened.size > 1:
+            keys = np.array([root_tau[opened], rho[opened], occupancy[opened]])
+            head[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+        heads = opened[head]
+        root_points = [*_toll_levels(root_tau[heads], pop), *(a[heads] for a in (occupancy, *capacities))]
         root = np.full(tau.shape, np.nan)
         iterations = np.zeros(tau.shape, dtype=int)
-        root[roots], iterations[roots] = _gap_root(lo[roots], top[roots], f_lo[roots], pop, bpr, root_points)
-        if heads.size < regime_a.size:
-            run_head = np.maximum.accumulate(np.where(head, regime_a, 0))
-            root[regime_a], iterations[regime_a] = root[run_head], iterations[run_head]
+        root[heads], iterations[heads] = _gap_root(lo[heads], top[heads], f_lo[heads], pop, bpr, root_points)
+        if heads.size < opened.size:
+            run_head = np.maximum.accumulate(np.where(head, opened, 0))
+            root[opened], iterations[opened] = root[run_head], iterations[run_head]
 
         shares = np.array(region_fractions(np.where(root > 0.0, root, 1.0), levels, pop))
         flows = np.array(lane_flows(*shares, pop.demand, occupancy))

@@ -422,26 +422,59 @@ def test_open_bracket_at_the_cap_is_an_error(i880_pop, i880_bpr, monkeypatch):
     assert sorted(table.errors) == [0, 1] and not table.solved.any()
 
 
-def test_regime_a_root_is_solved_once_per_row(i880_pop, i880_bpr, monkeypatch):
-    """One root finder call per batch: on the dense grid it solves 555 roots, one ``g_A`` per
-    rho (50, from 0) and one per Regime-B point (505, each from its toll floor), and a batch
-    of one solves one root."""
-    brackets = []
+@pytest.fixture
+def brackets(monkeypatch) -> list[np.ndarray]:
+    """The lower bracket ends of every ``_gap_root`` call, one array per call, one entry per root."""
+    calls = []
     gap_root = eq._gap_root
 
     def counted(lo, *args):
-        brackets.append(lo)
+        calls.append(lo)
         return gap_root(lo, *args)
 
     monkeypatch.setattr(eq, "_gap_root", counted)
-    table = solve_batch(*_columns(dense_grid()), i880_pop, i880_bpr)
+    return calls
+
+
+@pytest.mark.parametrize("calibration, roots, from_floor", [("i880", 555, 505), ("congested", 2991, 2941)])
+def test_each_run_of_equal_effective_tolls_is_solved_once(
+    calibration, roots, from_floor, i880_pop, i880_bpr, brackets
+):
+    """One root finder call per batch, with one root per run of adjacent open points with equal
+    effective toll, rho and occupancy. On the dense grid that is one ``g_A`` per rho (50, from 0 at
+    ``gamma_max``) and one root per Regime-B point (from its toll floor at its own toll): 555 roots
+    on I-880 and 2,991 on the congested calibration. A batch of one solves one root."""
+    pop, bpr = (i880_pop, i880_bpr) if calibration == "i880" else (CONGESTED_POP, CONGESTED_BPR)
+    table = solve_batch(*_columns(dense_grid()), pop, bpr)
     (lo,) = brackets
-    assert lo.size == 555
-    assert np.count_nonzero(lo > 0.0) == np.count_nonzero(table.regime == 2) == 505
-    for design in (dense_design(0, 0), dense_design(49, 99), DesignParams(0.5, i880_pop.gamma_max, 2.5)):
+    assert lo.size == roots
+    assert np.count_nonzero(lo > 0.0) == np.count_nonzero(table.regime == 2) == from_floor
+    for design in (dense_design(0, 0), dense_design(49, 99), DesignParams(0.5, pop.gamma_max, 2.5)):
         brackets.clear()
-        solve(design, i880_pop, i880_bpr)
+        solve(design, pop, bpr)
         assert [lo.size for lo in brackets] == [1]
+
+
+def test_adjacent_duplicates_share_a_root(i880_pop, i880_bpr, brackets):
+    """Seven points in three runs share three roots, one per run: a Regime-B run, a run whose toll
+    floor underflows to 0 (where ``F`` is NaN) and a Regime-A run. Every column and every error is
+    that of the point solved alone."""
+    tau = [0.5, 0.5, 0.5, 5e-324, 5e-324, 4.0, 4.0]
+    rho = [0.75] * 3 + [0.25] * 4
+    table = solve_batch(tau, rho, 2.5, i880_pop, i880_bpr)
+    (lo,) = brackets
+    assert lo.size == 3
+    assert table.regime[[0, 5]].tolist() == [2, 0] and sorted(table.errors) == [3, 4]
+    for i, point in enumerate(zip(tau, rho)):
+        alone = solve_batch(*point, 2.5, i880_pop, i880_bpr)
+        for name, column in vars(table).items():
+            if name != "errors":
+                assert column[..., i].tobytes() == getattr(alone, name)[..., 0].tobytes(), (name, point)
+        error, error_alone = (
+            (type(e), str(e), getattr(e, "last_value", None), getattr(e, "residual", None))
+            for e in (table.errors.get(i), alone.errors.get(0))
+        )
+        assert error == error_alone, point
 
 
 def _around(x: float) -> np.ndarray:
