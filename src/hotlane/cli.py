@@ -184,9 +184,11 @@ def load_config(path: str | Path) -> RunConfig:
 def dump_config(config: RunConfig) -> str:
     """Serialize a config so that parsing the output reproduces it exactly."""
     lines = []
-    for key in _KEYS:
+    for key, kind in _KEYS.items():
         value = functools.reduce(getattr, key.split("."), config)
-        text = ", ".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+        # Every number as a Python float, in the form that parsing reads for the key's kind, so a numpy
+        # scalar or a list in the config dumps as the floats that parse back to it.
+        text = ", ".join(repr(float(x)) for x in value) if typing.get_origin(kind) is tuple else repr(float(value))
         lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 

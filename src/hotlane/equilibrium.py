@@ -29,11 +29,12 @@ for a NaN (the floor underflowed to 0). At ``gamma_max`` the root is
 ``g_A``, that of the toll-free ``F``: it does not depend on the toll, and a
 point is in Regime B exactly when ``tau < tau_AB = min(gamma_max,
 beta_max * g_A)``. The effective toll, ``rho`` and occupancy fix a point's
-bracket and ``F``, so a run of adjacent points equal in all three shares
-one root. The effective toll only decides which points share a root: every
-root is still the float that halving alone reaches from ``[0, gap(everyone
-ordinary)]``, and the shares, regime, residual and objectives come from
-each point's own root and toll.
+bracket and ``F``, so points equal in all three share one root wherever
+they sit in the batch: one stable sort groups them. The effective toll
+only decides which points share a root: every root is still the float
+that halving alone reaches from ``[0, gap(everyone ordinary)]``, and the
+shares, regime, residual and objectives come from each point's own root
+and toll.
 
 The batch is numpy columns end to end: the points come
 in as ``tau``, ``rho`` and ``occupancy`` arrays, checked against the
@@ -347,11 +348,13 @@ def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> E
     All roots are found in one :func:`_gap_root` call, each that of ``F`` at
     the point's effective toll: its own ``tau`` where ``tau < gamma_max`` and
     ``F`` at its toll floor is positive (Regime B, solved from the floor) or
-    NaN, and ``gamma_max`` everywhere else (see the module docstring). A run
-    of adjacent points with equal effective toll, ``rho`` and occupancy is
-    solved once, and every point of the run takes that root and step count.
-    So a point's result, its step count included, depends only on that
-    point, never on the rest of the batch.
+    NaN, and ``gamma_max`` everywhere else (see the module docstring). Points
+    with equal effective toll, ``rho`` and occupancy are solved once wherever
+    they sit in the batch, and each of them takes that root and step count:
+    the dense benchmark grid solves 555 roots for its 5,000 points in
+    rho-major, tau-major or shuffled order. So a point's result, its step
+    count included, depends only on that point, never on the rest of the
+    batch or its order.
     """
     tau, rho, occupancy = _check_designs(tau, rho, occupancy)
     # Extreme but valid points overflow or divide by zero on the way to a NaN or
@@ -369,31 +372,34 @@ def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> E
         # which may round up to a gap where a few pay. F > 0 at the floor puts the root above it, in
         # Regime B, bracketed by [floor, top]; a NaN there (the floor underflowed to 0) leaves the bracket
         # [0, top]. F is not evaluated at a floor at or above top: [0, top] then lies wholly below the floor.
+        # f_floor holds F at the floor of the points the test applies to, and -1 at every other point,
+        # which leaves it gamma_max and [0, top].
         floor = np.nextafter(tau / pop.beta_max, 0.0)
-        root_tau, f_lo = np.full_like(tau, pop.gamma_max), top.copy()
-        own = np.flatnonzero((floor < top) & (tau < pop.gamma_max))
-        if own.size:
-            f_floor = _excess(floor[own], pop, bpr, *(a[own] for a in points))
-            above = f_floor > 0.0
-            lo[own[above]], f_lo[own[above]] = floor[own[above]], f_floor[above]
-            own = own[~(f_floor <= 0.0)]
-            root_tau[own] = tau[own]
-        # (root_tau, rho, occupancy) fix a point's bracket and F, so each run of open points equal in
-        # all three is solved once and its root copied along it. The two size tests below skip work
-        # that would change nothing, a fixed cost for a batch of one.
+        tested = np.flatnonzero((floor < top) & (tau < pop.gamma_max))
+        f_floor = np.full_like(tau, -1.0)
+        if tested.size:
+            f_floor[tested] = _excess(floor[tested], pop, bpr, *(a[tested] for a in points))
+        above = f_floor > 0.0
+        lo, f_lo = np.where(above, floor, lo), np.where(above, f_floor, top)
+        root_tau = np.where(f_floor <= 0.0, pop.gamma_max, tau)
+        # (root_tau, rho, occupancy) fix a point's bracket and F, so the open points equal in all three
+        # share one root wherever they sit in the batch. A stable sort on the three puts equal points
+        # next to each other; each first of its key is solved, and group holds every open point's index
+        # among those firsts. The two size tests skip work that would change nothing, a fixed cost for
+        # a batch of one.
         opened = np.flatnonzero(top > 0.0)
-        head = np.ones(opened.size, dtype=bool)
+        heads, group = opened, np.zeros(opened.size, dtype=int)
         if opened.size > 1:
-            keys = np.array([root_tau[opened], rho[opened], occupancy[opened]])
-            head[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-        heads = opened[head]
+            order = np.lexsort((occupancy[opened], rho[opened], root_tau[opened]))
+            keys = np.array([root_tau, rho, occupancy]).take(opened[order], axis=1)
+            first = np.ones(opened.size, dtype=bool)
+            first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+            group[order] = np.cumsum(first) - 1
+            heads = opened[order[first]]
         root_points = [*_toll_levels(root_tau[heads], pop), *(a[heads] for a in (occupancy, *capacities))]
-        root = np.full(tau.shape, np.nan)
-        iterations = np.zeros(tau.shape, dtype=int)
-        root[heads], iterations[heads] = _gap_root(lo[heads], top[heads], f_lo[heads], pop, bpr, root_points)
-        if heads.size < opened.size:
-            run_head = np.maximum.accumulate(np.where(head, opened, 0))
-            root[opened], iterations[opened] = root[run_head], iterations[run_head]
+        root, iterations = np.full(tau.shape, np.nan), np.zeros(tau.shape, dtype=int)
+        solved = _gap_root(lo[heads], top[heads], f_lo[heads], pop, bpr, root_points)
+        root[opened], iterations[opened] = (a[group] for a in solved)
 
         shares = np.array(region_fractions(np.where(root > 0.0, root, 1.0), levels, pop))
         flows = np.array(lane_flows(*shares, pop.demand, occupancy))

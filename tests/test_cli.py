@@ -88,8 +88,20 @@ def test_parse_config_text_round_trips_i880():
 
 
 def test_dump_config_round_trip():
-    config = i880_config()
-    assert parse_config_text(dump_config(config)) == config
+    """Parsing a dump gives the config's values back as equal floats, and dumping that gives the same
+    bytes, also where the config holds numpy scalars or a list of capacity fractions."""
+    i880 = i880_config()
+    configs = (
+        i880,
+        dataclasses.replace(i880, rho_values=tuple(np.linspace(0.25, 0.75, 3))),
+        dataclasses.replace(i880, tau_min=np.float64(0.5)),
+        dataclasses.replace(i880, rho_values=[0.25, 0.5]),
+    )
+    for config in configs:
+        text = dump_config(config)
+        parsed = parse_config_text(text)
+        assert parsed == dataclasses.replace(config, rho_values=tuple(config.rho_values))
+        assert dump_config(parsed) == text
 
 
 def test_parse_errors_report_line_and_key():

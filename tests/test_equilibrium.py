@@ -17,6 +17,7 @@ import hotlane
 from hotlane import (
     BprParams,
     DesignParams,
+    EquilibriumBatch,
     EquilibriumOutcome,
     GapNonPositive,
     NoConvergence,
@@ -436,19 +437,41 @@ def brackets(monkeypatch) -> list[np.ndarray]:
     return calls
 
 
+def _error_state(error) -> tuple:
+    return type(error), str(error), getattr(error, "last_value", None), getattr(error, "residual", None)
+
+
+def _assert_same_points(table: EquilibriumBatch, other: EquilibriumBatch) -> None:
+    """Every column of the two batches, bit for bit, and every error's type, text and state."""
+    for name, column in vars(table).items():
+        if name != "errors":
+            assert column.tobytes() == getattr(other, name).tobytes(), name
+    assert {i: _error_state(e) for i, e in table.errors.items()} == {
+        i: _error_state(e) for i, e in other.errors.items()
+    }
+
+
 @pytest.mark.parametrize("calibration, roots, from_floor", [("i880", 555, 505), ("congested", 2991, 2941)])
-def test_each_run_of_equal_effective_tolls_is_solved_once(
-    calibration, roots, from_floor, i880_pop, i880_bpr, brackets
-):
-    """One root finder call per batch, with one root per run of adjacent open points with equal
-    effective toll, rho and occupancy. On the dense grid that is one ``g_A`` per rho (50, from 0 at
-    ``gamma_max``) and one root per Regime-B point (from its toll floor at its own toll): 555 roots
-    on I-880 and 2,991 on the congested calibration. A batch of one solves one root."""
+def test_points_with_equal_keys_are_solved_once(calibration, roots, from_floor, i880_pop, i880_bpr, brackets):
+    """One root finder call per batch, with one root per distinct key (effective toll, rho and
+    occupancy) among the open points, wherever its points sit in the batch. On the dense grid that is
+    one ``g_A`` per rho (50, from 0 at ``gamma_max``) and one root per Regime-B point (from its toll
+    floor at its own toll): 555 roots on I-880 and 2,991 on the congested calibration, whether the
+    grid comes rho-major, tau-major or shuffled, and every column is the rho-major one permuted. A
+    batch of one solves one root."""
     pop, bpr = (i880_pop, i880_bpr) if calibration == "i880" else (CONGESTED_POP, CONGESTED_BPR)
-    table = solve_batch(*_columns(dense_grid()), pop, bpr)
-    (lo,) = brackets
-    assert lo.size == roots
-    assert np.count_nonzero(lo > 0.0) == np.count_nonzero(table.regime == 2) == from_floor
+    columns = np.array(_columns(dense_grid()))
+    table = solve_batch(*columns, pop, bpr)
+    rho_major = np.arange(columns.shape[1])
+    tau_major = rho_major.reshape(DENSE_RHO.size, -1).T.ravel()
+    shuffled = np.random.default_rng(0).permutation(rho_major)
+    for order in (rho_major, tau_major, shuffled):
+        brackets.clear()
+        permuted = solve_batch(*columns[:, order], pop, bpr)
+        (lo,) = brackets
+        assert lo.size == roots
+        assert np.count_nonzero(lo > 0.0) == np.count_nonzero(permuted.regime == 2) == from_floor
+        _assert_same_points(permuted, table.take(order))
     for design in (dense_design(0, 0), dense_design(49, 99), DesignParams(0.5, pop.gamma_max, 2.5)):
         brackets.clear()
         solve(design, pop, bpr)
@@ -456,25 +479,22 @@ def test_each_run_of_equal_effective_tolls_is_solved_once(
 
 
 def test_adjacent_duplicates_share_a_root(i880_pop, i880_bpr, brackets):
-    """Seven points in three runs share three roots, one per run: a Regime-B run, a run whose toll
-    floor underflows to 0 (where ``F`` is NaN) and a Regime-A run. Every column and every error is
-    that of the point solved alone."""
-    tau = [0.5, 0.5, 0.5, 5e-324, 5e-324, 4.0, 4.0]
-    rho = [0.75] * 3 + [0.25] * 4
-    table = solve_batch(tau, rho, 2.5, i880_pop, i880_bpr)
-    (lo,) = brackets
-    assert lo.size == 3
-    assert table.regime[[0, 5]].tolist() == [2, 0] and sorted(table.errors) == [3, 4]
-    for i, point in enumerate(zip(tau, rho)):
-        alone = solve_batch(*point, 2.5, i880_pop, i880_bpr)
-        for name, column in vars(table).items():
-            if name != "errors":
-                assert column[..., i].tobytes() == getattr(alone, name)[..., 0].tobytes(), (name, point)
-        error, error_alone = (
-            (type(e), str(e), getattr(e, "last_value", None), getattr(e, "residual", None))
-            for e in (table.errors.get(i), alone.errors.get(0))
-        )
-        assert error == error_alone, point
+    """Seven points with three keys share three roots, one per key, whether equal points sit next
+    to each other or apart: a Regime-B key, a key whose toll floor underflows to 0 (where ``F`` is
+    NaN) and a Regime-A key. Every column and every error is that of the point solved alone."""
+    layouts = (
+        ([0.5, 0.5, 0.5, 5e-324, 5e-324, 4.0, 4.0], [0.75] * 3 + [0.25] * 4),
+        ([0.5, 5e-324, 4.0, 0.5, 5e-324, 4.0, 0.5], [0.75, 0.25, 0.25, 0.75, 0.25, 0.25, 0.75]),
+    )
+    for tau, rho in layouts:
+        brackets.clear()
+        table = solve_batch(tau, rho, 2.5, i880_pop, i880_bpr)
+        (lo,) = brackets
+        assert lo.size == 3
+        assert table.regime[table.tau == 0.5].tolist() == [2] * 3 and table.regime[table.tau == 4.0].tolist() == [0] * 2
+        assert sorted(table.errors) == np.flatnonzero(table.tau == 5e-324).tolist()
+        for i, point in enumerate(zip(tau, rho)):
+            _assert_same_points(table.take([i]), solve_batch(*point, 2.5, i880_pop, i880_bpr))
 
 
 def _around(x: float) -> np.ndarray:
