@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import numbers
 import sys
 import typing
 from dataclasses import dataclass
@@ -84,6 +85,12 @@ class RunConfig:
     tau_step: float
 
     def __post_init__(self):
+        # Kept as a tuple of floats, so the frozen config hashes and cannot change after this check;
+        # a value that is not iterable stands as one entry that is not a number.
+        rho_values = tuple(self.rho_values) if np.iterable(self.rho_values) else (None,)
+        if not all(isinstance(rho, numbers.Real) for rho in rho_values):
+            raise ValidationError(f"rho_values must be a sequence of numbers, got {self.rho_values!r}")
+        object.__setattr__(self, "rho_values", tuple(map(float, rho_values)))
         check_fields(self)
         if not self.tau_min <= self.tau_max:
             raise ValidationError(f"tau_min must be <= tau_max, got {self.tau_min} > {self.tau_max}")

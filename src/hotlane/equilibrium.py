@@ -70,7 +70,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import GapNonPositive, HotLaneError, NoConvergence, ValidationError, check
-from .latency import BprParams, DesignParams, StrategyShares, _capacities, bpr_time, lane_flows, lane_gap, on_simplex
+from .latency import BprParams, DesignParams, StrategyShares, _capacities, _congestion, lane_flows, lane_gap, on_simplex
 from .population import PopulationParams, _toll_levels, region_fractions
 
 __all__ = [
@@ -185,15 +185,20 @@ class EquilibriumBatch:
         i = range(len(self))[i]  # a negative index names the same point as its error key
         if i in self.errors:
             raise self.errors[i]
-        row = {f.name: getattr(self, f.name)[..., i].tolist() for f in fields(EquilibriumOutcome) if f.name != "design"}
+        row = {name: getattr(self, name)[..., i].tolist() for name in _OUTCOME_COLUMNS}
         row.update(
-            design=DesignParams(**{f.name: getattr(self, f.name)[i].item() for f in fields(DesignParams)}),
+            design=DesignParams(**{name: getattr(self, name)[..., i].tolist() for name in _DESIGN_COLUMNS}),
             shares=StrategyShares(*row["shares"]),
             regime=_LABELS[row["regime"]],
             flows=tuple(row["flows"]),
             latencies=tuple(row["latencies"]),
         )
         return EquilibriumOutcome(**row)
+
+
+# The batch columns that hold an outcome's fields and those of its design, named once.
+_OUTCOME_COLUMNS = tuple(f.name for f in fields(EquilibriumOutcome) if f.name != "design")
+_DESIGN_COLUMNS = tuple(f.name for f in fields(DesignParams))
 
 
 def _check_designs(tau, rho, occupancy) -> list[np.ndarray]:
@@ -242,9 +247,16 @@ def _gap_root(lo, hi, f_lo, pop: PopulationParams, bpr: BprParams, points: list[
     The secant points carry the Anderson-Bjorck weighting: an end kept twice
     running has its stored ``F`` scaled by ``m = 1 - F(x) / F(replaced end)``,
     or halved where ``m`` is not positive (the Illinois rule halves it
-    always). A point stops when the midpoint of its bracket equals an end,
-    and that midpoint is its root: the same float that halving alone
-    reaches, so the step rule moves only the step count.
+    always). ``m`` is computed only on a step where some end was kept twice;
+    on any other step the scaling would change nothing. A point stops when
+    the midpoint of its bracket equals an end, and that midpoint is its root:
+    the same float that halving alone reaches, so the step rule moves only
+    the step count. The loop ends on the step that stops the last open
+    point, and drops the stopped points from its working arrays only while
+    some stay open.
+
+    The arguments are left unchanged: the bracket arrays are copied, and the
+    working arrays are rebuilt, not written into, when points stop.
     """
     root = np.full(lo.shape, np.nan)
     iterations = np.zeros(lo.shape, dtype=int)
@@ -281,10 +293,12 @@ def _gap_root(lo, hi, f_lo, pop: PopulationParams, bpr: BprParams, points: list[
         to_lo, to_hi = fx >= 0.0, fx <= 0.0
         # Anderson-Bjorck: an end kept twice running has its stored value scaled by
         # m = 1 - F(x) / F(replaced end), or halved where m is not positive.
-        m = 1.0 - fx / np.where(to_lo, f_lo, f_hi)
-        m = np.where(m > 0.0, m, 0.5)
-        np.putmask(f_hi, to_lo & moved_lo, m * f_hi)
-        np.putmask(f_lo, to_hi & moved_hi, m * f_lo)
+        kept_hi, kept_lo = to_lo & moved_lo, to_hi & moved_hi
+        if np.count_nonzero(kept_hi | kept_lo):
+            m = 1.0 - fx / np.where(to_lo, f_lo, f_hi)
+            m = np.where(m > 0.0, m, 0.5)
+            np.putmask(f_hi, kept_hi, m * f_hi)
+            np.putmask(f_lo, kept_lo, m * f_lo)
         np.putmask(lo, to_lo, x)
         np.putmask(f_lo, to_lo, fx)
         np.putmask(hi, to_hi, x)
@@ -292,9 +306,12 @@ def _gap_root(lo, hi, f_lo, pop: PopulationParams, bpr: BprParams, points: list[
         moved_lo, moved_hi = to_lo, to_hi
         mid = 0.5 * (lo + hi)
         done = (mid == lo) | (mid == hi)
-        if np.count_nonzero(done):
+        closed = np.count_nonzero(done)
+        if closed:
             root[index[done]] = mid[done]
             iterations[index[done]] = step
+            if closed == done.size:
+                break
             keep = ~done
             index, lo, hi, f_lo, f_hi, moved_lo, moved_hi, may_nudge = (
                 a[keep] for a in (index, lo, hi, f_lo, f_hi, moved_lo, moved_hi, may_nudge)
@@ -307,30 +324,32 @@ def _failures(top, root, shares, regime, residual) -> dict[int, HotLaneError]:
     """The typed error of every point without a valid equilibrium, by index.
 
     The one definition of the outcome invariants, checked at all points at
-    once: one tuple of ``(failed mask, error of index)`` checks in order of
-    precedence, and a point gets the error of the first check it fails. A
+    once: one tuple of ``(mask of the points that pass, error of index)``
+    checks in order of precedence, and a point gets the error of the first
+    check it fails. A
     valid equilibrium has a positive all-ordinary gap, a root, a printed
     residual of at most ``RESIDUAL_TOL``, and shares on the simplex
     (:func:`on_simplex`) with positive pool and ordinary shares.
     """
     toll, pool, ordinary = shares
+    # A root is NaN, so not >= 0, while its bracket is still open.
     checks = (
-        (~(top > 0.0), lambda i: GapNonPositive(top[i])),
-        (np.isnan(root), lambda i: NoConvergence(f"the gap bracket is still open after {MAX_BISECT} steps")),
-        (~(residual <= RESIDUAL_TOL), lambda i: NoConvergence(
+        (top > 0.0, lambda i: GapNonPositive(top[i])),
+        (root >= 0.0, lambda i: NoConvergence(f"the gap bracket is still open after {MAX_BISECT} steps")),
+        (residual <= RESIDUAL_TOL, lambda i: NoConvergence(
             f"fixed-point residual {residual[i]} exceeds {RESIDUAL_TOL}",
             last_value=tuple(shares[:, i].tolist()),
             residual=residual[i].item(),
         )),
-        (~(on_simplex(toll, pool, ordinary) & (pool > 0.0) & (ordinary > 0.0)), lambda i: ValidationError(
+        (on_simplex(toll, pool, ordinary) & (pool > 0.0) & (ordinary > 0.0), lambda i: ValidationError(
             f"equilibrium shares {tuple(shares[:, i].tolist())} are not valid in regime {_LABELS[regime[i]].value}"
         )),
     )
-    failed = np.array([mask for mask, _ in checks])
-    if not np.count_nonzero(failed):
+    held = np.array([mask for mask, _ in checks])
+    if np.count_nonzero(held) == held.size:
         return {}
-    first = failed.argmax(axis=0).tolist()  # each point's first failed check
-    return {i: checks[first[i]][1](i) for i in np.flatnonzero(failed.any(axis=0)).tolist()}
+    first = held.argmin(axis=0).tolist()  # each point's first failed check
+    return {i: checks[first[i]][1](i) for i in (~held.all(axis=0)).nonzero()[0].tolist()}
 
 
 def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> EquilibriumBatch:
@@ -364,7 +383,7 @@ def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> E
         points = [*levels, occupancy, *capacities]
 
         # The bracket ends: 0 and F(0), the gap with everyone on the ordinary lanes.
-        lo = np.zeros_like(tau)
+        lo = np.zeros(tau.shape)
         top = lane_gap((lo, lo, 1.0), pop.demand, occupancy, capacities, bpr)
         # Each point's root is that of F at its effective toll, root_tau. Nobody pays the toll at a gap
         # below tau / beta_max, where F is the toll-free F (F at tau = gamma_max), so root_tau is gamma_max
@@ -373,21 +392,21 @@ def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> E
         # Regime B, bracketed by [floor, top]; a NaN there (the floor underflowed to 0) leaves the bracket
         # [0, top]. F is not evaluated at a floor at or above top: [0, top] then lies wholly below the floor.
         # f_floor holds F at the floor of the points the test applies to, and -1 at every other point,
-        # which leaves it gamma_max and [0, top].
+        # which leaves it gamma_max and [0, top]. With no point tested, the bracket ends stay [0, top] as built.
         floor = np.nextafter(tau / pop.beta_max, 0.0)
-        tested = np.flatnonzero((floor < top) & (tau < pop.gamma_max))
-        f_floor = np.full_like(tau, -1.0)
+        tested = ((floor < top) & (tau < pop.gamma_max)).nonzero()[0]
+        f_lo, f_floor = top, np.full(tau.shape, -1.0)
         if tested.size:
             f_floor[tested] = _excess(floor[tested], pop, bpr, *(a[tested] for a in points))
-        above = f_floor > 0.0
-        lo, f_lo = np.where(above, floor, lo), np.where(above, f_floor, top)
+            above = f_floor > 0.0
+            lo, f_lo = np.where(above, floor, lo), np.where(above, f_floor, top)
         root_tau = np.where(f_floor <= 0.0, pop.gamma_max, tau)
         # (root_tau, rho, occupancy) fix a point's bracket and F, so the open points equal in all three
         # share one root wherever they sit in the batch. A stable sort on the three puts equal points
         # next to each other; each first of its key is solved, and group holds every open point's index
         # among those firsts. The two size tests skip work that would change nothing, a fixed cost for
         # a batch of one.
-        opened = np.flatnonzero(top > 0.0)
+        opened = (top > 0.0).nonzero()[0]
         heads, group = opened, np.zeros(opened.size, dtype=int)
         if opened.size > 1:
             order = np.lexsort((occupancy[opened], rho[opened], root_tau[opened]))
@@ -402,20 +421,17 @@ def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> E
         root[opened], iterations[opened] = (a[group] for a in solved)
 
         shares = np.array(region_fractions(np.where(root > 0.0, root, 1.0), levels, pop))
-        flows = np.array(lane_flows(*shares, pop.demand, occupancy))
-        latencies = bpr_time(flows, np.array(capacities), bpr)
         toll, pool, ordinary = shares
-        gap = lane_gap(shares, pop.demand, occupancy, capacities, bpr)
-        regime = np.where(toll > 0.0, 2, np.where(pop.beta_max * root > pop.gamma_max, 1, 0))
-        printed = np.choose(
-            regime,
-            [
-                0.5 * pop.beta_max / pop.gamma_max * gap - pool,
-                0.5 * pop.gamma_max / pop.beta_max / gap - ordinary,
-                (1.0 - tau / (pop.beta_max * gap)) * (pop.gamma_max - tau) / pop.gamma_max - toll,
-            ],
-        )
-        residual = np.abs(printed)
+        flows = np.array(lane_flows(toll, pool, ordinary, pop.demand, occupancy))
+        # bpr_time and lane_gap at these flows, from one power term of both lanes.
+        power = _congestion(flows, np.array(capacities), bpr)
+        latencies, gap = bpr.t_free * (1.0 + power), bpr.t_free * (power[0] - power[1])
+        paid, a2 = toll > 0.0, pop.beta_max * root > pop.gamma_max
+        regime = np.where(paid, 2, a2)  # codes into _LABELS: B (2), else A2 (True, 1) or A1 (False, 0)
+        a1_printed = 0.5 * pop.beta_max / pop.gamma_max * gap - pool
+        a2_printed = 0.5 * pop.gamma_max / pop.beta_max / gap - ordinary
+        b_printed = (1.0 - tau / (pop.beta_max * gap)) * (pop.gamma_max - tau) / pop.gamma_max - toll
+        residual = np.abs(np.where(paid, b_printed, np.where(a2, a2_printed, a1_printed)))
         errors = _failures(top, root, shares, regime, residual)
         avg_time = (toll + pool) * latencies[1] + ordinary * latencies[0]
         revenue = pop.demand * toll * tau

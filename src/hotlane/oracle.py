@@ -99,7 +99,7 @@ def _grid(tau: float, pop: PopulationParams, grid_n: int) -> tuple[np.ndarray, n
     """
     gamma_mid = _midpoints(pop.gamma_max, grid_n)
     pooling = int(np.searchsorted(gamma_mid, tau, side="right"))
-    row = np.append(gamma_mid[:pooling], tau) if pooling < grid_n else gamma_mid
+    row = np.concatenate((gamma_mid[:pooling], [tau])) if pooling < grid_n else gamma_mid
     return _midpoints(pop.beta_max, grid_n), row, grid_n - pooling
 
 
@@ -122,7 +122,7 @@ def _first_reaching_all(beta: np.ndarray, threshold: np.ndarray) -> float:
     """
     i = (threshold / beta).argmax()
     g = _first_reaching(float(beta[i]), float(threshold[i]))
-    while (beta * g < threshold).any():
+    while np.count_nonzero(beta * g < threshold):
         g = math.nextafter(g, math.inf)
     return g
 
@@ -136,7 +136,7 @@ def _first_reaching_any(beta: np.ndarray, threshold: np.ndarray) -> float:
     """
     i = (threshold / beta).argmin()
     g = _first_reaching(float(beta[i]), float(threshold[i]))
-    while (beta * math.nextafter(g, -math.inf) >= threshold).any():
+    while np.count_nonzero(beta * math.nextafter(g, -math.inf) >= threshold):
         g = math.nextafter(g, -math.inf)
     return g
 
@@ -227,8 +227,10 @@ def oracle_equilibrium(
         return StrategyShares(toll / total, pool / total, (total - toll - pool) / total)
 
     def gap_at(state: tuple[int, int]) -> float:
-        counts = np.array((*state, total - sum(state)))
-        return float(lane_gap(counts / total, pop.demand, design.occupancy, capacities, bpr))
+        toll, pool = state
+        # numpy float scalars: an overflow is inf, under this function's np.errstate, not an OverflowError.
+        shares = np.float64(toll) / total, np.float64(pool) / total, np.float64(total - toll - pool) / total
+        return float(lane_gap(shares, pop.demand, design.occupancy, capacities, bpr))
 
     def distance(a: tuple[int, int], b: tuple[int, int]) -> int:
         """Max-norm count distance over the toll, pool and ordinary counts."""

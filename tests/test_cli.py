@@ -89,7 +89,7 @@ def test_parse_config_text_round_trips_i880():
 
 def test_dump_config_round_trip():
     """Parsing a dump gives the config's values back as equal floats, and dumping that gives the same
-    bytes, also where the config holds numpy scalars or a list of capacity fractions."""
+    bytes, also where the config is given numpy scalars or a list of capacity fractions."""
     i880 = i880_config()
     configs = (
         i880,
@@ -103,6 +103,22 @@ def test_dump_config_round_trip():
         assert parsed == dataclasses.replace(config, rho_values=tuple(config.rho_values))
         assert dump_config(parsed) == text
 
+
+
+def test_rho_values_are_stored_as_a_tuple_of_floats():
+    """A list or array given as rho_values is stored as a tuple of floats, so the frozen config
+    cannot change after its check and hashes; anything but a sequence of numbers is a ValidationError."""
+    given = [0.25, 0.5]
+    from_list, from_array = (dataclasses.replace(i880_config(), rho_values=x) for x in (given, np.array(given)))
+    given.append(1.5)
+    for config in (from_list, from_array):
+        assert config.rho_values == (0.25, 0.5) and {type(rho) for rho in config.rho_values} == {float}
+        assert hash(config) == hash(dataclasses.replace(i880_config(), rho_values=(0.25, 0.5)))
+    with pytest.raises(AttributeError):
+        from_list.rho_values.append(1.5)
+    for rho_values in (("x",), 0.5, "0.5", np.array(0.5), [[0.25]]):
+        with pytest.raises(ValidationError, match="^rho_values must be a sequence of numbers, got "):
+            dataclasses.replace(i880_config(), rho_values=rho_values)
 
 def test_parse_errors_report_line_and_key():
     with pytest.raises(ParseError, match="line 1"):

@@ -31,7 +31,7 @@ from hotlane import (
     solve_batch,
 )
 from hotlane import equilibrium as eq
-from hotlane.latency import latency_gap
+from hotlane.latency import _capacities, bpr_time, lane_flows, lane_gap, latency_gap
 from hotlane.population import region_measures_at_gap
 import paper_reference
 from paper_reference import (
@@ -496,6 +496,43 @@ def test_adjacent_duplicates_share_a_root(i880_pop, i880_bpr, brackets):
         for i, point in enumerate(zip(tau, rho)):
             _assert_same_points(table.take([i]), solve_batch(*point, 2.5, i880_pop, i880_bpr))
 
+
+
+@pytest.mark.parametrize("calibration", ["i880", "congested"])
+def test_gap_root_leaves_its_arguments_unchanged(calibration, i880_pop, i880_bpr, monkeypatch):
+    """``_gap_root`` updates its own copies of the brackets: on the dense grid's brackets ``lo``, ``hi``,
+    ``f_lo`` and every ``points`` column hold the same bytes after the call. The ``brackets`` fixture
+    reads ``lo`` after the call."""
+    pop, bpr = (i880_pop, i880_bpr) if calibration == "i880" else (CONGESTED_POP, CONGESTED_BPR)
+    changed = []
+    gap_root = eq._gap_root
+
+    def compared(lo, hi, f_lo, pop, bpr, points):
+        arguments = {"lo": lo, "hi": hi, "f_lo": f_lo, **{f"points[{k}]": a for k, a in enumerate(points)}}
+        before = {name: a.copy() for name, a in arguments.items()}
+        result = gap_root(lo, hi, f_lo, pop, bpr, points)
+        changed.append([name for name, a in arguments.items() if a.tobytes() != before[name].tobytes()])
+        return result
+
+    monkeypatch.setattr(eq, "_gap_root", compared)
+    solve_batch(*_columns(dense_grid()), pop, bpr)
+    assert changed == [[]]
+
+
+@pytest.mark.parametrize("grid, calibration", [(dense_grid, "i880"), (dense_grid, "congested"), (i880_grid, "i880")])
+def test_batch_tail_is_self_consistent(grid, calibration, i880_pop, i880_bpr):
+    """The batch's flows are ``lane_flows`` at its shares, its gap ``lane_gap`` at its shares and its
+    latencies ``bpr_time`` at its flows, bit for bit at every point, failed ones included."""
+    pop, bpr = (i880_pop, i880_bpr) if calibration == "i880" else (CONGESTED_POP, CONGESTED_BPR)
+    table = solve_batch(*_columns(grid()), pop, bpr)
+    capacities = _capacities(table.rho, bpr)
+    with np.errstate(all="ignore"):
+        flows = np.array(lane_flows(*table.shares, pop.demand, table.occupancy))
+        gap = lane_gap(table.shares, pop.demand, table.occupancy, capacities, bpr)
+        latencies = bpr_time(table.flows, np.array(capacities), bpr)
+    assert flows.tobytes() == table.flows.tobytes()
+    assert gap.tobytes() == table.gap.tobytes()
+    assert latencies.tobytes() == table.latencies.tobytes()
 
 def _around(x: float) -> np.ndarray:
     """``x``, three floats either side of it, and ``x`` moved by 1e-12 and 1e-9 relative."""

@@ -271,6 +271,29 @@ def test_oracle_i880_shares_pinned(i880_pop, i880_bpr, oracle_cfg):
     assert digest == "20a484ca0094442e38fc353dc8a77ef93e184213e8a6d7e538b5af1a5026b9cf"
 
 
+
+def test_oracle_search_path_pinned(i880_pop, i880_bpr, oracle_cfg, monkeypatch):
+    """The oracle's search path, bit for bit: at the 60 I-880 points at grid_n=2000, and at rho 1e-100
+    and 1e-300 with tau=1, where the HOT lane time overflows to inf, each point's state, its labeling
+    count and the gap of every labeling in order. The states are unique, so
+    :func:`test_oracle_i880_shares_pinned` holds whatever the path; this digest moves with any change
+    to the gaps the search labels at, such as a change to ``gap_at``."""
+    gaps = []
+    label_counts = oracle._label_counts
+
+    def recorded(gap, *args):
+        gaps.append(float(gap).hex())
+        return label_counts(gap, *args)
+
+    monkeypatch.setattr(oracle, "_label_counts", recorded)
+    lines = []
+    for rho, tau in [*I880_POINTS, (1e-100, 1.0), (1e-300, 1.0)]:
+        shares, labelings = oracle_equilibrium(DesignParams(rho, tau, 2.5), i880_pop, i880_bpr, oracle_cfg)
+        lines.append(repr((shares.as_tuple(), labelings, gaps)))
+        gaps.clear()
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "e12184d47625323a193a4353e8ee422ce99fa37a9ca67eaf15bf148760ce98b1"
+
 def test_oracle_straddle_pinned():
     """The congested straddle names the same grid state and self-residual, bit for bit."""
     design = DesignParams(0.8397959183673469, 0.1, 2.5)
