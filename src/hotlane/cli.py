@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import numbers
 import sys
 import typing
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ import numpy as np
 
 from .design import comparative_statics_scan, pareto_front
 from .equilibrium import EquilibriumBatch, RegimeLabel, solve, solve_batch
-from .errors import HotLaneError, NoConvergence, ParseError, ValidationError, check_fields
+from .errors import HotLaneError, NoConvergence, ParseError, ValidationError, as_rho_values, check_fields
 from .latency import BprParams, DesignParams
 from .oracle import OracleConfig, _solve_tolerance, oracle_equilibrium
 from .population import PopulationParams
@@ -85,12 +84,8 @@ class RunConfig:
     tau_step: float
 
     def __post_init__(self):
-        # Kept as a tuple of floats, so the frozen config hashes and cannot change after this check;
-        # a value that is not iterable stands as one entry that is not a number.
-        rho_values = tuple(self.rho_values) if np.iterable(self.rho_values) else (None,)
-        if not all(isinstance(rho, numbers.Real) for rho in rho_values):
-            raise ValidationError(f"rho_values must be a sequence of numbers, got {self.rho_values!r}")
-        object.__setattr__(self, "rho_values", tuple(map(float, rho_values)))
+        # Kept as a tuple of floats, so the frozen config hashes and cannot change after this check.
+        object.__setattr__(self, "rho_values", as_rho_values(self.rho_values))
         check_fields(self)
         if not self.tau_min <= self.tau_max:
             raise ValidationError(f"tau_min must be <= tau_max, got {self.tau_min} > {self.tau_max}")
@@ -245,13 +240,16 @@ def cmd_verify(config: RunConfig, tau: float, rho: float, grid_n: int = OracleCo
     """Compare the analytic equilibrium against the brute-force oracle at ``grid_n`` agents per axis."""
     design = DesignParams(rho=rho, tau=tau, occupancy=config.occupancy)
     oracle_cfg = OracleConfig(grid_n)
-    solve_shares = solve(design, config.population, config.bpr).shares
+    solved = solve(design, config.population, config.bpr)
     try:
-        oracle_shares, iterations = oracle_equilibrium(design, config.population, config.bpr, oracle_cfg)
+        # The oracle's state does not depend on where its search starts; the solved gap is near it.
+        oracle_shares, iterations = oracle_equilibrium(
+            design, config.population, config.bpr, oracle_cfg, start=solved.gap
+        )
     except NoConvergence as exc:
         print(f"oracle failed to converge: {exc}", file=sys.stderr)
         return 2
-    solver, oracle = solve_shares.as_tuple(), oracle_shares.as_tuple()
+    solver, oracle = solved.shares.as_tuple(), oracle_shares.as_tuple()
     distance = max(abs(a - b) for a, b in zip(solver, oracle))
     tolerance = _solve_tolerance(oracle_cfg.grid_n)
     print("solver: (%.12g, %.12g, %.12g)" % solver)

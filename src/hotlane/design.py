@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .equilibrium import EquilibriumBatch, EquilibriumOutcome, solve, solve_batch
-from .errors import ValidationError, check
+from .errors import ValidationError, as_rho_values, check
 from .latency import BprParams, DesignParams
 from .population import PopulationParams
 
@@ -85,15 +85,18 @@ def comparative_statics_scan(
 ) -> tuple[EquilibriumBatch, dict[str, str]]:
     """The equilibria along a strictly increasing capacity-fraction grid at a fixed toll.
 
-    Returns ``(rows, flags)``. ``rows`` is the :func:`solve_batch` of the
+    ``rho_grid`` is a sequence of real numbers, a list or a numpy array;
+    anything else raises ``ValidationError``, as does a grid outside the
+    ``rho_values`` rule. Returns ``(rows, flags)``. ``rows`` is the :func:`solve_batch` of the
     grid, in grid order. ``flags`` maps each numeric column (``sigma_toll``,
     ``sigma_pool``, ``sigma_o``, ``c_delta``) to ``"non-decreasing"``,
     ``"non-increasing"`` or ``"neither"`` over the solved rows. Directions
     are reported, not asserted: the published directional claims conflict
     with each other, so observation is the honest output.
     """
-    check(rho_values=tuple(map(float, rho_grid)))
-    rows = solve_batch(tau, rho_grid, occupancy, pop, bpr)
+    rho_values = as_rho_values(rho_grid)
+    check(rho_values=rho_values)
+    rows = solve_batch(tau, rho_values, occupancy, pop, bpr)
     steps = np.diff(np.vstack((rows.shares, rows.gap))[:, rows.solved], axis=1)
     up, down = (steps >= 0.0).all(axis=1).tolist(), (steps <= 0.0).all(axis=1).tolist()
     names = ("sigma_toll", "sigma_pool", "sigma_o", "c_delta")

@@ -2,10 +2,12 @@
 
 ``_DOMAIN`` is the one statement of every numeric parameter field's range:
 :func:`check_fields` applies it to a parameter dataclass, and :func:`check`
-to named floats, numpy columns or the ``rho_values`` grid.
+to named floats, numpy columns or the ``rho_values`` grid, which
+:func:`as_rho_values` first reads as a tuple of floats.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -106,3 +108,16 @@ def check_fields(params) -> None:
         if isinstance(value, float) and not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value}")
     check(**{name: value for name, value in fields.items() if name in _DOMAIN})
+
+
+def as_rho_values(values) -> tuple[float, ...]:
+    """``values`` as a tuple of floats, for the ``rho_values`` rule of :func:`check`.
+
+    Anything but a sequence of real numbers, a numpy array included, is a
+    ``ValidationError``; a value that is not iterable stands as one entry
+    that is not a number.
+    """
+    items = tuple(values) if np.iterable(values) else (None,)
+    if not all(isinstance(rho, numbers.Real) for rho in items):
+        raise ValidationError(f"rho_values must be a sequence of numbers, got {values!r}")
+    return tuple(map(float, items))

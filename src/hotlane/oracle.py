@@ -47,6 +47,12 @@ search stop at either without narrowing the bracket to float resolution:
 exactly when a labeling's own gap lies in its interval, as a straddle when
 the two bracket ends are adjacent labelings, or at the labeling cap (see
 :func:`oracle_equilibrium`).
+
+Because the sign change of ``H`` is fixed by the labels alone, the search
+may start anywhere in the bracket: ``start`` names the gap of its first
+labeling (``verify`` passes the gap :func:`hotlane.equilibrium.solve`
+returned), and only the labeling count, and the ends reported at the cap,
+depend on it.
 """
 
 from __future__ import annotations
@@ -185,6 +191,7 @@ def oracle_equilibrium(
     pop: PopulationParams,
     bpr: BprParams,
     cfg: OracleConfig = OracleConfig(),
+    start: float | None = None,
 ) -> tuple[StrategyShares, int]:
     """Self-consistent grid state, plus the number of grid labelings made to find it.
 
@@ -194,7 +201,20 @@ def oracle_equilibrium(
     labeling's interval ``H`` is ``gap(s) - g``, so once a labeling is known
     not to be self-consistent its whole interval has one sign of ``H``: the
     lower end moves to the last float of its labeling's interval, the upper
-    end to the first. The search stops in one of three ways:
+    end to the first.
+
+    ``start`` is the gap of the first labeling, such as the gap
+    :func:`hotlane.equilibrium.solve` returned for the design. When that
+    labeling is not self-consistent, the next one probes the neighbouring
+    labeling across its interval's edge toward the sign change: the first
+    float at or past its end when ``H > 0`` there, the last float below its
+    start when ``H < 0``. While the upper end is still unknown the search
+    labels ``gap(everyone ordinary)``, then the secant steps run. The default
+    ``None``, and any ``start`` not strictly between the first gap at which
+    some agent pools or tolls and ``gap(everyone ordinary)`` (nan
+    included), start at ``gap(everyone ordinary)``, where ``H <= 0``.
+
+    The search stops in one of three ways:
 
     * Exact: a labeling ``s`` has ``gap(s)`` inside its own interval. ``s``
       is exactly self-consistent and is returned.
@@ -212,11 +232,15 @@ def oracle_equilibrium(
       "cap". Its ``last_value`` is the lower end's labeling, and its
       ``residual`` is the max-norm share distance between the two ends'
       labelings, which bounds the distance to a self-consistent state if one
-      exists.
+      exists (``None`` while no upper end is labeled, which a ``start``
+      allows for the first two labelings).
 
     :class:`GapNonPositive` is raised first when ``gap(everyone ordinary)``
     is not positive. Labels are monotone in ``g``, so the state returned (or
-    named by a straddle) does not depend on the path the bracket takes.
+    named by a straddle) does not depend on the path the bracket takes, and
+    so not on ``start``. The cap is the one exception: its ``last_value`` and
+    ``residual`` are the ends the path had reached when the labelings ran
+    out.
     """
     beta_mid, row, above_tau = _grid(design.tau, pop, cfg.grid_n)
     capacities = _capacities(design.rho, bpr)
@@ -242,7 +266,7 @@ def oracle_equilibrium(
             raise NoConvergence(
                 f"oracle bracket still open after the cap of {MAX_LABELINGS} labelings",
                 last_value=as_shares(s_lo),
-                residual=distance(s_lo, s_hi) / total,
+                residual=None if s_hi is None else distance(s_lo, s_hi) / total,
             )
         known.append(_label_counts(g, beta_mid, row, above_tau))
         return known[-1]
@@ -257,37 +281,46 @@ def oracle_equilibrium(
     s_lo = (0, 0)
     first = _first_reaching(float(beta_mid[-1]), float(row[0]))
     known = [(s_lo, -math.inf, first)]  # the lower end's state, then every labeling made, with its interval
-    lo, x = math.nextafter(first, -math.inf), gap_at(s_lo)
-    if not x > 0.0:
-        raise GapNonPositive(x)
-    if x <= lo:
+    lo, top = math.nextafter(first, -math.inf), gap_at(s_lo)
+    if not top > 0.0:
+        raise GapNonPositive(top)
+    if top <= lo:
         return as_shares(s_lo), len(known) - 1
-    f_lo = x - lo
-    # The first labeling is at gap(everyone ordinary), where H <= 0.
+    f_lo = top - lo
+    hi, f_hi, s_hi = math.inf, math.inf, None  # no upper end until a labeling has H < 0
+    # The first labeling is at start, or at gap(everyone ordinary), where H <= 0.
+    x = start if start is not None and first < start < top else top
+    probe = x != top  # a search from start next probes the labeling across its interval's edge
     moved_lo = moved_hi = False  # ends the last step replaced
     while True:
-        s_x, start, end = label(x)
+        s_x, start_x, end_x = label(x)
         gap_x = gap_at(s_x)
-        if start <= gap_x < end:
+        if start_x <= gap_x < end_x:
             return as_shares(s_x), len(known) - 1
         # Illinois: an end kept twice running has its stored value halved.
         if gap_x > x:  # H > 0 on the whole interval: the lower end takes its last float
             if moved_lo:
                 f_hi *= 0.5
-            lo, s_lo = math.nextafter(end, -math.inf), s_x
+            lo, s_lo = math.nextafter(end_x, -math.inf), s_x
             f_lo = gap_x - lo
         else:  # H < 0 on the whole interval: the upper end takes its first float
             if moved_hi:
                 f_lo *= 0.5
-            hi, s_hi = start, s_x
+            hi, s_hi = start_x, s_x
             f_hi = gap_x - hi
         moved_lo = gap_x > x
         moved_hi = not moved_lo
         if math.nextafter(lo, math.inf) == hi:  # adjacent labelings: a straddle
             break
-        x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
+        if probe:
+            x = math.nextafter(lo, math.inf) if moved_lo else math.nextafter(hi, -math.inf)
+            probe = False
+        elif s_hi is None:
+            x = top
+        else:
+            x = lo + (hi - lo) * (f_lo / (f_lo - f_hi))
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
 
     residual, best = min((distance(s, relabel(gap_at(s))), s) for s in (s_lo, s_hi))
     if residual <= 2 * cfg.grid_n:  # 2/grid_n in count units

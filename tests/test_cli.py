@@ -288,7 +288,7 @@ def test_cmd_verify_passes(capsys):
 
 def test_cmd_verify_reports_a_distance_over_tolerance(capsys, monkeypatch):
     """An oracle answer further from the solver than the tolerance exits 1 and says so."""
-    def shifted(design, pop, bpr, cfg):
+    def shifted(design, pop, bpr, cfg, start=None):
         toll, pool, ordinary = solve(design, pop, bpr).shares.as_tuple()
         return StrategyShares(toll, pool + 0.02, ordinary - 0.02), 1
 
@@ -297,6 +297,49 @@ def test_cmd_verify_reports_a_distance_over_tolerance(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "max-norm distance: 0.02 (tolerance 0.01)\n" in captured.out
     assert captured.err == "distance exceeds tolerance\n"
+
+
+def test_cmd_verify_starts_the_oracle_at_the_solved_gap(capsys, monkeypatch):
+    """verify hands the oracle the gap solve returned, as the start of its search."""
+    starts = []
+    original = cli_mod.oracle_equilibrium
+
+    def spy(design, pop, bpr, cfg, start=None):
+        starts.append(start)
+        return original(design, pop, bpr, cfg, start=start)
+
+    monkeypatch.setattr(cli_mod, "oracle_equilibrium", spy)
+    config = i880_config()
+    assert cmd_verify(config, tau=1.0, rho=0.75, grid_n=400) == 0
+    assert starts == [solve(DesignParams(0.75, 1.0, config.occupancy), config.population, config.bpr).gap]
+
+
+@pytest.mark.parametrize("grid_n", [400, 2000])
+def test_cmd_verify_output_does_not_depend_on_the_start(capsys, monkeypatch, grid_n):
+    """At the 60 I-880 points, starting the oracle at the solved gap changes only its labeling count:
+    the exit code, the solver and distance lines and the oracle's shares are those of a search from
+    the all-ordinary gap, and the labelings made are fewer."""
+    original = cli_mod.oracle_equilibrium
+    config = i880_config()
+    points = [(rho, 0.5 * k) for rho in config.rho_values for k in range(1, 21)]
+
+    def run(oracle_equilibrium):
+        monkeypatch.setattr(cli_mod, "oracle_equilibrium", oracle_equilibrium)
+        outputs, labelings = [], 0
+        for rho, tau in points:
+            code = cmd_verify(config, tau=tau, rho=rho, grid_n=grid_n)
+            lines = capsys.readouterr().out.splitlines()
+            shares, count = lines[1].split("  [grid_n=%d, iterations=" % grid_n)
+            outputs.append((code, lines[0], shares, lines[2]))
+            labelings += int(count.rstrip("]"))
+        return outputs, labelings
+
+    seeded, seeded_labelings = run(original)
+    unseeded, unseeded_labelings = run(lambda design, pop, bpr, cfg, start=None: original(design, pop, bpr, cfg))
+    assert seeded == unseeded
+    assert seeded_labelings < unseeded_labelings
+    if grid_n == 2000:
+        assert (seeded_labelings, unseeded_labelings) == (113, 232)
 
 
 def test_cmd_verify_oracle_failure_distinct(capsys, monkeypatch):

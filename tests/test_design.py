@@ -288,6 +288,17 @@ def test_statics_scan_validation(i880_pop, i880_bpr):
         comparative_statics_scan(1.0, np.array([0.75, 0.25]), 2.5, i880_pop, i880_bpr)
 
 
+def test_statics_scan_takes_only_a_sequence_of_numbers(i880_pop, i880_bpr):
+    """The grid follows the rho_values rule of RunConfig: a scalar, a string, a nested list or a
+    string entry is a ValidationError, not a TypeError, a bare ValueError or a silent float()."""
+    for rho_grid in (0.5, ("x",), [[0.25, 0.5]], [0.25, "0.5"], "0.5", np.array(0.5)):
+        with pytest.raises(ValidationError, match="^rho_values must be a sequence of numbers, got "):
+            comparative_statics_scan(1.0, rho_grid, 2.5, i880_pop, i880_bpr)
+    listed, _ = comparative_statics_scan(1.0, [0.25, 0.5], 2.5, i880_pop, i880_bpr)
+    from_array, _ = comparative_statics_scan(1.0, np.array([0.25, 0.5]), 2.5, i880_pop, i880_bpr)
+    assert rows(from_array) == rows(listed)
+
+
 def test_statics_scan_deterministic(i880_pop, i880_bpr):
     first, first_flags = comparative_statics_scan(2.0, [0.25, 0.5, 0.75], 2.5, i880_pop, i880_bpr)
     second, second_flags = comparative_statics_scan(2.0, [0.25, 0.5, 0.75], 2.5, i880_pop, i880_bpr)

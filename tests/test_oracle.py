@@ -216,6 +216,58 @@ def test_solve_matches_oracle_over_a_wide_box(demand, a, b, beta_max, gamma_max,
     assert max(abs(x - y) for x, y in zip(shares.as_tuple(), out.shares.as_tuple())) <= tolerance
 
 
+def _outcome(design, pop, bpr, cfg, start=None):
+    """The oracle's return value, or its error's type, message, ``last_value`` and ``residual``."""
+    try:
+        return oracle_equilibrium(design, pop, bpr, cfg, start=start)
+    except NoConvergence as exc:
+        return type(exc), str(exc), exc.last_value, exc.residual
+
+
+def _answer(outcome):
+    """The state of an outcome without its labeling count, which depends on the path."""
+    return outcome[0] if len(outcome) == 2 else outcome
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    demand=st.floats(50.0, 300.0),
+    a=st.floats(0.1, 1.0),
+    b=st.floats(1.0, 6.0),
+    beta_max=st.floats(0.5, 3.0),
+    gamma_max=st.floats(1.0, 12.0),
+    rho=st.floats(0.05, 0.95),
+    tau=st.floats(0.1, 15.0),
+    occupancy=st.floats(2.0, 4.0),
+    grid_n=st.sampled_from([10, 57, 500]),
+    factor=st.floats(0.01, 100.0),
+    pick=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_oracle_answer_does_not_depend_on_the_start(
+    demand, a, b, beta_max, gamma_max, rho, tau, occupancy, grid_n, factor, pick
+):
+    """The state returned, or named by a straddle, is the same from every start: labels are
+    monotone in the gap, so the sign change of ``H`` does not move with the search path. Starts
+    outside the open interval between the first pooling gap and the all-ordinary gap fall back to
+    the default search, labeling for labeling. The cap is the one outcome whose ends depend on the
+    path, and no point of the box comes near it (see
+    :func:`test_solve_matches_oracle_over_a_wide_box`), so it is asserted absent rather than
+    compared."""
+    pop = PopulationParams(demand=demand, beta_max=beta_max, gamma_max=gamma_max)
+    bpr = BprParams(a=a, b=b, t_free=22.0, v_cap=140.0)
+    design = DesignParams(rho, tau, occupancy)
+    cfg = OracleConfig(grid_n=grid_n)
+    solved = solve(design, pop, bpr).gap
+    top = latency_gap(StrategyShares(0.0, 0.0, 1.0), design, pop.demand, bpr)
+    expected = _outcome(design, pop, bpr, cfg)
+    if len(expected) == 4:
+        assert "straddle" in expected[1], expected[1]
+    for start in (solved, solved * factor, pick * top):
+        assert _answer(_outcome(design, pop, bpr, cfg, start)) == _answer(expected), start
+    for start in (-1.0, 0.0, top, 2.0 * top, math.inf, math.nan):
+        assert _outcome(design, pop, bpr, cfg, start) == expected, start
+
+
 def test_oracle_labelings_per_point(i880_pop, i880_bpr, oracle_cfg, monkeypatch):
     """Grid labelings per I-880 point: the work, not the time."""
     calls = []
@@ -437,6 +489,26 @@ def test_oracle_no_convergence_surfaced(i880_pop, i880_bpr, monkeypatch):
     assert "cap" in str(excinfo.value) and "straddle" not in str(excinfo.value)
     assert isinstance(excinfo.value.last_value, StrategyShares)
     assert excinfo.value.residual is not None
+
+
+def test_oracle_cap_ends_depend_on_the_start(i880_pop, i880_bpr, monkeypatch):
+    """The cap is the one path-dependent outcome: it reports the ends the search had reached. From
+    a start below the equilibrium, the first two labelings both move the lower end, so at a cap of
+    two no upper end is labeled and the residual is ``None``."""
+    design, cfg = DesignParams(0.75, 0.5, 2.5), OracleConfig()
+    start = 0.01 * solve(design, i880_pop, i880_bpr).gap
+    monkeypatch.setattr(oracle, "MAX_LABELINGS", 2)
+    with pytest.raises(NoConvergence, match="cap") as from_top:
+        oracle_equilibrium(design, i880_pop, i880_bpr, cfg)
+    with pytest.raises(NoConvergence, match="cap") as from_start:
+        oracle_equilibrium(design, i880_pop, i880_bpr, cfg, start=start)
+    assert from_top.value.last_value == StrategyShares(0.0, 0.0, 1.0)
+    assert from_start.value.last_value.pool > 0.0
+    assert from_start.value.residual is None
+    monkeypatch.setattr(oracle, "MAX_LABELINGS", 3)
+    with pytest.raises(NoConvergence, match="cap") as from_start:
+        oracle_equilibrium(design, i880_pop, i880_bpr, cfg, start=start)
+    assert from_start.value.residual is not None
 
 
 def test_oracle_deterministic(i880_pop, i880_bpr):
