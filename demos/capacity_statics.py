@@ -20,7 +20,7 @@ def main() -> None:
         print(f"{'rho':>6} {'regime':>6} {'toll':>10} {'pool':>10} {'ordinary':>10} {'gap (min)':>10}")
         for row in map(rows.outcome, range(len(rows))):
             print(
-                f"{row.design.rho:>6} {row.regime.value:>6} {row.shares.toll:>10.6f} "
+                f"{row.rho:>6} {row.regime.value:>6} {row.shares.toll:>10.6f} "
                 f"{row.shares.pool:>10.6f} {row.shares.ordinary:>10.6f} {row.gap:>10.6f}"
             )
         for column, flag in flags.items():

@@ -26,15 +26,15 @@ def main() -> None:
     print(f"{'tau':>5} {'rho':>5} {'regime':>6} {'toll share':>11} {'T (min)':>10} {'R ($/min)':>10}")
     for point in map(front.outcome, range(len(front))):
         print(
-            f"{point.design.tau:>5} {point.design.rho:>5} {point.regime.value:>6} "
+            f"{point.tau:>5} {point.rho:>5} {point.regime.value:>6} "
             f"{point.shares.toll:>11.6f} {point.avg_time:>10.4f} {point.revenue:>10.4f}"
         )
 
     best_time = table.outcome(int(np.argmin(table.avg_time)))
     best_revenue = table.outcome(int(np.argmax(table.revenue)))
-    print(f"\nfastest design: tau={best_time.design.tau}, rho={best_time.design.rho} "
+    print(f"\nfastest design: tau={best_time.tau}, rho={best_time.rho} "
           f"(T={best_time.avg_time:.4f} min)")
-    print(f"highest revenue: tau={best_revenue.design.tau}, rho={best_revenue.design.rho} "
+    print(f"highest revenue: tau={best_revenue.tau}, rho={best_revenue.rho} "
           f"(R={best_revenue.revenue:.4f} $/min)")
 
 

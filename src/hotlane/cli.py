@@ -294,6 +294,17 @@ def cmd_statics(config: RunConfig, tau: float, out_path: str | Path) -> int:
     return int(bool(rows.errors))
 
 
+# Each command once: its name, its help, the cmd_* function it runs and the parameters of that function
+# that its flags fill. The parser, main's dispatch and the error naming the commands all read this table.
+_COMMANDS = {
+    "equilibrium": ("solve one design point", cmd_equilibrium, ("tau", "rho", "json_output")),
+    "verify": ("cross-check the solver against the oracle", cmd_verify, ("tau", "rho", "grid_n")),
+    "sweep": ("evaluate the full design grid to CSV", cmd_sweep, ("out_path",)),
+    "pareto": ("write the Pareto front of the sweep", cmd_pareto, ("out_path", "per_rho")),
+    "statics": ("scan rho at a fixed toll", cmd_statics, ("tau", "out_path")),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing leaves it unchanged."""
@@ -309,31 +320,23 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--dump-config", action="store_true", help="print the effective configuration and exit"
     )
+    # The flag of each cmd_* parameter that _COMMANDS names, declared once.
+    flags = {
+        "tau": ("--tau", {"type": float, "required": True, "help": "toll price in dollars"}),
+        "rho": ("--rho", {"type": float, "required": True, "help": "HOT capacity fraction"}),
+        "json_output": ("--json", {"action": "store_true", "help": "emit one JSON object"}),
+        "grid_n": ("--grid-n", {
+            "type": int, "default": OracleConfig.grid_n, "help": "oracle agents per axis (default %(default)s)"
+        }),
+        "out_path": ("--out", {"required": True, "metavar": "PATH"}),
+        "per_rho": ("--per-rho", {"action": "store_true", "help": "also write one front per rho"}),
+    }
     commands = parser.add_subparsers(dest="command")
-
-    equilibrium = commands.add_parser("equilibrium", help="solve one design point")
-    equilibrium.add_argument("--tau", type=float, required=True, help="toll price in dollars")
-    equilibrium.add_argument("--rho", type=float, required=True, help="HOT capacity fraction")
-    equilibrium.add_argument("--json", action="store_true", help="emit one JSON object")
-
-    verify = commands.add_parser("verify", help="cross-check the solver against the oracle")
-    verify.add_argument("--tau", type=float, required=True)
-    verify.add_argument("--rho", type=float, required=True)
-    verify.add_argument(
-        "--grid-n", type=int, default=OracleConfig.grid_n, help="oracle agents per axis (default %(default)s)"
-    )
-
-    sweep_cmd = commands.add_parser("sweep", help="evaluate the full design grid to CSV")
-    sweep_cmd.add_argument("--out", required=True, metavar="PATH")
-
-    pareto = commands.add_parser("pareto", help="write the Pareto front of the sweep")
-    pareto.add_argument("--out", required=True, metavar="PATH")
-    pareto.add_argument("--per-rho", action="store_true", help="also write one front per rho")
-
-    statics = commands.add_parser("statics", help="scan rho at a fixed toll")
-    statics.add_argument("--tau", type=float, required=True)
-    statics.add_argument("--out", required=True, metavar="PATH")
-
+    for name, (help_text, _, params) in _COMMANDS.items():
+        command = commands.add_parser(name, help=help_text)
+        for param in params:
+            flag, options = flags[param]
+            command.add_argument(flag, dest=param, **options)
     return parser
 
 
@@ -351,16 +354,9 @@ def main(argv: list[str] | None = None) -> int:
             print(dump_config(config), end="")
             return 0
         if args.command is None:
-            parser.error("a command is required (equilibrium, verify, sweep, pareto, statics)")
-        if args.command == "equilibrium":
-            return cmd_equilibrium(config, args.tau, args.rho, json_output=args.json)
-        if args.command == "verify":
-            return cmd_verify(config, args.tau, args.rho, grid_n=args.grid_n)
-        if args.command == "sweep":
-            return cmd_sweep(config, args.out)
-        if args.command == "pareto":
-            return cmd_pareto(config, args.out, per_rho=args.per_rho)
-        return cmd_statics(config, args.tau, args.out)
+            parser.error(f"a command is required ({', '.join(_COMMANDS)})")
+        _, run, params = _COMMANDS[args.command]
+        return run(config, **{param: getattr(args, param) for param in params})
     except (HotLaneError, OSError) as exc:  # an OSError here is an output file that cannot be written
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -36,16 +36,16 @@ that halving alone reaches from ``[0, gap(everyone ordinary)]``, and the
 shares, regime, residual and objectives come from each point's own root
 and toll.
 
-The batch is numpy columns end to end: the points come
-in as ``tau``, ``rho`` and ``occupancy`` arrays, checked against the
-parameter domain once, and go out as one :class:`EquilibriumBatch` whose
-invariants are checked once, vectorised; a failed point keeps its typed
-error by index. The batch also
-carries the authority's two objectives as columns: the demand-weighted
-average travel time ``avg_time = (toll + pool) * hot_latency + ordinary *
-ordinary_latency`` (minutes, to minimize) and the toll revenue ``revenue =
-demand * toll * tau`` ($/min, to maximize). :func:`solve` is row 0 of a
-batch of one. There is no other solver.
+The batch is numpy columns end to end: the points come in as ``tau``,
+``rho`` and ``occupancy`` arrays, checked against the parameter domain
+once, and go out as one :class:`EquilibriumBatch` whose invariants are
+checked once, vectorised; a failed point keeps its typed error by index.
+The batch also carries the authority's two objectives as columns: the
+demand-weighted average travel time ``avg_time = (toll + pool) *
+hot_latency + ordinary * ordinary_latency`` (minutes, to minimize) and the
+toll revenue ``revenue = demand * toll * tau`` ($/min, to maximize).
+:func:`solve` is row 0 of a batch of one, from the same kernel without a
+second check of its ``DesignParams``. There is no other solver.
 
 The regime is read off the solution: B if a positive mass pays the toll,
 A2 if ``beta_max * g > gamma_max`` (which forces ``tau > gamma_max``),
@@ -70,7 +70,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import GapNonPositive, HotLaneError, NoConvergence, ValidationError, check
-from .latency import BprParams, DesignParams, StrategyShares, _capacities, _congestion, lane_flows, lane_gap, on_simplex
+from .latency import BprParams, DesignParams, StrategyShares, _capacities, bpr_time, lane_flows, lane_gap, on_simplex
 from .population import PopulationParams, _toll_levels, region_fractions
 
 __all__ = [
@@ -105,17 +105,22 @@ _LABELS = tuple(RegimeLabel)  # the batch's regime codes index this
 class EquilibriumOutcome:
     """Solved equilibrium of one design point: shares, diagnostics and objectives.
 
-    ``gap`` is the ordinary-minus-HOT latency difference at the solved
-    shares (minutes), ``flows`` the (ordinary, HOT) vehicle flows,
-    ``residual`` the absolute fixed-point residual of the solved equation in
-    its printed units, ``iterations`` the step count of the root of ``F`` at
-    the point's effective toll (see :func:`solve_batch`), ``latencies``
-    the (ordinary, HOT) lane travel times in minutes at the solved flows,
-    and ``avg_time`` (minutes) and ``revenue`` ($/min) the two objectives.
-    It is one row of an :class:`EquilibriumBatch` (see :func:`_failures`).
+    One row of an :class:`EquilibriumBatch`, whose columns are these fields:
+    ``tau``, ``rho`` and ``occupancy`` are the design point, which
+    ``DesignParams(rho=o.rho, tau=o.tau, occupancy=o.occupancy)`` rebuilds
+    from an outcome ``o``. ``gap`` is the ordinary-minus-HOT latency
+    difference at the solved shares (minutes), ``flows`` the (ordinary, HOT)
+    vehicle flows, ``residual`` the absolute fixed-point residual of the
+    solved equation in its printed units, ``iterations`` the step count of
+    the root of ``F`` at the point's effective toll (see :func:`solve_batch`),
+    ``latencies`` the (ordinary, HOT) lane travel times in minutes at the
+    solved flows, and ``avg_time`` (minutes) and ``revenue`` ($/min) the two
+    objectives. :func:`_failures` states the invariants of a solved point.
     """
 
-    design: DesignParams
+    tau: float
+    rho: float
+    occupancy: float
     shares: StrategyShares
     regime: RegimeLabel
     gap: float
@@ -136,14 +141,12 @@ class EquilibriumOutcome:
 class EquilibriumBatch:
     """Equilibria of many design points as numpy columns, in input order.
 
-    ``tau``, ``rho`` and ``occupancy`` hold the design points. The other
-    columns mirror :class:`EquilibriumOutcome`: ``shares`` is the ``(3, n)``
-    array of (toll, pool, ordinary) shares, ``flows`` and ``latencies`` are
-    the ``(2, n)`` arrays of (ordinary, HOT) flows and lane times,
-    ``regime`` holds codes into ``tuple(RegimeLabel)`` (0 A1, 1 A2, 2 B),
-    ``iterations`` the step counts of the roots of ``F`` at the points'
-    effective tolls (see :func:`solve_batch`), and ``avg_time`` and
-    ``revenue`` are the objectives.
+    The columns are the fields of :class:`EquilibriumOutcome`, in the same
+    order and under the same names, and :meth:`outcome` reads a row back.
+    ``shares`` is the ``(3, n)`` array of (toll, pool, ordinary) shares,
+    ``flows`` and ``latencies`` are ``(2, n)`` arrays of (ordinary, HOT)
+    values, and ``regime`` holds codes into ``tuple(RegimeLabel)`` (0 A1,
+    1 A2, 2 B).
     ``errors`` maps the index of every point without a valid equilibrium to
     its typed error; the columns hold no meaningful value at those indices.
     """
@@ -180,14 +183,13 @@ class EquilibriumBatch:
         return type(self)(**columns, errors=errors)
 
     def outcome(self, i: int) -> EquilibriumOutcome:
-        """Point ``i`` as an :class:`EquilibriumOutcome`, each field read from the column of its name
-        (``design`` from the ``DesignParams`` field columns); raises the point's typed error if it failed."""
+        """Point ``i`` as an :class:`EquilibriumOutcome`, each field read from the column of its name;
+        raises the point's typed error if it failed."""
         i = range(len(self))[i]  # a negative index names the same point as its error key
         if i in self.errors:
             raise self.errors[i]
         row = {name: getattr(self, name)[..., i].tolist() for name in _OUTCOME_COLUMNS}
         row.update(
-            design=DesignParams(**{name: getattr(self, name)[..., i].tolist() for name in _DESIGN_COLUMNS}),
             shares=StrategyShares(*row["shares"]),
             regime=_LABELS[row["regime"]],
             flows=tuple(row["flows"]),
@@ -196,9 +198,7 @@ class EquilibriumBatch:
         return EquilibriumOutcome(**row)
 
 
-# The batch columns that hold an outcome's fields and those of its design, named once.
-_OUTCOME_COLUMNS = tuple(f.name for f in fields(EquilibriumOutcome) if f.name != "design")
-_DESIGN_COLUMNS = tuple(f.name for f in fields(DesignParams))
+_OUTCOME_COLUMNS = tuple(f.name for f in fields(EquilibriumOutcome))  # the batch's columns, in order
 
 
 def _check_designs(tau, rho, occupancy) -> list[np.ndarray]:
@@ -375,7 +375,11 @@ def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> E
     count included, depends only on that point, never on the rest of the
     batch or its order.
     """
-    tau, rho, occupancy = _check_designs(tau, rho, occupancy)
+    return _solve_columns(*_check_designs(tau, rho, occupancy), pop, bpr)
+
+
+def _solve_columns(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> EquilibriumBatch:
+    """The kernel of :func:`solve_batch` and :func:`solve`: equal-length float columns already checked."""
     # Extreme but valid points overflow or divide by zero on the way to a NaN or
     # infinite column; _failures turns those into typed errors, so numpy stays quiet.
     with np.errstate(all="ignore"):
@@ -423,9 +427,8 @@ def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> E
         shares = np.array(region_fractions(np.where(root > 0.0, root, 1.0), levels, pop))
         toll, pool, ordinary = shares
         flows = np.array(lane_flows(toll, pool, ordinary, pop.demand, occupancy))
-        # bpr_time and lane_gap at these flows, from one power term of both lanes.
-        power = _congestion(flows, np.array(capacities), bpr)
-        latencies, gap = bpr.t_free * (1.0 + power), bpr.t_free * (power[0] - power[1])
+        latencies = bpr_time(flows, np.array(capacities), bpr)
+        gap = lane_gap(shares, pop.demand, occupancy, capacities, bpr)
         paid, a2 = toll > 0.0, pop.beta_max * root > pop.gamma_max
         regime = np.where(paid, 2, a2)  # codes into _LABELS: B (2), else A2 (True, 1) or A1 (False, 0)
         a1_printed = 0.5 * pop.beta_max / pop.gamma_max * gap - pool
@@ -441,8 +444,10 @@ def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> E
 
 
 def solve(design: DesignParams, pop: PopulationParams, bpr: BprParams) -> EquilibriumOutcome:
-    """Equilibrium of one design point: row 0 of :func:`solve_batch` on a batch of one.
+    """Equilibrium of one design point: row 0 of :func:`solve_batch`'s kernel on a batch of one.
 
+    ``design`` was checked when it was built, so it is not checked again.
     Raises the point's typed error instead of returning it.
     """
-    return solve_batch([design.tau], [design.rho], [design.occupancy], pop, bpr).outcome(0)
+    columns = (np.array([x], dtype=float) for x in (design.tau, design.rho, design.occupancy))
+    return _solve_columns(*columns, pop, bpr).outcome(0)

@@ -15,11 +15,10 @@ from a source using that convention, rescale ``a`` accordingly
 (``a_inside = a_outside ** (1/b)``).
 
 The parameter types validate their fields; the formulas validate nothing.
-Every lane flow in the package comes from :func:`lane_flows` and every
-power term of the curve from :func:`_congestion`. :func:`bpr_time` is the
-lane time and :func:`lane_gap` the latency gap; the end of
-:func:`hotlane.equilibrium.solve_batch` builds both from one power term of
-both lanes' flows, and the tests hold it to the two, bit for bit.
+Each formula has one definition: every lane flow in the package comes from
+:func:`lane_flows`, every lane time from :func:`bpr_time` and every latency
+gap from :func:`lane_gap`, the last two sharing the power term of
+:func:`_congestion`.
 """
 
 from dataclasses import dataclass
@@ -121,8 +120,7 @@ def lane_flows(toll, pool, ordinary, demand, occupancy):
 
 
 def _congestion(flow, capacity, bpr: BprParams):
-    """The curve's power term ``(a * flow / capacity) ** b``, behind :func:`bpr_time` and :func:`lane_gap`
-    (and the lane times and gaps of a solved batch)."""
+    """The curve's power term ``(a * flow / capacity) ** b``, behind :func:`bpr_time` and :func:`lane_gap`."""
     return (bpr.a * flow / capacity) ** bpr.b
 
 

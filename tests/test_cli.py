@@ -749,6 +749,27 @@ def test_main_requires_command(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--i880-defaults"])
     assert excinfo.value.code == 2
+    # The error names the five commands, in the order of the help.
+    assert "error: a command is required (equilibrium, verify, sweep, pareto, statics)\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("equilibrium", ["--tau TAU", "--rho RHO", "--json"]),
+        ("verify", ["--tau TAU", "--rho RHO", "--grid-n GRID_N"]),
+        ("sweep", ["--out PATH"]),
+        ("pareto", ["--out PATH", "--per-rho"]),
+        ("statics", ["--tau TAU", "--out PATH"]),
+    ],
+)
+def test_command_help_lists_its_flags(command, flags, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: hotlane {command} [-h]")
+    assert all(flag in out for flag in flags)
 
 
 def test_main_config_and_defaults_conflict():

@@ -72,7 +72,7 @@ def test_sweep_i880_grid(i880_pop, i880_bpr):
     assert len(table) == 60 and not table.errors
     results = rows(table)
     assert all(isinstance(r, EquilibriumOutcome) for r in results)
-    assert [r.design for r in results] == grid  # input order preserved
+    assert [DesignParams(rho=r.rho, tau=r.tau, occupancy=r.occupancy) for r in results] == grid  # input order preserved
     assert all(r.avg_time >= i880_bpr.t_free for r in results)
     # Interior HOT usage keeps the solved gap positive everywhere.
     assert all(r.gap > 0 for r in results)
@@ -234,7 +234,7 @@ def test_pareto_front_on_i880_sweep(i880_pop, i880_bpr):
     assert rows(table.take(pareto_front(table))) == front
     # Per-rho fronts: the batch slice and the list give the same points.
     for k, rho in enumerate((0.25, 0.5, 0.75)):
-        subset = [r for r in results if r.design.rho == rho]
+        subset = [r for r in results if r.rho == rho]
         batch = table.take(slice(20 * k, 20 * k + 20))
         assert rows(batch.take(pareto_front(batch))) == [subset[i] for i in pareto_front(subset)]
 
@@ -261,7 +261,7 @@ def test_statics_scan_i880(i880_pop, i880_bpr):
     batch, flags = comparative_statics_scan(3.0, [0.25, 0.5, 0.75], 2.5, i880_pop, i880_bpr)
     assert len(batch) == 3
     assert all(isinstance(row, EquilibriumOutcome) for row in rows(batch))
-    assert [row.design.rho for row in rows(batch)] == [0.25, 0.5, 0.75]
+    assert [row.rho for row in rows(batch)] == [0.25, 0.5, 0.75]
     assert set(flags) == {"sigma_toll", "sigma_pool", "sigma_o", "c_delta"}
     assert all(flag in {"non-decreasing", "non-increasing", "neither"} for flag in flags.values())
 

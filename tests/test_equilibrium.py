@@ -6,6 +6,7 @@ import pkgutil
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from hotlane import (
     solve_batch,
 )
 from hotlane import equilibrium as eq
+from hotlane import latency
 from hotlane.latency import _capacities, bpr_time, lane_flows, lane_gap, latency_gap
 from hotlane.population import region_measures_at_gap
 import paper_reference
@@ -517,6 +519,61 @@ def test_gap_root_leaves_its_arguments_unchanged(calibration, i880_pop, i880_bpr
     monkeypatch.setattr(eq, "_gap_root", compared)
     solve_batch(*_columns(dense_grid()), pop, bpr)
     assert changed == [[]]
+
+
+def test_outcome_is_its_batch_row(i880_pop):
+    """``outcome(i)`` holds in each field the value, bit for bit, of the batch column of that name at
+    ``i``; a failed point raises its own error, and a negative index names the same point."""
+    # At a = 1e-81 the all-ordinary gap underflows to 0 at rho = 0.25 (GapNonPositive), and the
+    # smallest toll misses the residual gate (NoConvergence); the other points solve.
+    bpr = BprParams(a=1e-81, b=4.0, t_free=22.0, v_cap=140.0)
+    tau = [1.0, 1.0, 1e-20, 1.0, 5e-324, 1e-20]
+    rho = [0.25, 0.99, 0.99, 0.999999, 0.999999, 0.999999]
+    table = solve_batch(tau, rho, 2.5, i880_pop, bpr)
+    assert {i: type(error) for i, error in table.errors.items()} == {0: GapNonPositive, 4: NoConvergence}
+    names = [field.name for field in fields(EquilibriumOutcome)]
+    assert names == [field.name for field in fields(EquilibriumBatch) if field.name != "errors"]
+    for i in range(len(table)):
+        if i in table.errors:
+            with pytest.raises(type(table.errors[i])) as raised:
+                table.outcome(i)
+            assert raised.value is table.errors[i]
+            continue
+        outcome = table.outcome(i)
+        for name in names:
+            column = getattr(table, name)[..., i]
+            value = getattr(outcome, name)
+            if isinstance(value, StrategyShares):
+                value = value.as_tuple()
+            elif isinstance(value, RegimeLabel):
+                value = tuple(RegimeLabel).index(value)
+            assert np.array(value, dtype=column.dtype).tobytes() == column.tobytes(), (i, name)
+    assert table.outcome(-1) == table.outcome(len(table) - 1)
+    with pytest.raises(NoConvergence) as raised:
+        table.outcome(-2)
+    assert raised.value is table.errors[4]
+
+
+def test_one_point_solve_checks_its_design_once(monkeypatch, i880_pop, i880_bpr):
+    """A ``DesignParams`` is checked when it is built, and ``solve`` checks it no more: it runs
+    ``solve_batch``'s kernel without the column check, and ``outcome`` builds no ``DesignParams``.
+    ``solve_batch`` checks its columns once."""
+    design = DesignParams(rho=0.5, tau=1.0, occupancy=2.5)
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(eq, "check", counted("check", eq.check))
+    monkeypatch.setattr(latency, "check_fields", counted("check_fields", latency.check_fields))
+    outcome = solve(design, i880_pop, i880_bpr)
+    assert calls == []
+    batch = solve_batch([design.tau], [design.rho], [design.occupancy], i880_pop, i880_bpr)
+    assert calls == ["check"]
+    assert batch.outcome(0) == outcome
 
 
 @pytest.mark.parametrize("grid, calibration", [(dense_grid, "i880"), (dense_grid, "congested"), (i880_grid, "i880")])
