@@ -200,25 +200,84 @@ def _bits(column: np.ndarray) -> np.ndarray:
     return column.view(f"i{column.itemsize}")
 
 
-def _lines(table: EquilibriumBatch) -> list[str]:
-    """One sweep CSV line per point: floats to 12 significant digits, a failed point as
-    tau, rho, ``ERROR`` and blank cells. No cell holds a comma, so ``split(",")`` gives the cells back.
+def _runs(table: EquilibriumBatch):
+    """What every line of the table needs, built once per table: its tail columns, the failed mask,
+    the mask of rows where a run of equal tails starts, the formatted tau heads and each row's head.
+
     A line is the tau cell and a tail. Each bit-distinct tau is formatted once, and a row whose tail
     cells equal the row before's, bit for bit, reuses its formatted tail; a failed row formats its
-    own, and the row after it starts a new run."""
+    own, and the row after it starts a new run.
+    """
     tau, *tail = (values(table) for _, _, values in _LAYOUT)
     failed = ~table.solved
-    new = failed | np.r_[True, failed[:-1]]  # where a run of equal tails starts
+    new = failed | np.r_[True, failed[:-1]]
     for bits in map(_bits, tail):
         new[1:] |= bits[1:] != bits[:-1]
-    first = np.flatnonzero(new)
+    distinct, which = np.unique(_bits(tau), return_inverse=True)
+    heads = ["%.12g," % t for t in distinct.view(tau.dtype).tolist()]
+    return tail, failed, new, heads, which
+
+
+def _tails(tail: list[np.ndarray], failed: np.ndarray, first: np.ndarray) -> list[str]:
+    """The formatted tails of the rows at the positions ``first``."""
     cells = [column[first].tolist() for column in tail]
     cells[1] = [_REGIME_CELLS[code] for code in cells[1]]
     rows = zip(failed[first].tolist(), zip(*cells))
-    tails = [_ERROR_FORMAT(row[0]) if bad else _ROW_FORMAT(row) for bad, row in rows]
-    distinct, which = np.unique(_bits(tau), return_inverse=True)
-    heads = ["%.12g," % t for t in distinct.view(tau.dtype).tolist()]
+    return [_ERROR_FORMAT(row[0]) if bad else _ROW_FORMAT(row) for bad, row in rows]
+
+
+def _lines(table: EquilibriumBatch) -> list[str]:
+    """One sweep CSV line per point: floats to 12 significant digits, a failed point as
+    tau, rho, ``ERROR`` and blank cells. No cell holds a comma, so ``split(",")`` gives the cells back.
+    Each run of equal tails formats its tail once (see :func:`_runs`)."""
+    tail, failed, new, heads, which = _runs(table)
+    tails = _tails(tail, failed, np.flatnonzero(new))
     return [heads[h] + tails[run] for h, run in zip(which.tolist(), (np.cumsum(new) - 1).tolist())]
+
+
+# Rows per CSV chunk. The writer formats and writes one chunk at a time, so the text it holds is one
+# chunk's, about 200 bytes a row, whatever the grid: far below the solver's working arrays on a
+# 5,000-point grid. A chunk's fixed cost, a few numpy calls and one write, is small against
+# formatting this many rows; on those grids chunks of 512 to 2,048 rows wrote as fast as one chunk.
+_CHUNK_ROWS = 1024
+
+
+def _chunks(table: EquilibriumBatch, ends: list[str], end_of_row: np.ndarray | None = None):
+    """The table's CSV text in chunks of at most ``_CHUNK_ROWS`` rows: each row is its
+    :func:`_lines` line and then its end, ``ends[0]`` or, given ``end_of_row``, ``ends[end_of_row[i]]``.
+
+    The heads and the runs are built once per table; a chunk starts a run, so it formats at most
+    one tail more than :func:`_lines` would, and it is joined from its parts in one call.
+    """
+    tail, failed, new, heads, which = _runs(table)
+    for start in range(0, len(table), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        runs = new[rows].copy()
+        runs[0] = True
+        tails = _tails(tail, failed, start + np.flatnonzero(runs))
+        parts = [""] * (3 * runs.size)
+        parts[::3] = map(heads.__getitem__, which[rows].tolist())
+        parts[1::3] = map(tails.__getitem__, (np.cumsum(runs) - 1).tolist())
+        parts[2::3] = ends * runs.size if end_of_row is None else map(ends.__getitem__, end_of_row[rows].tolist())
+        yield "".join(parts)
+
+
+def _write_csv(out_path: str | Path, header: str, *parts: tuple) -> None:
+    """Write ``header`` and then the chunks of each ``(table, ends[, end_of_row])`` of ``parts``
+    (see :func:`_chunks`). A write that fails removes the partial file before the error propagates."""
+    path = Path(out_path)
+    out = path.open("w")
+    try:
+        with out:
+            out.write(header)
+            for part in parts:
+                for chunk in _chunks(*part):
+                    out.write(chunk)
+    except BaseException:
+        # Only a file of this name: a symlink such as /dev/stdout, or a device, stays.
+        if not path.is_symlink() and path.is_file():
+            path.unlink()
+        raise
 
 
 def cmd_equilibrium(config: RunConfig, tau: float, rho: float, json_output: bool = False) -> int:
@@ -264,21 +323,19 @@ def cmd_verify(config: RunConfig, tau: float, rho: float, grid_n: int = OracleCo
 def cmd_sweep(config: RunConfig, out_path: str | Path) -> int:
     """Evaluate the whole design grid and write one CSV row per point."""
     table = solve_batch(*config.design_grid(), config.population, config.bpr)
-    Path(out_path).write_text("\n".join([",".join(SWEEP_COLUMNS), *_lines(table)]) + "\n")
+    _write_csv(out_path, ",".join(SWEEP_COLUMNS) + "\n", (table, ["\n"]))
     return int(bool(table.errors))
 
 
 def cmd_pareto(config: RunConfig, out_path: str | Path, per_rho: bool = False) -> int:
     """Write the Pareto front of the sweep; optionally one front per rho."""
     table = solve_batch(*config.design_grid(), config.population, config.bpr)
-    lines = [",".join(SWEEP_COLUMNS) + ",front_id"]
-    lines += [f"{line},global" for line in _lines(table.take(pareto_front(table)))]
+    parts = [(table.take(pareto_front(table)), [",global\n"])]
     if per_rho:
         which = np.searchsorted(config.rho_values, table.rho)  # each row's index in rho_values
         front = pareto_front(table, which)
-        labels = [",rho=%.12g" % rho for rho in config.rho_values]
-        lines += [line + labels[k] for line, k in zip(_lines(table.take(front)), which[front].tolist())]
-    Path(out_path).write_text("\n".join(lines) + "\n")
+        parts.append((table.take(front), [",rho=%.12g\n" % rho for rho in config.rho_values], which[front]))
+    _write_csv(out_path, ",".join(SWEEP_COLUMNS) + ",front_id\n", *parts)
     return int(bool(table.errors))
 
 

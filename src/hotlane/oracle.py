@@ -59,11 +59,12 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GapNonPositive, NoConvergence, check_fields
+from .errors import GapNonPositive, NoConvergence, ValidationError, check_fields
 from .latency import BprParams, DesignParams, StrategyShares, _capacities, lane_gap
 from .population import PopulationParams
 
@@ -89,8 +90,15 @@ def _solve_tolerance(grid_n: int) -> float:
 
 @functools.lru_cache(maxsize=16)
 def _midpoints(upper: float, n: int) -> np.ndarray:
-    """The ``n`` cell midpoints of ``[0, upper]``, ascending: built once per ``(upper, n)``, read-only."""
+    """The ``n`` cell midpoints of ``[0, upper]``, ascending: built once per ``(upper, n)``, read-only.
+
+    Every midpoint must be a positive float: a first midpoint that underflows to 0.0 is a
+    ``ValidationError``, since a zero beta reaches no threshold and a zero gamma midpoint is a
+    threshold that every gap from 0 down reaches.
+    """
     mid = (np.arange(n) + 0.5) * (upper / n)
+    if not mid[0] > 0.0:
+        raise ValidationError(f"oracle grid: the first of {n} cell midpoints of [0, {upper}] underflows to 0")
     mid.flags.writeable = False
     return mid
 
@@ -101,7 +109,8 @@ def _grid(tau: float, pop: PopulationParams, grid_n: int) -> tuple[np.ndarray, n
     The beta midpoints, the ascending threshold row (the gamma midpoints a
     column can pool on, those ``<= tau``, then ``tau`` itself when any
     midpoint lies above it), and the count of gamma midpoints strictly above
-    ``tau``, which every tolling column adds to the toll count.
+    ``tau``, which every tolling column adds to the toll count. Every
+    midpoint and every threshold is positive.
     """
     gamma_mid = _midpoints(pop.gamma_max, grid_n)
     pooling = int(np.searchsorted(gamma_mid, tau, side="right"))
@@ -109,28 +118,70 @@ def _grid(tau: float, pop: PopulationParams, grid_n: int) -> tuple[np.ndarray, n
     return _midpoints(pop.beta_max, grid_n), row, grid_n - pooling
 
 
+# One-float steps a search takes from its first guess before it bisects. The guesses are
+# fl(threshold/beta) or another entry's answer, which lie within a float or two of the answer
+# unless a product is subnormal.
+_NEAR_STEPS = 4
+_DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
+
+
+def _first_float(reaches, g: float, reached: bool) -> float:
+    """Smallest float ``x >= 0`` with ``reaches(x)``, for a predicate that is false at 0.0, true at
+    ``inf`` and monotone in between, given a guess ``g >= 0`` and ``reached = reaches(g)``.
+
+    It steps one float at a time from ``g`` toward the answer, at most ``_NEAR_STEPS`` times, and
+    then halves the count of floats between the last two ends, whose bit patterns order like the
+    floats: at most 63 halvings span all of ``[0, inf]``. So ``reaches`` runs at most
+    ``_NEAR_STEPS + 63`` times.
+    """
+    if reached:
+        lo, hi = 0.0, g
+        for _ in range(_NEAR_STEPS):
+            below = math.nextafter(hi, -math.inf)
+            if not reaches(below):
+                return hi
+            hi = below
+    else:
+        lo, hi = g, math.inf
+        for _ in range(_NEAR_STEPS):
+            lo = math.nextafter(lo, math.inf)
+            if reaches(lo):
+                return lo
+    (lo,), (hi,) = _INT64.unpack(_DOUBLE.pack(lo)), _INT64.unpack(_DOUBLE.pack(hi))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reaches(_DOUBLE.unpack(_INT64.pack(mid))[0]):
+            hi = mid
+        else:
+            lo = mid
+    return _DOUBLE.unpack(_INT64.pack(hi))[0]
+
+
 def _first_reaching(beta: float, threshold: float) -> float:
-    """Smallest float ``g`` with ``fl(beta*g) >= threshold``, for positive arguments."""
+    """Smallest float ``g`` with ``fl(beta*g) >= threshold``, for positive arguments: at most
+    ``_NEAR_STEPS + 65`` products (see :func:`_first_float`), starting from ``fl(threshold/beta)``."""
     g = threshold / beta
-    while beta * g >= threshold:
-        g = math.nextafter(g, -math.inf)
-    while beta * g < threshold:
-        g = math.nextafter(g, math.inf)
-    return g
+    reached = beta * g >= threshold
+    if reached and beta * math.nextafter(g, -math.inf) < threshold:
+        return g  # most often the first guess is the answer
+    return _first_float(lambda x: beta * x >= threshold, g, reached)
 
 
 def _first_reaching_all(beta: np.ndarray, threshold: np.ndarray) -> float:
     """Smallest float ``g`` with ``fl(beta*g) >= threshold`` in every entry.
 
     The entry with the largest ``threshold/beta`` gives a first answer, and
-    no other entry's own answer lies more than a few ulps above it: the
-    answer steps up one float at a time while some entry still falls short.
+    no other entry's own answer lies more than a few ulps above it while the
+    products are normal floats: the answer steps up one float at a time
+    while some entry still falls short, and bisects after ``_NEAR_STEPS``
+    such steps (see :func:`_first_float`). So it tests the entries together
+    at most ``_NEAR_STEPS + 64`` times, after one :func:`_first_reaching`.
     """
     i = (threshold / beta).argmax()
     g = _first_reaching(float(beta[i]), float(threshold[i]))
-    while np.count_nonzero(beta * g < threshold):
-        g = math.nextafter(g, math.inf)
-    return g
+    if not np.count_nonzero(beta * g < threshold):
+        return g
+    return _first_float(lambda x: not np.count_nonzero(beta * x < threshold), g, False)
 
 
 def _first_reaching_any(beta: np.ndarray, threshold: np.ndarray) -> float:
@@ -138,13 +189,16 @@ def _first_reaching_any(beta: np.ndarray, threshold: np.ndarray) -> float:
 
     The mirror of :func:`_first_reaching_all`: from the entry with the
     smallest ``threshold/beta``, the answer steps down one float at a time
-    while some entry still reaches its threshold one float lower.
+    while some entry still reaches its threshold one float lower, and
+    bisects after ``_NEAR_STEPS`` such steps: at most ``_NEAR_STEPS + 64``
+    tests of the entries together, after one :func:`_first_reaching`.
     """
     i = (threshold / beta).argmin()
     g = _first_reaching(float(beta[i]), float(threshold[i]))
-    while np.count_nonzero(beta * math.nextafter(g, -math.inf) >= threshold):
-        g = math.nextafter(g, -math.inf)
-    return g
+    below = math.nextafter(g, -math.inf)
+    if not np.count_nonzero(beta * below >= threshold):
+        return g
+    return _first_float(lambda x: bool(np.count_nonzero(beta * x >= threshold)), below, True)
 
 
 def _label_counts(
@@ -235,10 +289,16 @@ def oracle_equilibrium(
       exists (``None`` while no upper end is labeled, which a ``start``
       allows for the first two labelings).
 
-    :class:`GapNonPositive` is raised first when ``gap(everyone ordinary)``
-    is not positive. Labels are monotone in ``g``, so the state returned (or
-    named by a straddle) does not depend on the path the bracket takes, and
-    so not on ``start``. The cap is the one exception: its ``last_value`` and
+    Each pass of the search loop makes one labeling, so the loop ends
+    within ``MAX_LABELINGS`` passes, and a labeling's interval takes a
+    bounded number of float steps (see :func:`_first_reaching_all`).
+
+    :class:`~hotlane.errors.ValidationError` is raised first when a cell
+    midpoint of either axis underflows to 0.0 (see :func:`_midpoints`), and
+    :class:`GapNonPositive` when ``gap(everyone ordinary)`` is not positive.
+    Labels are monotone in ``g``, so the state returned (or named by a
+    straddle) does not depend on the path the bracket takes, and so not on
+    ``start``. The cap is the one exception: its ``last_value`` and
     ``residual`` are the ends the path had reached when the labelings ran
     out.
     """

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import hypothesis
@@ -605,6 +606,115 @@ def _crafted(case: str):
 def test_lines_match_per_row_formatting_on_crafted_rows(case):
     rows = _crafted(case)
     assert cli_mod._lines(rows) == _reference_lines(rows)
+
+
+def _whole_table_csv(config, per_rho: bool | None = None) -> bytes:
+    """The bytes of ``cmd_sweep`` (``per_rho`` None) or ``cmd_pareto``, built in one piece from
+    ``_lines`` as both commands once wrote them."""
+    table = cli_mod.solve_batch(*config.design_grid(), config.population, config.bpr)
+    if per_rho is None:
+        return ("\n".join([",".join(SWEEP_COLUMNS), *cli_mod._lines(table)]) + "\n").encode()
+    lines = [",".join(SWEEP_COLUMNS) + ",front_id"]
+    lines += [f"{line},global" for line in cli_mod._lines(table.take(pareto_front(table)))]
+    if per_rho:
+        which = np.searchsorted(config.rho_values, table.rho)
+        front = pareto_front(table, which)
+        rows = zip(cli_mod._lines(table.take(front)), which[front].tolist())
+        lines += [f"{line},rho={config.rho_values[k]:.12g}" for line, k in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _errors_at_chunk_edges(monkeypatch):
+    """The dense grid, with ``solve_batch`` failing its points on both sides of several 7-row chunk
+    edges, one run of three failures across an edge included."""
+    original = cli_mod.solve_batch
+
+    def failing_solve_batch(tau, rho, occupancy, pop, bpr):
+        batch = original(tau, rho, occupancy, pop, bpr)
+        failed = (6, 7, 13, 21, 27, 28, 29, 104, 105, len(batch) - 1)
+        return dataclasses.replace(batch, errors={**batch.errors, **{i: HotLaneError("synthetic failure") for i in failed}})
+
+    monkeypatch.setattr(cli_mod, "solve_batch", failing_solve_batch)
+    return _dense_config()
+
+
+@pytest.mark.parametrize("make_config", [i880_config, _dense_config, _congested_config, _errors_at_chunk_edges])
+def test_chunks_keep_every_byte(make_config, monkeypatch, tmp_path):
+    """In chunks of 7 rows, runs of equal tails, ERROR rows and pareto suffixes cross chunk edges, and
+    sweep and pareto still write the bytes of the whole-table lines. Each chunk starts a run of equal
+    tails, so a chunked sweep formats at most one tail more per chunk edge."""
+    config = make_config(monkeypatch) if make_config is _errors_at_chunk_edges else make_config()
+    expected = {per_rho: _whole_table_csv(config, per_rho) for per_rho in (None, False, True)}
+    calls = []
+    row_format = cli_mod._ROW_FORMAT
+
+    def counted(cells):
+        calls.append(cells)
+        return row_format(cells)
+
+    monkeypatch.setattr(cli_mod, "_ROW_FORMAT", counted)
+    cli_mod._lines(cli_mod.solve_batch(*config.design_grid(), config.population, config.bpr))
+    whole_table_tails = len(calls)
+    calls.clear()
+    monkeypatch.setattr(cli_mod, "_CHUNK_ROWS", 7)
+    out = tmp_path / "out.csv"
+    cmd_sweep(config, out)
+    assert out.read_bytes() == expected[None]
+    rows = expected[None].count(b"\n") - 1
+    assert whole_table_tails <= len(calls) <= whole_table_tails + (rows - 1) // 7
+    for per_rho in (False, True):
+        cmd_pareto(config, out, per_rho=per_rho)
+        assert out.read_bytes() == expected[per_rho]
+    if make_config is not i880_config:  # whose 5 front rows fit in one chunk
+        assert expected[True].count(b"\n") > 2 * 7 + 1
+    if make_config is _errors_at_chunk_edges:
+        assert expected[None].count(b",ERROR,") == 10
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes that ``run()`` allocates, after one untraced call has warmed every cache."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_memory_is_bounded_by_the_chunk(tmp_path):
+    """On the congested grid, sweep and pareto peak no more than one chunk's text above solve_batch
+    alone. Built whole, the CSV text peaked about 1.8 MB (sweep) and 0.5 MB (pareto) above it."""
+    config = _congested_config()
+    # A row has under 256 characters, held at most three times at once (its formatted tail, the
+    # joined chunk and the chunk's encoding), and its 11 tail cells as Python floats (32 bytes each).
+    bound = cli_mod._CHUNK_ROWS * (3 * 256 + 11 * 32)
+    solved = _traced_peak(lambda: solve_batch(*config.design_grid(), config.population, config.bpr))
+    out = tmp_path / "out.csv"
+    assert _traced_peak(lambda: cmd_sweep(config, out)) - solved <= bound
+    assert _traced_peak(lambda: cmd_pareto(config, out, per_rho=True)) - solved <= bound
+
+
+@pytest.mark.parametrize("command", ["sweep", "pareto"])
+def test_failed_write_leaves_no_file(command, monkeypatch, capsys, tmp_path):
+    """A write that fails in its second chunk, with the first chunk's file open, exits 1 with one
+    stderr line and removes the partial file."""
+    out = tmp_path / f"{command}.csv"
+    calls = []
+    row_format = cli_mod._ROW_FORMAT
+
+    def failing(cells):
+        calls.append(out.exists())
+        if len(calls) > 1:
+            raise MemoryError("out of memory formatting a row")
+        return row_format(cells)
+
+    monkeypatch.setattr(cli_mod, "_CHUNK_ROWS", 1)  # so each chunk formats one tail
+    monkeypatch.setattr(cli_mod, "_ROW_FORMAT", failing)
+    assert main(["--i880-defaults", command, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "MemoryError: out of memory formatting a row\n"
+    assert calls == [True, True]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("make_config", [i880_config, _dense_config, _congested_config])

@@ -2,12 +2,17 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hotlane
 from hotlane import (
     BprParams,
     DesignParams,
@@ -517,6 +522,38 @@ def test_oracle_deterministic(i880_pop, i880_bpr):
     first = oracle_equilibrium(design, i880_pop, i880_bpr, cfg)
     second = oracle_equilibrium(design, i880_pop, i880_bpr, cfg)
     assert first == second
+
+
+# Calibrations on which the oracle once hung in _first_reaching's one-float steps, or raised an
+# untyped ZeroDivisionError, with the error each now raises (I-880 bpr, rho 0.5, occupancy 2.5).
+DEGENERATE_GRIDS = {
+    # gamma_max / grid_n underflows: every gamma midpoint was 0.0, a threshold reached at every gap
+    # down to about -5e-324 / 1e-100, some 10**18 floats below 0.
+    "zero gamma midpoints": ("PopulationParams(115.0, 1e-100, 5e-324)", 1.0, 2000, "ValidationError"),
+    # Normal cell widths, but a subnormal toll threshold: one float of g moved fl(beta*g) by about
+    # 1e-339, so reaching the threshold's next float took about 2**51 steps.
+    "subnormal toll": ("PopulationParams(115.0, 1e-97, 8.0)", 5e-324, 10, "NoConvergence"),
+    # beta_max / grid_n underflows: the largest beta midpoint was 0.0, and threshold / beta divided by it.
+    "zero beta midpoints": ("PopulationParams(115.0, 5e-324, 8.0)", 1.0, 2000, "ValidationError"),
+}
+
+
+@pytest.mark.parametrize("case", DEGENERATE_GRIDS)
+def test_oracle_on_a_degenerate_grid_fails_typed(case):
+    """Each call returns within the timeout with a typed error; it runs in a subprocess, since
+    nothing inside the process can stop a hang."""
+    pop, tau, grid_n, error = DEGENERATE_GRIDS[case]
+    code = (
+        "from hotlane import *\n"
+        "try:\n"
+        f"    oracle_equilibrium(DesignParams(0.5, {tau!r}, 2.5), {pop}, BprParams(0.15, 4.0, 22.0, 140.0),"
+        f" OracleConfig({grid_n}))\n"
+        "except HotLaneError as exc:\n"
+        "    print(type(exc).__name__)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(hotlane.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, error + "\n", "")
 
 
 def test_oracle_zero_hot_capacity_is_gap_non_positive():
