@@ -200,39 +200,12 @@ def _bits(column: np.ndarray) -> np.ndarray:
     return column.view(f"i{column.itemsize}")
 
 
-def _runs(table: EquilibriumBatch):
-    """What every line of the table needs, built once per table: its tail columns, the failed mask,
-    the mask of rows where a run of equal tails starts, the formatted tau heads and each row's head.
-
-    A line is the tau cell and a tail. Each bit-distinct tau is formatted once, and a row whose tail
-    cells equal the row before's, bit for bit, reuses its formatted tail; a failed row formats its
-    own, and the row after it starts a new run.
-    """
-    tau, *tail = (values(table) for _, _, values in _LAYOUT)
-    failed = ~table.solved
-    new = failed | np.r_[True, failed[:-1]]
-    for bits in map(_bits, tail):
-        new[1:] |= bits[1:] != bits[:-1]
-    distinct, which = np.unique(_bits(tau), return_inverse=True)
-    heads = ["%.12g," % t for t in distinct.view(tau.dtype).tolist()]
-    return tail, failed, new, heads, which
-
-
 def _tails(tail: list[np.ndarray], failed: np.ndarray, first: np.ndarray) -> list[str]:
     """The formatted tails of the rows at the positions ``first``."""
     cells = [column[first].tolist() for column in tail]
     cells[1] = [_REGIME_CELLS[code] for code in cells[1]]
     rows = zip(failed[first].tolist(), zip(*cells))
     return [_ERROR_FORMAT(row[0]) if bad else _ROW_FORMAT(row) for bad, row in rows]
-
-
-def _lines(table: EquilibriumBatch) -> list[str]:
-    """One sweep CSV line per point: floats to 12 significant digits, a failed point as
-    tau, rho, ``ERROR`` and blank cells. No cell holds a comma, so ``split(",")`` gives the cells back.
-    Each run of equal tails formats its tail once (see :func:`_runs`)."""
-    tail, failed, new, heads, which = _runs(table)
-    tails = _tails(tail, failed, np.flatnonzero(new))
-    return [heads[h] + tails[run] for h, run in zip(which.tolist(), (np.cumsum(new) - 1).tolist())]
 
 
 # Rows per CSV chunk. The writer formats and writes one chunk at a time, so the text it holds is one
@@ -243,17 +216,26 @@ _CHUNK_ROWS = 1024
 
 
 def _chunks(table: EquilibriumBatch, ends: list[str], end_of_row: np.ndarray | None = None):
-    """The table's CSV text in chunks of at most ``_CHUNK_ROWS`` rows: each row is its
-    :func:`_lines` line and then its end, ``ends[0]`` or, given ``end_of_row``, ``ends[end_of_row[i]]``.
+    """The table's CSV rows in chunks of at most ``_CHUNK_ROWS`` rows, each chunk one string. A row is
+    its tau cell, its tail (the other cells) and its end, ``ends[0]`` or, given ``end_of_row``,
+    ``ends[end_of_row[i]]``. Floats have 12 significant digits, and a failed point is tau, rho,
+    ``ERROR`` and blank cells. No cell holds a comma, so ``split(",")`` gives the cells back.
 
-    The heads and the runs are built once per table; a chunk starts a run, so it formats at most
-    one tail more than :func:`_lines` would, and it is joined from its parts in one call.
+    Each bit-distinct tau is formatted once per table. A row whose tail cells equal the row before's,
+    bit for bit, reuses its formatted tail, so each run of equal tails is formatted once; a failed row
+    formats its own, and the row after it and the first row of each chunk start a new run.
     """
-    tail, failed, new, heads, which = _runs(table)
+    tau, *tail = (values(table) for _, _, values in _LAYOUT)
+    failed = ~table.solved
+    new = failed | np.r_[True, failed[:-1]]
+    for bits in map(_bits, tail):
+        new[1:] |= bits[1:] != bits[:-1]
+    new[::_CHUNK_ROWS] = True
+    distinct, which = np.unique(_bits(tau), return_inverse=True)
+    heads = ["%.12g," % t for t in distinct.view(tau.dtype).tolist()]
     for start in range(0, len(table), _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
-        runs = new[rows].copy()
-        runs[0] = True
+        runs = new[rows]
         tails = _tails(tail, failed, start + np.flatnonzero(runs))
         parts = [""] * (3 * runs.size)
         parts[::3] = map(heads.__getitem__, which[rows].tolist())
@@ -262,17 +244,16 @@ def _chunks(table: EquilibriumBatch, ends: list[str], end_of_row: np.ndarray | N
         yield "".join(parts)
 
 
-def _write_csv(out_path: str | Path, header: str, *parts: tuple) -> None:
-    """Write ``header`` and then the chunks of each ``(table, ends[, end_of_row])`` of ``parts``
-    (see :func:`_chunks`). A write that fails removes the partial file before the error propagates."""
+def _write_csv(out_path: str | Path, header: str, *parts) -> None:
+    """Write ``header`` and then every text chunk of each iterable of ``parts``. A write that fails
+    removes the partial file before the error propagates."""
     path = Path(out_path)
     out = path.open("w")
     try:
         with out:
             out.write(header)
             for part in parts:
-                for chunk in _chunks(*part):
-                    out.write(chunk)
+                out.writelines(part)
     except BaseException:
         # Only a file of this name: a symlink such as /dev/stdout, or a device, stays.
         if not path.is_symlink() and path.is_file():
@@ -288,7 +269,7 @@ def cmd_equilibrium(config: RunConfig, tau: float, rho: float, json_output: bool
         report = {column: values(table)[0].item() for column, _, values in _LAYOUT}
         print(json.dumps({**report, "regime": outcome.regime.value, "iterations": outcome.iterations}, sort_keys=True))
         return 0
-    for (_, label, _), cell in zip(_LAYOUT, _lines(table)[0].split(",")):
+    for (_, label, _), cell in zip(_LAYOUT, next(_chunks(table, [""])).split(",")):
         if label is not None:
             print(f"{label}: {cell}")
     print(f"iterations: {outcome.iterations}")
@@ -323,18 +304,18 @@ def cmd_verify(config: RunConfig, tau: float, rho: float, grid_n: int = OracleCo
 def cmd_sweep(config: RunConfig, out_path: str | Path) -> int:
     """Evaluate the whole design grid and write one CSV row per point."""
     table = solve_batch(*config.design_grid(), config.population, config.bpr)
-    _write_csv(out_path, ",".join(SWEEP_COLUMNS) + "\n", (table, ["\n"]))
+    _write_csv(out_path, ",".join(SWEEP_COLUMNS) + "\n", _chunks(table, ["\n"]))
     return int(bool(table.errors))
 
 
 def cmd_pareto(config: RunConfig, out_path: str | Path, per_rho: bool = False) -> int:
     """Write the Pareto front of the sweep; optionally one front per rho."""
     table = solve_batch(*config.design_grid(), config.population, config.bpr)
-    parts = [(table.take(pareto_front(table)), [",global\n"])]
+    parts = [_chunks(table.take(pareto_front(table)), [",global\n"])]
     if per_rho:
         which = np.searchsorted(config.rho_values, table.rho)  # each row's index in rho_values
         front = pareto_front(table, which)
-        parts.append((table.take(front), [",rho=%.12g\n" % rho for rho in config.rho_values], which[front]))
+        parts.append(_chunks(table.take(front), [",rho=%.12g\n" % rho for rho in config.rho_values], which[front]))
     _write_csv(out_path, ",".join(SWEEP_COLUMNS) + ",front_id\n", *parts)
     return int(bool(table.errors))
 
@@ -344,10 +325,9 @@ def cmd_statics(config: RunConfig, tau: float, out_path: str | Path) -> int:
     rows, flags = comparative_statics_scan(
         tau, list(config.rho_values), config.occupancy, config.population, config.bpr
     )
-    lines = [",".join(STATICS_COLUMNS)]
-    lines += [",".join(line.split(",")[_STATICS_CELLS]) for line in _lines(rows)]
-    lines += [f"# monotonicity,{column},{flag}" for column, flag in flags.items()]
-    Path(out_path).write_text("\n".join(lines) + "\n")
+    cells = (line.split(",")[_STATICS_CELLS] for chunk in _chunks(rows, ["\n"]) for line in chunk.splitlines())
+    summary = [f"# monotonicity,{column},{flag}\n" for column, flag in flags.items()]
+    _write_csv(out_path, ",".join(STATICS_COLUMNS) + "\n", (",".join(row) + "\n" for row in cells), summary)
     return int(bool(rows.errors))
 
 

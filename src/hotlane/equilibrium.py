@@ -320,7 +320,7 @@ def _gap_root(lo, hi, f_lo, pop: PopulationParams, bpr: BprParams, points: list[
     return root, iterations
 
 
-def _failures(top, root, shares, regime, residual) -> dict[int, HotLaneError]:
+def _failures(top, root, shares, regime, residual, avg_time, revenue) -> dict[int, HotLaneError]:
     """The typed error of every point without a valid equilibrium, by index.
 
     The one definition of the outcome invariants, checked at all points at
@@ -328,8 +328,10 @@ def _failures(top, root, shares, regime, residual) -> dict[int, HotLaneError]:
     checks in order of precedence, and a point gets the error of the first
     check it fails. A
     valid equilibrium has a positive all-ordinary gap, a root, a printed
-    residual of at most ``RESIDUAL_TOL``, and shares on the simplex
-    (:func:`on_simplex`) with positive pool and ordinary shares.
+    residual of at most ``RESIDUAL_TOL``, shares on the simplex
+    (:func:`on_simplex`) with positive pool and ordinary shares, and finite
+    objectives ``avg_time`` and ``revenue``: an overflowed lane latency makes
+    the gap infinite, and the printed residual of such a gap can still be small.
     """
     toll, pool, ordinary = shares
     # A root is NaN, so not >= 0, while its bracket is still open.
@@ -343,6 +345,9 @@ def _failures(top, root, shares, regime, residual) -> dict[int, HotLaneError]:
         )),
         (on_simplex(toll, pool, ordinary) & (pool > 0.0) & (ordinary > 0.0), lambda i: ValidationError(
             f"equilibrium shares {tuple(shares[:, i].tolist())} are not valid in regime {_LABELS[regime[i]].value}"
+        )),
+        (np.isfinite(avg_time) & np.isfinite(revenue), lambda i: ValidationError(
+            f"objectives (avg_time, revenue) {avg_time[i].item(), revenue[i].item()} are not finite: a value overflowed"
         )),
     )
     held = np.array([mask for mask, _ in checks])
@@ -435,9 +440,9 @@ def _solve_columns(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -
         a2_printed = 0.5 * pop.gamma_max / pop.beta_max / gap - ordinary
         b_printed = (1.0 - tau / (pop.beta_max * gap)) * (pop.gamma_max - tau) / pop.gamma_max - toll
         residual = np.abs(np.where(paid, b_printed, np.where(a2, a2_printed, a1_printed)))
-        errors = _failures(top, root, shares, regime, residual)
         avg_time = (toll + pool) * latencies[1] + ordinary * latencies[0]
         revenue = pop.demand * toll * tau
+        errors = _failures(top, root, shares, regime, residual, avg_time, revenue)
     return EquilibriumBatch(
         tau, rho, occupancy, shares, regime, gap, flows, residual, iterations, latencies, avg_time, revenue, errors
     )

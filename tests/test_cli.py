@@ -1,8 +1,12 @@
 """Config parsing, commands, CSV schemas, and exit codes."""
 
+import contextlib
 import dataclasses
+import errno
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -561,14 +565,20 @@ def _reference_lines(table) -> list[str]:
     return lines
 
 
+def _lines(table) -> list[str]:
+    """The table's rows as ``cli._chunks`` writes them, one line each."""
+    return "".join(cli_mod._chunks(table, ["\n"])).splitlines()
+
+
 @pytest.mark.parametrize(
     "make_config, tails", [(i880_config, 5), (_dense_config, 555), (_congested_config, 2991), (_off_grid_config, 542)]
 )
 def test_lines_match_per_row_formatting(make_config, tails, monkeypatch):
     """The rows equal the per-row reference on a whole grid, its Pareto front and one row,
-    and a grid formats one tail per run: its Regime-B rows plus one per rho."""
+    and a grid in one chunk formats one tail per run: its Regime-B rows plus one per rho."""
     config = make_config()
     table = solve_batch(*config.design_grid(), config.population, config.bpr)
+    monkeypatch.setattr(cli_mod, "_CHUNK_ROWS", len(table))
     calls = []
     row_format = cli_mod._ROW_FORMAT
 
@@ -577,10 +587,10 @@ def test_lines_match_per_row_formatting(make_config, tails, monkeypatch):
         return row_format(*cells)
 
     monkeypatch.setattr(cli_mod, "_ROW_FORMAT", counted)
-    assert cli_mod._lines(table) == _reference_lines(table)
+    assert _lines(table) == _reference_lines(table)
     assert len(calls) == tails
     for part in (table.take(pareto_front(table)), table.take([len(table) // 2]), table.take([])):
-        assert cli_mod._lines(part) == _reference_lines(part)
+        assert _lines(part) == _reference_lines(part)
 
 
 def _crafted(case: str):
@@ -605,21 +615,21 @@ def _crafted(case: str):
 @pytest.mark.parametrize("case", ["signed zero", "nan", "errors"])
 def test_lines_match_per_row_formatting_on_crafted_rows(case):
     rows = _crafted(case)
-    assert cli_mod._lines(rows) == _reference_lines(rows)
+    assert _lines(rows) == _reference_lines(rows)
 
 
 def _whole_table_csv(config, per_rho: bool | None = None) -> bytes:
     """The bytes of ``cmd_sweep`` (``per_rho`` None) or ``cmd_pareto``, built in one piece from
-    ``_lines`` as both commands once wrote them."""
+    the per-row reference lines."""
     table = cli_mod.solve_batch(*config.design_grid(), config.population, config.bpr)
     if per_rho is None:
-        return ("\n".join([",".join(SWEEP_COLUMNS), *cli_mod._lines(table)]) + "\n").encode()
+        return ("\n".join([",".join(SWEEP_COLUMNS), *_reference_lines(table)]) + "\n").encode()
     lines = [",".join(SWEEP_COLUMNS) + ",front_id"]
-    lines += [f"{line},global" for line in cli_mod._lines(table.take(pareto_front(table)))]
+    lines += [f"{line},global" for line in _reference_lines(table.take(pareto_front(table)))]
     if per_rho:
         which = np.searchsorted(config.rho_values, table.rho)
         front = pareto_front(table, which)
-        rows = zip(cli_mod._lines(table.take(front)), which[front].tolist())
+        rows = zip(_reference_lines(table.take(front)), which[front].tolist())
         lines += [f"{line},rho={config.rho_values[k]:.12g}" for line, k in rows]
     return ("\n".join(lines) + "\n").encode()
 
@@ -653,7 +663,9 @@ def test_chunks_keep_every_byte(make_config, monkeypatch, tmp_path):
         return row_format(cells)
 
     monkeypatch.setattr(cli_mod, "_ROW_FORMAT", counted)
-    cli_mod._lines(cli_mod.solve_batch(*config.design_grid(), config.population, config.bpr))
+    table = cli_mod.solve_batch(*config.design_grid(), config.population, config.bpr)
+    monkeypatch.setattr(cli_mod, "_CHUNK_ROWS", len(table))
+    _lines(table)
     whole_table_tails = len(calls)
     calls.clear()
     monkeypatch.setattr(cli_mod, "_CHUNK_ROWS", 7)
@@ -695,11 +707,36 @@ def test_writer_memory_is_bounded_by_the_chunk(tmp_path):
     assert _traced_peak(lambda: cmd_pareto(config, out, per_rho=True)) - solved <= bound
 
 
-@pytest.mark.parametrize("command", ["sweep", "pareto"])
+@pytest.mark.parametrize("command", ["sweep", "pareto", "statics"])
 def test_failed_write_leaves_no_file(command, monkeypatch, capsys, tmp_path):
-    """A write that fails in its second chunk, with the first chunk's file open, exits 1 with one
-    stderr line and removes the partial file."""
+    """A write that fails part way exits 1 with one stderr line and removes the partial file: a full
+    disk that takes part of a write's text, and a row that fails to format in the second chunk, with
+    the first chunk's file open."""
     out = tmp_path / f"{command}.csv"
+    argv = ["--i880-defaults", command, *(["--tau", "3.0"] if command == "statics" else []), "--out", str(out)]
+    sizes = []
+    path_open = Path.open
+
+    def full_disk(path, *args, **kwargs):
+        file = path_open(path, *args, **kwargs)
+        write = file.write
+
+        def write_half(text):
+            write(text[: len(text) // 2])
+            file.flush()
+            sizes.append(path.stat().st_size)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        file.write = write_half
+        return file
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "open", full_disk)
+        assert main(argv) == 1
+    assert capsys.readouterr().err == f"OSError: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert len(sizes) == 1 and sizes[0] > 0
+    assert not out.exists()
+
     calls = []
     row_format = cli_mod._ROW_FORMAT
 
@@ -711,10 +748,25 @@ def test_failed_write_leaves_no_file(command, monkeypatch, capsys, tmp_path):
 
     monkeypatch.setattr(cli_mod, "_CHUNK_ROWS", 1)  # so each chunk formats one tail
     monkeypatch.setattr(cli_mod, "_ROW_FORMAT", failing)
-    assert main(["--i880-defaults", command, "--out", str(out)]) == 1
+    assert main(argv) == 1
     assert capsys.readouterr().err == "MemoryError: out of memory formatting a row\n"
     assert calls == [True, True]
     assert not out.exists()
+
+
+def test_failed_write_keeps_a_symlink(monkeypatch, capsys, tmp_path):
+    """A write that fails through a symlink, as ``--out /dev/stdout`` writes, leaves the link and its
+    target: the writer removes only a regular file of the output's name."""
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    link.symlink_to(target)
+
+    def failing(cells):
+        raise MemoryError("out of memory formatting a row")
+
+    monkeypatch.setattr(cli_mod, "_ROW_FORMAT", failing)
+    assert main(["--i880-defaults", "statics", "--tau", "3.0", "--out", str(link)]) == 1
+    assert capsys.readouterr().err == "MemoryError: out of memory formatting a row\n"
+    assert link.is_symlink() and target.read_text() == ",".join(STATICS_COLUMNS) + "\n"
 
 
 @pytest.mark.parametrize("make_config", [i880_config, _dense_config, _congested_config])
@@ -923,6 +975,87 @@ def test_unwritable_output_reported(command, capsys, tmp_path):
     assert main(["--i880-defaults", *command, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"FileNotFoundError: [Errno 2] No such file or directory: '{out}'\n"
 
+
+
+_I880_VALUES = dict(line.split(" = ") for line in dump_config(i880_config()).splitlines())
+# Config values as text: floats of any sign, size or kind, the domain's ends, and text that is no number.
+_NUMBER_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from([5e-324, 1e-300, 1.0 - 2.0**-53, 1.0, 2.0, 1.7e308]).map(repr),
+    st.integers(-3, 300).map(str),
+)
+_VALUE_TEXT = st.one_of(_NUMBER_TEXT, st.sampled_from(["", "abc", "1,2", "0x10", "1 2", "--1", "\u00e9"]))
+
+
+@st.composite
+def _config_and_argv(draw):
+    """Config text over every key, up to three of them off their I-880 values, with missing, duplicate
+    and unknown keys, comments and a byte-order mark, and the argv of one command. A grid has at most
+    3 x 101 points: where tau_min and tau_max read as a toll range, tau_step divides it into at most 100 steps."""
+    values = dict(_I880_VALUES)
+    for key in draw(st.sets(st.sampled_from(list(values)), max_size=3)):
+        kind = draw(st.sampled_from(["scaled", "number", "text"]))
+        texts = _VALUE_TEXT if kind == "text" else _NUMBER_TEXT
+        if kind == "scaled":  # the I-880 value times a power of ten: mostly in the domain
+            scale = 10.0 ** draw(st.integers(-3, 3))
+            values[key] = ", ".join(repr(float(x) * scale) for x in values[key].split(","))
+        elif key == "rho_values":
+            values[key] = ", ".join(draw(st.lists(texts, min_size=1, max_size=3)))
+        else:
+            values[key] = draw(texts)
+    try:
+        tau_min, tau_max = float(values["tau_min"]), float(values["tau_max"])
+    except ValueError:
+        tau_min = tau_max = math.nan
+    if 0.0 < tau_min <= tau_max < math.inf:
+        values["tau_step"] = repr((tau_max - tau_min) / draw(st.integers(1, 100)))
+    lines = [f"{key} = {value}" for key, value in values.items()]
+    lines = draw(st.permutations(lines)) + draw(st.lists(st.sampled_from(["", "# a comment"]), max_size=2))
+    fault = draw(st.sampled_from([None, None, None, "missing", "duplicate", "unknown.key = 1", "no equals sign"]))
+    if fault == "missing":
+        lines.remove(draw(st.sampled_from(sorted(lines))))
+    elif fault == "duplicate":
+        lines.append(draw(st.sampled_from(sorted(lines))))
+    elif fault is not None:
+        lines.insert(draw(st.integers(0, len(lines))), fault)
+    text = draw(st.sampled_from(["", "\ufeff"])) + draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    command = draw(st.sampled_from(["--dump-config", "equilibrium", "sweep", "pareto", "statics"]))
+    tau, rho = (st.one_of(st.floats(0.0, top).map(repr), _NUMBER_TEXT) for top in (20.0, 1.0))
+    argv = {
+        "--dump-config": ["--dump-config"],
+        "equilibrium": ["equilibrium", f"--tau={draw(tau)}", f"--rho={draw(rho)}", "--json"],
+        "sweep": ["sweep"],
+        "pareto": ["pareto", "--per-rho"],
+        "statics": ["statics", f"--tau={draw(tau)}"],
+    }[command]
+    if command == "equilibrium" and draw(st.booleans()):
+        argv.pop()
+    return text, argv
+
+
+@hypothesis.settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@hypothesis.given(case=_config_and_argv())
+def test_main_on_generated_configs_and_argv(case, tmp_path_factory):
+    """Whatever the config text and the command's values, main returns 0, 1 or 2 with no traceback. A
+    failure prints exactly one stderr line, except a grid command whose file holds failed rows, which
+    exits 1 silently; a dumped config parses back to the config read."""
+    text, argv = case
+    folder = tmp_path_factory.getbasetemp()
+    config, out = folder / "fuzz.cfg", folder / "fuzz.csv"
+    config.write_bytes(text.encode())
+    out.unlink(missing_ok=True)
+    writes = argv[0] in ("sweep", "pareto", "statics")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["--config", str(config), *argv, *(["--out", str(out)] if writes else [])])
+    err = stderr.getvalue()
+    assert code in (0, 1, 2)
+    if code == 0 or not err:
+        assert err == "" and (code == 0 or writes and out.exists())
+    else:
+        assert err.endswith("\n") and err.count("\n") == 1 and "Traceback" not in err
+    if code == 0 and argv == ["--dump-config"]:
+        assert parse_config_text(stdout.getvalue()) == load_config(config)
 
 # sha256 of the CLI outputs. Every entry but i880_statics_tau3 was re-pinned
 # once when the latency gap became t_free * (x_o**b - x_h**b) instead of a

@@ -1,11 +1,26 @@
-"""The parameter domain: every field of every parameter type against its one rule."""
+"""The parameter domain: every field of every parameter type against its one rule, and every point of
+the domain solved or failed typed."""
 
 import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hotlane import BprParams, DesignParams, OracleConfig, PopulationParams, ValidationError
+from hotlane import (
+    BprParams,
+    DesignParams,
+    HotLaneError,
+    OracleConfig,
+    PopulationParams,
+    ValidationError,
+    comparative_statics_scan,
+    pareto_front,
+    solve,
+    solve_batch,
+)
 from hotlane.cli import RunConfig, i880_config
 from hotlane.errors import _DOMAIN
 
@@ -58,3 +73,61 @@ def test_field_outside_its_rule(cls, field, rule, value):
     with pytest.raises(ValidationError) as excinfo:
         dataclasses.replace(VALID[cls], **{field: value})
     assert str(excinfo.value) == f"{field} must {rule}, got {value}"
+
+
+# Floats at the ends of the domain: the least subnormal and floats a few apart from 0, values a few
+# floats from 1 and 2, and the largest magnitudes. Each field draws them often, besides any float its rule allows.
+EDGES = (
+    5e-324, 1e-323, 1.5e-323, 2.2250738585072014e-308, 1e-300, 1e-100, 1e-10, 0.5,
+    1.0 - 2.0**-52, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, BELOW_TWO, 2.0, 2.0 + 2.0**-51,
+    1e10, 1e100, 1e300, 1.7e308, 1.7976931348623157e308,
+)
+
+
+def _within(field: str):
+    """Floats that keep ``field``'s ``_DOMAIN`` rule, its ends drawn often."""
+    holds = _DOMAIN[field][0]
+    if field == "rho":
+        anywhere = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    else:
+        anywhere = st.floats({"b": 1.0, "occupancy": 2.0}.get(field, 5e-324), 1.7e308)
+    return st.one_of(st.sampled_from([x for x in EDGES if holds(x)]), anywhere).filter(holds)
+
+
+def _params(cls):
+    return st.builds(cls, **{f.name: _within(f.name) for f in dataclasses.fields(cls)})
+
+
+def _typed(call):
+    """``call()``'s result, or None where it raised a ``HotLaneError``; any other exception escapes."""
+    try:
+        return call()
+    except HotLaneError:
+        return None
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@example(  # the ordinary lane's congestion overflows at the solved shares: once read as solved, with an infinite gap
+    pop=PopulationParams(demand=1e-100, beta_max=0.5, gamma_max=2.2250738585072014e-308),
+    bpr=BprParams(a=1e300, b=1.9999999999999998, t_free=5e-324, v_cap=0.9999999999999998),
+    tau=[2.2250738585072014e-308],
+    rho=[5e-324, 1e-323],
+    occupancy=1e300,
+)
+@given(
+    pop=_params(PopulationParams),
+    bpr=_params(BprParams),
+    tau=st.lists(_within("tau"), min_size=1, max_size=4),
+    rho=st.lists(_within("rho"), min_size=1, max_size=4, unique=True).map(sorted),
+    occupancy=_within("occupancy"),
+)
+def test_every_valid_point_returns_or_fails_typed(pop, bpr, tau, rho, occupancy):
+    """``solve``, ``solve_batch``, ``comparative_statics_scan`` and ``pareto_front`` return, or raise a
+    ``HotLaneError``, at every point of the stated domain; any other exception, or a numpy warning, fails."""
+    _typed(lambda: solve(DesignParams(rho=rho[0], tau=tau[0], occupancy=occupancy), pop, bpr))
+    taus, rhos = np.meshgrid(tau, rho)
+    batch = _typed(lambda: solve_batch(taus.ravel(), rhos.ravel(), occupancy, pop, bpr))
+    if batch is not None:
+        _typed(lambda: pareto_front(batch))
+        _typed(lambda: pareto_front(batch, np.repeat(np.arange(len(rho)), len(tau))))
+    _typed(lambda: comparative_statics_scan(tau[0], rho, occupancy, pop, bpr))

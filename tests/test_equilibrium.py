@@ -282,13 +282,17 @@ def test_outcome_invariants_enforced():
         ((0.2, 0.8, 0.0), RegimeLabel.B, 0.0),  # the ordinary share must be > 0
         (good, RegimeLabel.A1, 1e-3),  # residual too big
         (good, RegimeLabel.A1, 1e-12),
+        (good, RegimeLabel.A1, 0.0),  # an overflowed objective, below
     ]
     shares = np.array([case[0] for case in cases]).T
     regime = np.array([tuple(RegimeLabel).index(case[1]) for case in cases])
     residual = np.array([case[2] for case in cases])
     ones = np.ones(len(cases))
-    errors = eq._failures(ones, ones, shares, regime, residual)
-    assert sorted(errors) == [0, 1, 2]
+    avg_time = np.array([1.0, 1.0, 1.0, 1.0, np.inf])
+    errors = eq._failures(ones, ones, shares, regime, residual, avg_time, ones)
+    assert sorted(errors) == [0, 1, 2, 4]
+    assert isinstance(errors[4], ValidationError)
+    assert str(errors[4]) == "objectives (avg_time, revenue) (inf, 1.0) are not finite: a value overflowed"
     assert str(errors[0]) == "equilibrium shares (0.0, 0.0, 1.0) are not valid in regime A1"
     assert str(errors[1]) == "equilibrium shares (0.2, 0.8, 0.0) are not valid in regime B"
     assert all(isinstance(errors[i], ValidationError) for i in (0, 1))
@@ -304,7 +308,7 @@ def test_failure_precedence():
     root = np.array([np.nan, 1.0])
     residual = np.array([0.5, 2e-3])  # both over RESIDUAL_TOL
     ones = np.ones(2)
-    errors = eq._failures(ones, root, shares, np.array([0, 2]), residual)
+    errors = eq._failures(ones, root, shares, np.array([0, 2]), residual, ones, ones)
     assert sorted(errors) == [0, 1]
     assert isinstance(errors[0], NoConvergence)
     assert str(errors[0]) == f"the gap bracket is still open after {eq.MAX_BISECT} steps"
