@@ -88,7 +88,8 @@ RESIDUAL_TOL = 1e-10
 # closes any bracket in at most 63 steps, and every wide bracket is halved so, but a narrow bracket
 # (or one from 0) takes secant steps, and nothing bounds how little a secant step shrinks it. The
 # most measured: 16 and 29 steps on the dense and congested benchmark grids, 67 on I-880 at tau=1
-# over rho = logspace(-320, -1, 300), and 108 on twelve wide random calibrations.
+# over rho = logspace(-320, -1, 300), and 108 on twelve wide random calibrations. A bracket that
+# provably cannot close (F NaN on two steps running) stops soon after step 63, not here.
 MAX_BISECT = 2140
 
 
@@ -226,7 +227,7 @@ def _gap_root(lo, hi, f_lo, pop: PopulationParams, bpr: BprParams, points: list[
     three ``_toll_levels``, occupancy and the two ``_capacities``. ``F(lo) > 0`` is
     passed in because ``F`` cannot be evaluated at a zero gap, and
     ``F(hi) < 0`` must hold. A root is NaN where the bracket is still open
-    after ``MAX_BISECT`` steps.
+    after ``MAX_BISECT`` steps, and ``-inf`` where it can never close.
 
     Each step evaluates ``F`` at one trial point per point. In a wide bracket,
     ``hi > 4 * lo > 0``, it is the midpoint of the ends' IEEE-754 bit
@@ -254,6 +255,18 @@ def _gap_root(lo, hi, f_lo, pop: PopulationParams, bpr: BprParams, points: list[
     the step count. The loop ends on the step that stops the last open
     point, and drops the stopped points from its working arrays only while
     some stay open.
+
+    Past step 63, halving's bound, two more rules apply, so they cost
+    nothing on the way to the usual counts (at most 16 and 29 steps on the
+    benchmark grids). Where both ends lie above ``2**1023``, ``lo + hi``
+    overflows, so the midpoint is ``0.5 * lo + 0.5 * hi``, exact there. A
+    point whose ``F`` was NaN on this step and the last moved neither end
+    on either step (a NaN is neither ``>= 0`` nor ``<= 0``): its ends and
+    stored values no longer change, its trial point cycles among at most
+    two floats, and its bracket can never close. It stops with the root
+    ``-inf`` instead of running out ``MAX_BISECT`` steps. Neither rule
+    touches a point that closed without them: no such root or step count
+    moves.
 
     The arguments are left unchanged: the bracket arrays are copied, and the
     working arrays are rebuilt, not written into, when points stop.
@@ -303,9 +316,15 @@ def _gap_root(lo, hi, f_lo, pop: PopulationParams, bpr: BprParams, points: list[
         np.putmask(f_lo, to_lo, fx)
         np.putmask(hi, to_hi, x)
         np.putmask(f_hi, to_hi, fx)
-        moved_lo, moved_hi = to_lo, to_hi
         mid = 0.5 * (lo + hi)
         done = (mid == lo) | (mid == hi)
+        if step > 63:
+            # Past halving's bound: an overflowed midpoint, and F NaN on two steps running (see the docstring).
+            np.putmask(mid, np.isinf(mid), 0.5 * lo + 0.5 * hi)
+            stuck = ~(to_lo | to_hi | moved_lo | moved_hi)
+            np.putmask(mid, stuck, -np.inf)
+            done = (mid == lo) | (mid == hi) | stuck
+        moved_lo, moved_hi = to_lo, to_hi
         closed = np.count_nonzero(done)
         if closed:
             root[index[done]] = mid[done]
@@ -334,10 +353,13 @@ def _failures(top, root, shares, regime, residual, avg_time, revenue) -> dict[in
     the gap infinite, and the printed residual of such a gap can still be small.
     """
     toll, pool, ordinary = shares
-    # A root is NaN, so not >= 0, while its bracket is still open.
+    # A root is NaN, so not >= 0, while its bracket is still open, and -inf where it can never close.
     checks = (
         (top > 0.0, lambda i: GapNonPositive(top[i])),
-        (root >= 0.0, lambda i: NoConvergence(f"the gap bracket is still open after {MAX_BISECT} steps")),
+        (root >= 0.0, lambda i: NoConvergence(
+            f"the gap bracket is still open after {MAX_BISECT} steps" if np.isnan(root[i])
+            else "the gap bracket can never close: F(gap) is NaN at its trial points on two steps running"
+        )),
         (residual <= RESIDUAL_TOL, lambda i: NoConvergence(
             f"fixed-point residual {residual[i]} exceeds {RESIDUAL_TOL}",
             last_value=tuple(shares[:, i].tolist()),
@@ -365,9 +387,9 @@ def solve_batch(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) -> E
     :class:`DesignParams` domain raises ``ValidationError``. A point that
     cannot be solved gets its typed error in ``errors`` (``GapNonPositive``
     when the all-ordinary gap is not a positive float, ``NoConvergence`` when
-    the bracket is still open after ``MAX_BISECT`` steps or the printed
-    residual exceeds ``RESIDUAL_TOL``), so one bad point never aborts the
-    batch.
+    the bracket is still open after ``MAX_BISECT`` steps, can never close
+    (``F`` NaN on two steps running) or the printed residual exceeds
+    ``RESIDUAL_TOL``), so one bad point never aborts the batch.
 
     All roots are found in one :func:`_gap_root` call, each that of ``F`` at
     the point's effective toll: its own ``tau`` where ``tau < gamma_max`` and

@@ -40,9 +40,11 @@ class NoConvergence(HotLaneError):
     * Residual gate (the message says "residual ... exceeds"): the solver's
       root leaves its printed regime equation with a residual above
       ``RESIDUAL_TOL``.
+    * NaN (the message says "NaN"): the solver's ``F`` was NaN at the trial
+      points of two steps running, so its bracket can never close.
 
-    Only the cap means that more steps can help; a straddle or a residual
-    failure gives the same error after any number of iterations.
+    Only the cap means that more steps can help; a straddle, a residual
+    failure or a NaN gives the same error after any number of iterations.
     ``last_value`` and ``residual`` carry the best state reached and its
     error where the raiser has them, and are ``None`` otherwise.
     """

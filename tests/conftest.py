@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from hotlane import (
     StrategyShares,
 )
 from hotlane import equilibrium as eq
+from hotlane.cli import RunConfig, i880_config
 from hotlane.latency import _capacities, latency_gap
 from hotlane.population import _toll_levels, region_measures_at_gap
 
@@ -26,14 +28,57 @@ with warnings.catch_warnings():
         pass
 
 
+# The calibrations and design grids that the tests share, each defined once here. Test modules
+# import the constants and grid builders (pytest has this file's folder on sys.path).
+I880_POP = PopulationParams(demand=115.0, beta_max=1.5, gamma_max=8.0)
+I880_BPR = BprParams(a=0.15, b=4.0, t_free=22.0, v_cap=140.0)
+# The congested calibration: I-880 with demand 250 and a = 0.6, mostly Regime B.
+CONGESTED_POP = PopulationParams(demand=250.0, beta_max=1.5, gamma_max=8.0)
+CONGESTED_BPR = BprParams(a=0.6, b=4.0, t_free=22.0, v_cap=140.0)
+# The paper's I-880 grid as (rho, tau), rho-major: rho in {0.25, 0.5, 0.75}, tau from 0.5 to 10 in steps of 0.5.
+I880_POINTS = [(rho, 0.5 * k) for rho in (0.25, 0.5, 0.75) for k in range(1, 21)]
+# The benchmark's seed-0 dense grid: rho = linspace(0.05, 0.95, 50) x tau = 0.1 + i * 11.9/99 for i in 0..99.
+DENSE_RHO = np.linspace(0.05, 0.95, 50)
+
+
+def i880_grid() -> list[DesignParams]:
+    """The I-880 grid's 60 design points at occupancy 2.5, in ``I880_POINTS`` order."""
+    return [DesignParams(rho, tau, 2.5) for rho, tau in I880_POINTS]
+
+
+# The two config builders keep the leading underscore of the test ids that name them.
+def _dense_config() -> RunConfig:
+    """The dense grid on the I-880 calibration, as a CLI config."""
+    step = (12.0 - 0.1) / 99
+    return dataclasses.replace(
+        i880_config(), rho_values=tuple(DENSE_RHO.tolist()), tau_min=0.1, tau_max=0.1 + 99.5 * step, tau_step=step
+    )
+
+
+def _congested_config() -> RunConfig:
+    """The dense grid on the congested calibration."""
+    return dataclasses.replace(_dense_config(), population=CONGESTED_POP, bpr=CONGESTED_BPR)
+
+
+def dense_grid() -> list[DesignParams]:
+    """The dense grid's 5,000 design points, rho-major, each toll built as the CLI builds it."""
+    grid = (column.tolist() for column in _dense_config().design_grid())
+    return [DesignParams(rho, tau, occupancy) for tau, rho, occupancy in zip(*grid)]
+
+
+def dense_design(k: int, i: int) -> DesignParams:
+    """The dense grid's point at the ``k``-th rho and the ``i``-th toll."""
+    return dense_grid()[k * 100 + i]
+
+
 @pytest.fixture(scope="session")
 def i880_pop() -> PopulationParams:
-    return PopulationParams(demand=115.0, beta_max=1.5, gamma_max=8.0)
+    return I880_POP
 
 
 @pytest.fixture(scope="session")
 def i880_bpr() -> BprParams:
-    return BprParams(a=0.15, b=4.0, t_free=22.0, v_cap=140.0)
+    return I880_BPR
 
 
 @pytest.fixture(scope="session")
@@ -71,11 +116,7 @@ def resolve_in_shrunk_bracket():
         width = latency_gap(StrategyShares(0.0, 0.0, 1.0), design, pop.demand, bpr)
         lo, hi = np.array([1e-6 * width]), np.array([width - 1e-6 * width])
         (root,), _ = eq._gap_root(lo, hi, eq._excess(lo, pop, bpr, *points), pop, bpr, points)
-        assert not np.isnan(root), "the perturbed bracket did not close"
+        assert root >= 0.0, "the perturbed bracket did not close"
         return region_measures_at_gap(float(root), design.tau, pop)
 
     return resolve
-
-
-def make_design(rho: float, tau: float, occupancy: float = 2.5) -> DesignParams:
-    return DesignParams(rho=rho, tau=tau, occupancy=occupancy)

@@ -244,7 +244,8 @@ def bisection_gap(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) ->
     Each bracket starts as ``[0, gap(everyone ordinary)]`` and is halved at
     its midpoint with ``equilibrium._excess`` until the midpoint equals an
     end, the solver's stop rule; that midpoint is the root (``F == 0`` there
-    closes both ends on it). The gap is then taken at the root's region
+    closes both ends on it). Where ``lo + hi`` overflows, the midpoint is
+    ``0.5 * lo + 0.5 * hi``, as in the solver. The gap is then taken at the root's region
     fractions, as ``solve_batch`` reports it. A bracket still open after
     ``MAX_BISECT`` halvings has no root, and its gap means nothing.
     """
@@ -256,6 +257,7 @@ def bisection_gap(tau, rho, occupancy, pop: PopulationParams, bpr: BprParams) ->
         root = np.full(tau.shape, np.nan)
         for _ in range(MAX_BISECT):
             mid = 0.5 * (lo + hi)
+            mid = np.where(np.isinf(mid), 0.5 * lo + 0.5 * hi, mid)
             closed = np.isnan(root) & ((mid == lo) | (mid == hi))
             root[closed] = mid[closed]
             if not np.isnan(root).any():

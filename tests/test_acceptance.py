@@ -14,11 +14,9 @@ import numpy as np
 import pytest
 
 from hotlane import (
-    BprParams,
     DesignParams,
     EquilibriumOutcome,
     OracleConfig,
-    PopulationParams,
     RegimeLabel,
     oracle_equilibrium,
     pareto_front,
@@ -29,6 +27,7 @@ from hotlane.equilibrium import MAX_BISECT, RESIDUAL_TOL
 from hotlane.latency import bpr_time, latency_gap
 from hotlane.population import region_measures_at_gap
 from paper_reference import a1_auxiliary, a2_auxiliary, b_auxiliary, brute_force_front, positive_gap_bracket
+from conftest import I880_BPR, I880_POP, i880_grid
 
 ORACLE_TOL = 5e-3
 SELF_CONSISTENCY_TOL = 1e-8
@@ -53,21 +52,17 @@ def _report(ok: bool, label: str, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def pop():
-    return PopulationParams(demand=115.0, beta_max=1.5, gamma_max=8.0)
+    return I880_POP
 
 
 @pytest.fixture(scope="module")
 def bpr():
-    return BprParams(a=0.15, b=4.0, t_free=22.0, v_cap=140.0)
+    return I880_BPR
 
 
 @pytest.fixture(scope="module")
 def grid():
-    return [
-        DesignParams(rho=rho, tau=0.5 * k, occupancy=2.5)
-        for rho in (0.25, 0.5, 0.75)
-        for k in range(1, 21)
-    ]
+    return i880_grid()
 
 
 @pytest.fixture(scope="module")

@@ -49,6 +49,7 @@ from hotlane.cli import (
 from hotlane import cli as cli_mod
 from hotlane import oracle
 from paper_reference import bisection_gap
+from conftest import I880_POINTS, _congested_config, _dense_config
 
 I880_TEXT = """
 # I-880 calibration
@@ -289,6 +290,9 @@ def test_cmd_verify_passes(capsys):
     out = capsys.readouterr().out
     assert "max-norm distance" in out
     assert "solver:" in out and "oracle:" in out
+    # A tiny HOT capacity overflows the oracle's lane time to inf, with no warning on the way.
+    assert cmd_verify(i880_config(), tau=1.0, rho=1e-100, grid_n=2000) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cmd_verify_reports_a_distance_over_tolerance(capsys, monkeypatch):
@@ -326,25 +330,27 @@ def test_cmd_verify_output_does_not_depend_on_the_start(capsys, monkeypatch, gri
     the all-ordinary gap, and the labelings made are fewer."""
     original = cli_mod.oracle_equilibrium
     config = i880_config()
-    points = [(rho, 0.5 * k) for rho in config.rho_values for k in range(1, 21)]
 
     def run(oracle_equilibrium):
         monkeypatch.setattr(cli_mod, "oracle_equilibrium", oracle_equilibrium)
-        outputs, labelings = [], 0
-        for rho, tau in points:
+        outputs, labelings = [], []
+        for rho, tau in I880_POINTS:
             code = cmd_verify(config, tau=tau, rho=rho, grid_n=grid_n)
             lines = capsys.readouterr().out.splitlines()
             shares, count = lines[1].split("  [grid_n=%d, iterations=" % grid_n)
             outputs.append((code, lines[0], shares, lines[2]))
-            labelings += int(count.rstrip("]"))
+            labelings.append(int(count.rstrip("]")))
         return outputs, labelings
 
     seeded, seeded_labelings = run(original)
     unseeded, unseeded_labelings = run(lambda design, pop, bpr, cfg, start=None: original(design, pop, bpr, cfg))
     assert seeded == unseeded
-    assert seeded_labelings < unseeded_labelings
+    assert sum(seeded_labelings) < sum(unseeded_labelings)
     if grid_n == 2000:
-        assert (seeded_labelings, unseeded_labelings) == (113, 232)
+        # At tau >= gamma_max the oracle's threshold row is every gamma midpoint. Started at the
+        # solved gap, its search makes at most 4 labelings (3 today; 7 from the all-ordinary gap).
+        assert seeded_labelings[I880_POINTS.index((0.75, 9.0))] <= 4
+        assert (sum(seeded_labelings), sum(unseeded_labelings)) == (113, 232)
 
 
 def test_cmd_verify_oracle_failure_distinct(capsys, monkeypatch):
@@ -444,24 +450,6 @@ def test_cmd_pareto_on_a_grid_where_every_point_failed(capsys, tmp_path):
     assert capsys.readouterr().err == ""
 
 
-def _dense_config():
-    step = (12.0 - 0.1) / 99
-    rho = tuple(float(r) for r in np.linspace(0.05, 0.95, 50))
-    return dataclasses.replace(
-        i880_config(), rho_values=rho, tau_min=0.1, tau_max=0.1 + 99.5 * step, tau_step=step
-    )
-
-
-def _congested_config():
-    """The dense grid at demand 250 on a steeper curve (a = 0.6): mostly Regime B."""
-    config = _dense_config()
-    return dataclasses.replace(
-        config,
-        population=dataclasses.replace(config.population, demand=250.0),
-        bpr=dataclasses.replace(config.bpr, a=0.6),
-    )
-
-
 @pytest.mark.parametrize("make_config", [i880_config, _dense_config, _congested_config])
 def test_revenue_is_zero_exactly_in_regime_a(make_config):
     """Revenue is exactly 0 at every solved Regime-A point and positive at every Regime-B point."""
@@ -492,6 +480,10 @@ def test_regime_a_does_not_depend_on_tau(make_config):
         assert column.tobytes() == reference.tobytes(), name
     tau_ab = np.minimum(pop.gamma_max, pop.beta_max * at_cap.gap)
     assert ((table.tau < tau_ab) == regime_b)[table.solved].all()
+    # At tau = gamma_max nobody pays: the point's root is g_A, and on I-880 it is Regime A1.
+    assert (at_cap.regime != list(RegimeLabel).index(RegimeLabel.B)).all()
+    if make_config is i880_config:
+        assert (at_cap.regime == list(RegimeLabel).index(RegimeLabel.A1)).all()
 
 
 @pytest.mark.parametrize("make_config", [_dense_config, _congested_config])
@@ -769,6 +761,18 @@ def test_failed_write_keeps_a_symlink(monkeypatch, capsys, tmp_path):
     assert link.is_symlink() and target.read_text() == ",".join(STATICS_COLUMNS) + "\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout on this system")
+@pytest.mark.parametrize("command", [["sweep"], ["statics", "--tau", "3.0"]], ids=["sweep", "statics"])
+def test_out_dev_stdout_writes_the_file_bytes(command, capfd, tmp_path):
+    """``--out /dev/stdout``, a device that the writer opens but never removes, writes the bytes that
+    ``--out`` a regular file writes."""
+    out = tmp_path / "out.csv"
+    argv = ["--i880-defaults", *command, "--out"]
+    assert main([*argv, str(out)]) == 0
+    assert main([*argv, "/dev/stdout"]) == 0
+    assert capfd.readouterr().out.encode() == out.read_bytes()
+
+
 @pytest.mark.parametrize("make_config", [i880_config, _dense_config, _congested_config])
 def test_pareto_front_is_a_strict_chain(make_config):
     """Both objectives strictly increase along the global front of each grid and, on the
@@ -842,6 +846,20 @@ def test_cmd_statics_csv(tmp_path):
     # Regime column transitions at most once along rho (A before B).
     labels = [line.split(",")[1] != "B" for line in data]
     assert labels == sorted(labels, reverse=True)
+
+
+def test_cmd_statics_rows_are_sweep_cells(tmp_path):
+    """On the Regime-B-heavy congested grid, statics at ``tau=0.5`` exits 0 and writes, under its
+    header, each rho's statics cells of that point's sweep row, then its four monotonicity lines."""
+    config = _congested_config()
+    statics, sweep = tmp_path / "statics.csv", tmp_path / "sweep.csv"
+    assert cmd_statics(config, 0.5, statics) == 0
+    assert cmd_sweep(dataclasses.replace(config, tau_min=0.5, tau_max=0.5), sweep) == 0
+    cells = [SWEEP_COLUMNS.index(column) for column in STATICS_COLUMNS]
+    rows = [",".join(line.split(",")[i] for i in cells) for line in sweep.read_text().splitlines()]
+    lines = statics.read_text().splitlines()
+    assert len(rows) == 1 + len(config.rho_values) and lines[: len(rows)] == rows
+    assert [line.split(",")[0] for line in lines[len(rows) :]] == ["# monotonicity"] * 4
 
 
 def test_cmd_statics_non_ascending_rho(capsys, tmp_path):

@@ -18,14 +18,7 @@ from hotlane import (
 from hotlane.design import evaluate_design
 from hotlane.latency import bpr_time
 from paper_reference import brute_force_front
-
-
-def i880_grid():
-    return [
-        DesignParams(rho=rho, tau=0.5 * k, occupancy=2.5)
-        for rho in (0.25, 0.5, 0.75)
-        for k in range(1, 21)
-    ]
+from conftest import i880_grid
 
 
 def columns(designs):

@@ -23,10 +23,11 @@ from hotlane import (
 )
 from hotlane.cli import RunConfig, i880_config
 from hotlane.errors import _DOMAIN
+from conftest import I880_BPR, I880_POP
 
 VALID = {
-    BprParams: BprParams(a=0.15, b=4.0, t_free=22.0, v_cap=140.0),
-    PopulationParams: PopulationParams(demand=115.0, beta_max=1.5, gamma_max=8.0),
+    BprParams: I880_BPR,
+    PopulationParams: I880_POP,
     DesignParams: DesignParams(rho=0.5, tau=1.0, occupancy=2.5),
     OracleConfig: OracleConfig(),
     RunConfig: i880_config(),
@@ -106,7 +107,7 @@ def _typed(call):
         return None
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
 @example(  # the ordinary lane's congestion overflows at the solved shares: once read as solved, with an infinite gap
     pop=PopulationParams(demand=1e-100, beta_max=0.5, gamma_max=2.2250738585072014e-308),
     bpr=BprParams(a=1e300, b=1.9999999999999998, t_free=5e-324, v_cap=0.9999999999999998),

@@ -36,6 +36,7 @@ from hotlane import latency
 from hotlane.latency import _capacities, bpr_time, lane_flows, lane_gap, latency_gap
 from hotlane.population import region_measures_at_gap
 import paper_reference
+from conftest import CONGESTED_BPR, CONGESTED_POP, DENSE_RHO, I880_POP, dense_design, dense_grid, i880_grid
 from paper_reference import (
     a1_auxiliary,
     a2_auxiliary,
@@ -326,26 +327,6 @@ def test_a2_unreachable_on_i880(i880_pop, i880_bpr):
         for tau in np.arange(0.5, 10.5, 0.5):
             design = DesignParams(rho=rho, tau=float(tau), occupancy=2.5)
             assert solve(design, i880_pop, i880_bpr).regime is not RegimeLabel.A2
-
-
-# Seed-0 dense grid of the benchmark: rho = linspace(0.05, 0.95, 50) x
-# tau = 0.1 + i * 11.9/99 for i in 0..99, tau built as the CLI builds it.
-DENSE_RHO = np.linspace(0.05, 0.95, 50)
-DENSE_TAU_STEP = (12.0 - 0.1) / 99
-CONGESTED_POP = PopulationParams(demand=250.0, beta_max=1.5, gamma_max=8.0)
-CONGESTED_BPR = BprParams(a=0.6, b=4.0, t_free=22.0, v_cap=140.0)
-
-
-def dense_design(k: int, i: int) -> DesignParams:
-    return DesignParams(rho=float(DENSE_RHO[k]), tau=0.1 + i * DENSE_TAU_STEP, occupancy=2.5)
-
-
-def dense_grid() -> list[DesignParams]:
-    return [dense_design(k, i) for k in range(50) for i in range(100)]
-
-
-def i880_grid() -> list[DesignParams]:
-    return [DesignParams(rho, 0.5 * k, 2.5) for rho in (0.25, 0.5, 0.75) for k in range(1, 21)]
 
 
 @pytest.mark.parametrize(
@@ -659,12 +640,13 @@ def test_underflowed_toll_floor_is_solved_at_its_own_toll(i880_pop, i880_bpr):
     assert "not valid in regime B" in str(table.errors[0]) and sorted(table.errors) == list(range(6))
 
 
-@pytest.mark.parametrize("rho", [1e-100, 1e-300, 4.45e-87])
+@pytest.mark.parametrize("rho", [1e-100, 1e-300, 4.45e-87, 9.6e-82])
 def test_tiny_capacity_fraction_solves(rho, i880_pop, i880_bpr):
     """A Regime-A1 root more than 200 binades below the bracket top closes in at most 40 steps
-    and meets the residual gate. The solver takes 20, 21 and 21 steps here. Halving a stalled
-    bracket's width took 761, 995 and 805; halving its count of floats only after a secant
-    point left the bracket took 212, 23 and 78."""
+    and meets the residual gate. The solver takes 20, 21, 21 and 22 steps here. Halving a stalled
+    bracket's width took 761, 995 and 805 at the first three; halving its count of floats only
+    after a secant point left the bracket took 212, 23 and 78. At ``rho=9.6e-82``, about 256
+    binades below the top, secant steps in wide brackets crept for 781 steps."""
     table = solve_batch([1.0], [rho], [2.5], i880_pop, i880_bpr)
     assert not table.errors
     assert table.residual[0] <= eq.RESIDUAL_TOL
@@ -710,9 +692,6 @@ def test_small_gamma_max_rho_grid_solves(gamma_max, i880_bpr):
     assert not solve_batch(1.0, np.linspace(0.05, 0.95, 91), 2.5, pop, i880_bpr).errors
 
 
-I880_POP = PopulationParams(demand=115.0, beta_max=1.5, gamma_max=8.0)
-
-
 @pytest.mark.parametrize(
     "rho, pop, errors, most",
     [
@@ -754,6 +733,47 @@ def test_extreme_points_fail_typed_without_warnings(rho, pop, errors, most, i880
     solved = table.solved
     reference = bisection_gap(table.tau, table.rho, table.occupancy, pop, i880_bpr)
     assert table.gap[solved].tobytes() == reference[solved].tobytes()
+
+
+@pytest.mark.parametrize(
+    "pop, bpr, rho, error, message",
+    [
+        # The all-ordinary gap is inf and F is NaN at every trial point: the bracket can never close.
+        pytest.param(
+            PopulationParams(demand=1e300, beta_max=1e10, gamma_max=1e10),
+            BprParams(a=115.0, b=4.0, t_free=1e-10, v_cap=1e-10),
+            0.5,
+            NoConvergence,
+            "the gap bracket can never close: F(gap) is NaN at its trial points on two steps running",
+            id="nan-trial-points",
+        ),
+        # F(top) is exactly 0.0 at a top of 1.7e308: both ends lie above 2**1023, where lo + hi overflows.
+        pytest.param(
+            PopulationParams(demand=1.0, beta_max=5e-324, gamma_max=1e10),
+            BprParams(a=115.0, b=4.0, t_free=1e300, v_cap=1.0),
+            1e-300,
+            ValidationError,
+            "equilibrium shares (0.0, 0.0, 1.0) are not valid in regime A1",
+            id="overflowing-midpoint",
+        ),
+    ],
+)
+def test_bracket_that_cannot_close_stops(pop, bpr, rho, error, message, monkeypatch):
+    """A point whose ``F`` is NaN on two steps running, or whose bracket midpoint overflows, stops
+    within a few steps of halving's bound of 63 and fails typed. Both ran out all ``MAX_BISECT``
+    steps before: 2,142 and 2,141 evaluations of ``F``, now 66 and 65."""
+    calls = []
+    excess = eq._excess
+
+    def counted(*args):
+        calls.append(None)
+        return excess(*args)
+
+    monkeypatch.setattr(eq, "_excess", counted)
+    with pytest.raises(error) as raised:
+        solve(DesignParams(rho=rho, tau=1e-10, occupancy=2.5), pop, bpr)
+    assert str(raised.value) == message
+    assert len(calls) <= 70
 
 
 def test_solve_batch_empty(i880_pop, i880_bpr):

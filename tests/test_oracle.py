@@ -30,11 +30,7 @@ from hotlane import oracle
 from hotlane.latency import latency_gap
 from hotlane.population import region_measures_at_gap
 from paper_reference import ActionLabel, best_response_at_gap, column_label_counts, empirical_shares
-
-# The congested calibration: I-880 with demand 250 and a = 0.6.
-CONGESTED_POP = PopulationParams(demand=250.0, beta_max=1.5, gamma_max=8.0)
-CONGESTED_BPR = BprParams(a=0.6, b=4.0, t_free=22.0, v_cap=140.0)
-I880_POINTS = [(rho, 0.5 * k) for rho in (0.25, 0.5, 0.75) for k in range(1, 21)]
+from conftest import CONGESTED_BPR, CONGESTED_POP, I880_POINTS
 
 
 def test_oracle_config_validation():
